@@ -10,7 +10,6 @@
 
 #include "bench_util.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "obs/latency.h"
 #include "obs/perfetto_sink.h"
 
@@ -283,41 +282,6 @@ BM_EngineThroughputInstrumented(benchmark::State &state)
     state.SetItemsProcessed(total);
 }
 BENCHMARK(BM_EngineThroughputInstrumented)->Arg(8);
-
-/**
- * Sharded engine throughput: 8 processors with the drain phases
- * partitioned across `shards` pool workers (1 = serial reference
- * point; the pool lives outside the timed region).  Stats are
- * byte-identical at every shard count - see sharded_engine_test -
- * so this only measures wall clock.
- */
-void
-BM_ShardedEngineThroughput(benchmark::State &state)
-{
-    const std::size_t procs = 8;
-    unsigned shards = static_cast<unsigned>(state.range(0));
-    Arch85Params params;
-    ThreadPool pool(shards);
-    std::uint64_t total = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        ProtocolSetup setup;
-        auto sys = makeSystem(setup, procs);
-        auto streams = makeArch85Streams(params, procs, 3);
-        std::vector<RefStream *> raw;
-        for (auto &s : streams)
-            raw.push_back(s.get());
-        state.ResumeTiming();
-        EngineConfig cfg;
-        cfg.shards = shards;
-        cfg.pool = shards > 1 ? &pool : nullptr;
-        Engine engine(*sys, cfg);
-        engine.run(raw, 2000);
-        total += 2000 * procs;
-    }
-    state.SetItemsProcessed(total);
-}
-BENCHMARK(BM_ShardedEngineThroughput)->Arg(1)->Arg(2)->Arg(4);
 
 /** Full invariant scan cost as the line population grows. */
 void

@@ -11,11 +11,6 @@ repetitions is compared against the record's optimized_ns entry.
 --bench is repeatable; without it the default guarded set below is
 enforced.  Exits non-zero when any measured median exceeds its
 committed number by more than the tolerance.
-
-BM_ShardedEngineThroughput rows are skipped when the record's machine
-has a single CPU: the sharded drain cannot show wall-clock speedup
-without parallelism, so its timing on such a recorder is noise, not a
-regression signal.  The row stays in the record for multi-CPU machines.
 """
 
 import argparse
@@ -84,13 +79,8 @@ def main():
     with open(args.record) as f:
         record = json.load(f)
 
-    cpus = record.get("machine", {}).get("cpus")
     failures = []
     for bench in args.benches or DEFAULT_GUARDED:
-        if bench.startswith("BM_ShardedEngineThroughput") and cpus == 1:
-            print(f"{bench}: skipped (record machine has 1 cpu; "
-                  f"sharded wall-clock is not comparable)")
-            continue
         err = check_row(report, record, bench, args.tolerance)
         if err is not None:
             failures.append(err)

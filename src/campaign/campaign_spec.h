@@ -311,8 +311,8 @@ struct CampaignResult
     /**
      * The job's metric snapshot (engine + system + per-master latency
      * histograms).  Derived deterministically from the job alone, so
-     * merged campaign metrics are byte-identical at any worker/shard
-     * count.  Empty for failed jobs.
+     * merged campaign metrics are byte-identical at any worker count.
+     * Empty for failed jobs.
      */
     MetricsSnapshot metrics;
 

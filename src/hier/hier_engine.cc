@@ -97,8 +97,7 @@ HierEngine::run(const std::vector<RefStream *> &streams,
         Cycles root_before = system_.rootBus().stats().busyCycles;
 
         if (p.ref.write) {
-            Word value =
-                (static_cast<Word>(imin + 1) << 48) ^ (++seq[imin]);
+            Word value = Engine::writeValue(imin, ++seq[imin]);
             AccessOutcome o = system_.write(
                 static_cast<MasterId>(imin), p.ref.addr, value);
             if (o.faulted)

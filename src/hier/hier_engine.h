@@ -64,9 +64,6 @@ struct HierEngineResult
 class HierEngine
 {
   public:
-    /** EngineConfig::shards is accepted but ignored: hier scheduling
-     *  is one global readiness order, so results are byte-identical
-     *  at any shard setting (pinned by hier_test). */
     HierEngine(HierSystem &system, const EngineConfig &config);
 
     /** Run every stream for refs_per_proc references; streams[i]

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/policy.h"
 #include "hier/hier_system.h"
 #include "sim/system.h"
@@ -417,109 +416,66 @@ runHierDifferential(const HierDiffConfig &cfg)
 }
 
 DiffResult
-runShardDifferential(const ShardDiffConfig &cfg)
+runEngineDifferential(const EngineDiffConfig &cfg)
 {
     DiffResult res;
-    fbsim_assert(!cfg.shardCounts.empty());
     const std::size_t n = cfg.tables.size();
 
-    struct RunCapture
-    {
-        std::vector<EngineAccess> log;
-        EngineResult result;
-        std::string render;
-    };
-    std::vector<RunCapture> runs;
-
-    for (unsigned shards : cfg.shardCounts) {
-        SystemConfig sc;
-        sc.lineBytes = kWordBytes;
-        System sys(sc);
-        for (std::size_t c = 0; c < n; ++c) {
-            CacheSpec spec;
-            spec.table = cfg.tables[c];
-            spec.numSets = 1;
-            spec.assoc = cfg.lines;
-            sys.addCache(spec);
-        }
-        std::vector<std::unique_ptr<UniformLineStream>> streams;
-        std::vector<RefStream *> raw;
-        for (std::size_t c = 0; c < n; ++c) {
-            streams.push_back(std::make_unique<UniformLineStream>(
-                cfg.lines, RngFeed::cacheSeed(cfg.seed, c)));
-            raw.push_back(streams.back().get());
-        }
-
-        RunCapture cap;
-        ThreadPool pool(shards > 1 ? shards : 1);
-        EngineConfig ec;
-        ec.ordering = cfg.ordering;
-        ec.shards = shards;
-        ec.pool = shards > 1 ? &pool : nullptr;
-        ec.accessLog = &cap.log;
-        Engine engine(sys, ec);
-        cap.result = engine.run(raw, cfg.refsPerProc);
-        ++res.stepsRun;
-
-        for (std::size_t l = 0; l < cfg.lines; ++l)
-            cap.render += sys.checker().describeLine(l);
-        if (!sys.violations().empty()) {
-            res.ok = false;
-            res.errors.push_back(strprintf(
-                "shards=%u: engine recorded checker violations: %s",
-                shards, sys.violations()[0].c_str()));
-        }
-        runs.push_back(std::move(cap));
+    SystemConfig sc;
+    sc.lineBytes = kWordBytes;
+    System sys(sc);
+    for (std::size_t c = 0; c < n; ++c) {
+        CacheSpec spec;
+        spec.table = cfg.tables[c];
+        spec.numSets = 1;
+        spec.assoc = cfg.lines;
+        sys.addCache(spec);
+    }
+    std::vector<std::unique_ptr<UniformLineStream>> streams;
+    std::vector<RefStream *> raw;
+    for (std::size_t c = 0; c < n; ++c) {
+        streams.push_back(std::make_unique<UniformLineStream>(
+            cfg.lines, RngFeed::cacheSeed(cfg.seed, c)));
+        raw.push_back(streams.back().get());
     }
 
-    for (std::size_t k = 1; k < runs.size(); ++k) {
-        if (runs[k].log != runs[0].log) {
-            res.ok = false;
-            res.errors.push_back(strprintf(
-                "shards=%u: functional access log diverges from the "
-                "serial reference (%zu vs %zu entries)",
-                cfg.shardCounts[k], runs[k].log.size(),
-                runs[0].log.size()));
-        }
-        if (!(runs[k].result == runs[0].result)) {
-            res.ok = false;
-            res.errors.push_back(strprintf(
-                "shards=%u: timing result diverges from the serial "
-                "reference",
-                cfg.shardCounts[k]));
-        }
-        if (runs[k].render != runs[0].render) {
-            res.ok = false;
-            res.errors.push_back(strprintf(
-                "shards=%u: final state vector diverges\n"
-                "  serial :%s\n  sharded:%s",
-                cfg.shardCounts[k], runs[0].render.c_str(),
-                runs[k].render.c_str()));
-        }
-    }
-    if (!res.ok)
+    std::vector<EngineAccess> log;
+    EngineConfig ec;
+    ec.ordering = cfg.ordering;
+    ec.accessLog = &log;
+    Engine engine(sys, ec);
+    engine.run(raw, cfg.refsPerProc);
+    res.stepsRun = 1;
+
+    std::string render;
+    for (std::size_t l = 0; l < cfg.lines; ++l)
+        render += sys.checker().describeLine(l);
+    if (!sys.violations().empty()) {
+        res.ok = false;
+        res.errors.push_back("engine recorded checker violations: " +
+                             sys.violations()[0]);
         return res;
+    }
 
-    // Replay the serial run's functional order against the abstract
-    // model.  Engine write values are (proc+1)<<48 ^ (per-proc write
-    // ordinal); the model's next write on a line stores image+1, so
-    // seeding image to value-1 makes both sides store the same word.
+    // Replay the run's functional order against the abstract model.
+    // The model's next write on a line stores image+1, so seeding
+    // image to the engine's value-1 makes both sides store the same
+    // word.
     ModelConfig mcfg;
     mcfg.tables = cfg.tables;
     mcfg.lines = cfg.lines;
     ModelState mst = initialState(mcfg);
     PreferredFeed feed;
     std::vector<std::uint64_t> wseq(n, 0);
-    for (std::size_t k = 0; k < runs[0].log.size(); ++k) {
-        const EngineAccess &a = runs[0].log[k];
+    for (std::size_t k = 0; k < log.size(); ++k) {
+        const EngineAccess &a = log[k];
         ModelEvent ev;
         ev.cache = static_cast<std::uint8_t>(a.proc);
         ev.line = static_cast<std::uint8_t>(a.addr / kWordBytes);
         ev.ev = a.write ? LocalEvent::Write : LocalEvent::Read;
         if (a.write) {
-            const Word v =
-                (static_cast<Word>(a.proc + 1) << 48) ^ (++wseq[a.proc]);
-            mst.image[ev.line] = v - 1;
+            mst.image[ev.line] =
+                Engine::writeValue(a.proc, ++wseq[a.proc]) - 1;
         }
         StepResult mr = stepModel(mcfg, mst, ev, feed, nullptr);
         if (!mr.ok) {
@@ -534,12 +490,12 @@ runShardDifferential(const ShardDiffConfig &cfg)
     }
     if (res.ok) {
         std::string mrender = renderStateVector(mcfg, mst);
-        if (mrender != runs[0].render) {
+        if (mrender != render) {
             res.ok = false;
             res.errors.push_back(strprintf(
                 "replayed model state diverges from the engine\n"
                 "  model :%s\n  engine:%s",
-                mrender.c_str(), runs[0].render.c_str()));
+                mrender.c_str(), render.c_str()));
         }
     }
     return res;

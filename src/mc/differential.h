@@ -59,32 +59,26 @@ struct DiffResult
 DiffResult runDifferential(const DiffConfig &cfg);
 
 /**
- * Sharded-engine differential: the timed Engine runs one seeded
- * workload at every shard count in `shardCounts`, and each run's
- * functional access log, timing result and final checker state vector
- * must be byte-identical - intra-run sharding must never change what
- * the engine computes, only how fast.  The serial run's access log is
- * then replayed against the abstract model (PreferredFeed on both
- * sides), which must accept every transition and land on the same
- * state vector; together the two checks pin the sharded drain to the
- * interleaved semantics the model formalizes.
+ * Engine differential: the timed Engine runs one seeded workload in
+ * the given ordering, and its functional access log is replayed
+ * against the abstract model (PreferredFeed on both sides), which must
+ * accept every transition and land on the engine's final state vector.
+ * This is the relaxed PerLine mode's semantic oracle; under Strict it
+ * checks the speculative loop against the interleaved semantics the
+ * model formalizes.
  */
-struct ShardDiffConfig
+struct EngineDiffConfig
 {
     /** One table per cache/processor (2-4). */
     std::vector<const ProtocolTable *> tables;
     std::size_t lines = 2;
     std::size_t refsPerProc = 4000;
     std::uint64_t seed = 1;
-    /** Engine ordering mode under test (sharding applies to the
-     *  deferred fast paths; Strict also covers the speculative
-     *  loop's sharded cold round). */
+    /** Engine ordering mode under test. */
     EngineOrdering ordering = EngineOrdering::PerLine;
-    /** Shard counts to cross-compare; the first is the reference. */
-    std::vector<unsigned> shardCounts = {1, 4};
 };
 
-DiffResult runShardDifferential(const ShardDiffConfig &cfg);
+DiffResult runEngineDifferential(const EngineDiffConfig &cfg);
 
 /**
  * Hierarchical differential: a live HierSystem (leaf buses, bridges,

@@ -442,8 +442,7 @@ class HierExec
                     rshared(j, l) = 1;
                 continue;
             }
-            DownOutcome d =
-                downForward(j, l, *ev, cmd, sig, ch_hint, wdata);
+            DownOutcome d = downForward(j, l, *ev, cmd, ch_hint, wdata);
             if (!result_.ok)
                 return out;
             // Did the down-forward clear the cluster?  A
@@ -504,7 +503,7 @@ class HierExec
      */
     DownOutcome
     downForward(std::size_t j, std::size_t l, BusEvent ev, BusCmd cmd,
-                const MasterSignals &sig, bool ch_hint, Word wdata)
+                bool ch_hint, Word wdata)
     {
         DownOutcome out;
         const std::size_t n = cfg_.base.numCaches();

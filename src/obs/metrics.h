@@ -9,7 +9,7 @@
  * commutatively (counters and histogram buckets add, gauges take the
  * max, the union is ordered by name), which is what lets
  * CampaignRunner's merge-by-index keep campaign metric blocks
- * byte-identical at any `--jobs N` and any `EngineConfig::shards`.
+ * byte-identical at any `--jobs N`.
  *
  * Histogram buckets are powers of two: value v lands in bucket
  * std::bit_width(v) (bucket 0 holds exactly v == 0, bucket k holds

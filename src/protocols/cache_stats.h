@@ -42,7 +42,8 @@ struct CacheStats
                                 static_cast<double>(total);
     }
 
-    /** Sharded and serial runs of one workload must agree exactly. */
+    /** Strict and Interleaved runs of one workload must agree
+     *  exactly. */
     bool operator==(const CacheStats &) const = default;
 
     /** Accumulate (campaign aggregation across a system's caches). */

@@ -1,11 +1,8 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "obs/latency.h"
 #include "obs/trace_sink.h"
 
@@ -61,6 +58,57 @@ Engine::specEligible() const
             return false;
     }
     return true;
+}
+
+AccessOutcome
+Engine::access(EngineResult &result, std::size_t proc, const ProcRef &ref,
+               std::uint64_t &seq)
+{
+    const MasterId id = static_cast<MasterId>(proc);
+    const AccessOutcome outcome =
+        ref.write ? system_.write(id, ref.addr, writeValue(proc, ++seq))
+                  : system_.read(id, ref.addr);
+    if (outcome.faulted)
+        ++result.faultedRefs;
+    if (config_.accessLog)
+        config_.accessLog->push_back({id, ref.write, ref.addr});
+    return outcome;
+}
+
+Cycles
+Engine::billBus(EngineResult &result, std::size_t proc, const ProcRef &ref,
+                Cycles readyAt, Cycles start, const AccessOutcome &outcome)
+{
+    const Cycles wait = start - readyAt;
+    ProcTiming &timing = result.procs[proc];
+    timing.busWaitCycles += wait;
+    timing.busServiceCycles += outcome.busCycles;
+    result.busBusy += outcome.busCycles;
+    const auto tid = static_cast<std::uint32_t>(proc);
+    if (config_.latency)
+        config_.latency->recordWait(tid, wait);
+    if (config_.trace) {
+        if (wait > 0) {
+            config_.trace->onSpan("arb-wait", kTraceEnginePid, tid,
+                                  readyAt, wait, std::string());
+        }
+        config_.trace->onSpan(
+            ref.write ? "write" : "read", kTraceEnginePid, tid, start,
+            outcome.busCycles,
+            strprintf("addr 0x%llx",
+                      static_cast<unsigned long long>(ref.addr)));
+    }
+    return start + outcome.busCycles;
+}
+
+void
+Engine::finish(EngineResult &result) const
+{
+    for (const ProcTiming &p : result.procs)
+        result.elapsed = std::max(result.elapsed, p.finishTime);
+    result.watchdogTrips = system_.watchdogTrips();
+    result.quarantines = system_.quarantineCount();
+    result.reintegrations = system_.reintegrationCount();
 }
 
 EngineResult
@@ -126,52 +174,16 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
     for (std::size_t i = 0; i < n; ++i)
         fetch(i);
 
-    // Values written are unique per (proc, sequence) so the checker's
-    // oracle exercises real data movement.
     std::vector<std::uint64_t> seq(n, 0);
 
     auto execute = [&](std::size_t i, Cycles start) {
         ProcState &p = procs[i];
-        AccessOutcome outcome;
-        if (p.ref.write) {
-            Word value = (static_cast<Word>(i + 1) << 48) ^ (++seq[i]);
-            outcome = system_.write(static_cast<MasterId>(i), p.ref.addr,
-                                    value);
-        } else {
-            outcome = system_.read(static_cast<MasterId>(i), p.ref.addr);
-        }
-        if (outcome.faulted)
-            ++result.faultedRefs;
-        if (config_.accessLog)
-            config_.accessLog->push_back({static_cast<MasterId>(i),
-                                          p.ref.write, p.ref.addr});
+        const AccessOutcome outcome = access(result, i, p.ref, seq[i]);
         ProcTiming &timing = result.procs[i];
         timing.refs += 1;
         timing.execCycles += config_.hitCycles;
         if (outcome.usedBus) {
-            const Cycles wait = start - p.readyAt;
-            timing.busWaitCycles += wait;
-            timing.busServiceCycles += outcome.busCycles;
-            result.busBusy += outcome.busCycles;
-            if (config_.latency)
-                config_.latency->recordWait(static_cast<MasterId>(i),
-                                            wait);
-            if (config_.trace) {
-                if (wait > 0) {
-                    config_.trace->onSpan(
-                        "arb-wait", kTraceEnginePid,
-                        static_cast<std::uint32_t>(i), p.readyAt, wait,
-                        std::string());
-                }
-                config_.trace->onSpan(
-                    p.ref.write ? "write" : "read", kTraceEnginePid,
-                    static_cast<std::uint32_t>(i), start,
-                    outcome.busCycles,
-                    strprintf("addr 0x%llx",
-                              static_cast<unsigned long long>(
-                                  p.ref.addr)));
-            }
-            bus_free = start + outcome.busCycles;
+            bus_free = billBus(result, i, p.ref, p.readyAt, start, outcome);
             p.readyAt = bus_free + config_.hitCycles;
         } else {
             p.readyAt += config_.hitCycles;
@@ -235,11 +247,7 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
         execute(w, std::max(bus_free, procs[w].readyAt));
     }
 
-    for (const ProcTiming &p : result.procs)
-        result.elapsed = std::max(result.elapsed, p.finishTime);
-    result.watchdogTrips = system_.watchdogTrips();
-    result.quarantines = system_.quarantineCount();
-    result.reintegrations = system_.reintegrationCount();
+    finish(result);
     return result;
 }
 
@@ -257,33 +265,15 @@ Engine::runWindowed(const std::vector<RefStream *> &streams,
         bool hasRef = false;
         ProcRef ref;
     };
-    /**
-     * Deferred oracle bookkeeping for one processor's drain work.
-     * The drain executes cache-local accesses straight on the client
-     * (no System wrapper), logging writes for a later in-order merge
-     * into the shared oracle; the overlay answers read-own-write
-     * verification until the merge happens.  All of it is touched by
-     * exactly one worker at a time, so shards never contend.
-     */
-    struct DrainScratch
-    {
-        std::vector<std::pair<Addr, Word>> writeLog;
-        FlatMap64<Word> overlay;   ///< word index -> last deferred write
-        std::vector<std::pair<Addr, Word>> mismatches;
-        std::vector<EngineAccess> accesses;   ///< deferred access log
-    };
 
     std::vector<ProcState> procs(n);
-    std::vector<DrainScratch> scratch(n);
-    std::vector<BusClient *> clients(n);
     // Caches with the devirtualized hit path drain through the fused
     // classify-and-execute probe (tryLocalRead/Write) instead of the
-    // wouldUseBus + client-call pair; null falls back to the generic
+    // wouldUseBus + System-call pair; null falls back to the generic
     // pair.  Stable for the whole run: on the plain access path
     // nothing can quarantine a cache or attach coverage mid-run.
     std::vector<SnoopingCache *> fastCache(n);
     for (std::size_t i = 0; i < n; ++i) {
-        clients[i] = &system_.client(static_cast<MasterId>(i));
         SnoopingCache *c = system_.cacheOf(static_cast<MasterId>(i));
         fastCache[i] = (c && c->fastPathEnabled()) ? c : nullptr;
     }
@@ -302,41 +292,38 @@ Engine::runWindowed(const std::vector<RefStream *> &streams,
     for (std::size_t i = 0; i < n; ++i)
         fetch(i);
 
-    std::atomic<bool> stop{false};
+    bool stop = false;
     const std::uint64_t pollEvery =
         control ? std::max<std::uint64_t>(1, control->checkEveryRefs)
                 : 0;
+    std::uint64_t sincePoll = 0;
 
-    const CoherenceChecker &checker = system_.checker();
+    CoherenceChecker &ck = system_.checker();
     const Cycles hit = config_.hitCycles;
 
     /**
-     * Run one processor's cache-local references to exhaustion (end of
-     * stream or a bus-bound reference).  Touches only proc-i state:
-     * its stream, its cache, its scratch, its timing row.  The only
-     * shared reads are the oracle (const) and the stop flag.
+     * Run processor i's cache-local references to exhaustion (end of
+     * stream or a bus-bound reference, which stays parked for the
+     * service loop).  Oracle bookkeeping is immediate: a local write
+     * needs an M or E copy, so no other processor holds a valid copy
+     * it could read, and processor-ordered updates are exact.  The
+     * per-reference accounting (refs, cycles, seq) accumulates in
+     * locals and flushes once at the end of the run - the drained
+     * count fully determines it.
      */
-    auto drainOne = [&](std::size_t i) {
+    auto drain = [&](std::size_t i) {
         ProcState &p = procs[i];
         ProcTiming &t = result.procs[i];
-        DrainScratch &s = scratch[i];
-        BusClient &client = *clients[i];
         SnoopingCache *fc = fastCache[i];
         RefStream &stream = *streams[i];
-        MasterId id = static_cast<MasterId>(i);
-        std::uint64_t sincePoll = 0;
-        // Per-reference accounting (refs, cycles, seq) accumulates in
-        // locals and flushes once at the end of the run - the drained
-        // count fully determines it, so the flushed totals are
-        // identical to per-reference updates.
+        const MasterId id = static_cast<MasterId>(i);
         std::uint64_t drained = 0;
         std::uint64_t sq = seq[i];
         while (p.hasRef) {
             if (pollEvery && ++sincePoll >= pollEvery) {
                 sincePoll = 0;
-                if (stop.load(std::memory_order_relaxed) ||
-                    control->shouldStop()) {
-                    stop.store(true, std::memory_order_relaxed);
+                if (control->shouldStop()) {
+                    stop = true;
                     break;
                 }
             }
@@ -344,46 +331,34 @@ Engine::runWindowed(const std::vector<RefStream *> &streams,
                 // Computed from sq+1 and committed only when the
                 // write executes, so a parked reference re-derives the
                 // identical value in the service phase.
-                Word value = (static_cast<Word>(i + 1) << 48) ^ (sq + 1);
+                const Word value = writeValue(i, sq + 1);
                 if (fc) {
                     if (!fc->tryLocalWrite(p.ref.addr, value))
                         break;   // parked: the service loop takes over
+                    ck.noteWrite(p.ref.addr, value);
                 } else {
                     if (system_.wouldUseBus(id, true, p.ref.addr))
                         break;
-                    AccessOutcome o = client.write(p.ref.addr, value);
+                    AccessOutcome o = system_.write(id, p.ref.addr, value);
                     fbsim_assert(!o.usedBus);
                 }
                 ++sq;
-                s.writeLog.emplace_back(p.ref.addr, value);
-                s.overlay[p.ref.addr / kWordBytes] = value;
             } else {
-                Word got = 0;
                 if (fc) {
+                    Word got = 0;
                     if (!fc->tryLocalRead(p.ref.addr, got))
                         break;
+                    if (got != ck.expected(p.ref.addr))
+                        system_.recordReadMismatch(p.ref.addr, got);
                 } else {
                     if (system_.wouldUseBus(id, false, p.ref.addr))
                         break;
-                    AccessOutcome o = client.read(p.ref.addr);
+                    AccessOutcome o = system_.read(id, p.ref.addr);
                     fbsim_assert(!o.usedBus);
-                    got = o.value;
                 }
-                // Always-on value verification, deferred flavour: a
-                // word this proc wrote since the last merge is judged
-                // against the overlay, anything else against the
-                // shared oracle (stable during a drain window - every
-                // cross-proc write is bus-bound and thus parked).
-                const Word *own =
-                    s.overlay.empty()
-                        ? nullptr
-                        : s.overlay.find(p.ref.addr / kWordBytes);
-                Word exp = own ? *own : checker.expected(p.ref.addr);
-                if (got != exp)
-                    s.mismatches.emplace_back(p.ref.addr, got);
             }
             if (config_.accessLog)
-                s.accesses.push_back({id, p.ref.write, p.ref.addr});
+                config_.accessLog->push_back({id, p.ref.write, p.ref.addr});
             ++drained;
             if (p.done + drained < refs_per_proc)
                 p.ref = stream.next();
@@ -400,78 +375,21 @@ Engine::runWindowed(const std::vector<RefStream *> &streams,
         }
     };
 
-    // Merge the windows' deferred bookkeeping into the shared oracle,
-    // in processor order: the one deterministic serialization point
-    // that makes every shard count produce identical results.  Within
-    // a window at most one processor can have written any given word
-    // (a second writer would have needed the bus), so processor-major
-    // order is a correct linearization.
-    auto mergeDrains = [&]() {
-        CoherenceChecker &ck = system_.checker();
-        for (std::size_t i = 0; i < n; ++i) {
-            DrainScratch &s = scratch[i];
-            if (s.writeLog.empty() && s.mismatches.empty() &&
-                s.accesses.empty())
-                continue;
-            for (const auto &[addr, value] : s.writeLog)
-                ck.noteWrite(addr, value);
-            for (const auto &[addr, value] : s.mismatches)
-                system_.recordReadMismatch(addr, value);
-            if (config_.accessLog)
-                config_.accessLog->insert(config_.accessLog->end(),
-                                          s.accesses.begin(),
-                                          s.accesses.end());
-            s.writeLog.clear();
-            s.mismatches.clear();
-            s.overlay.clear();
-            s.accesses.clear();
-        }
-    };
-
-    const unsigned shard_count =
-        (config_.pool != nullptr && config_.shards > 1)
-            ? static_cast<unsigned>(
-                  std::min<std::size_t>(config_.shards, n))
-            : 1;
-
     // --- Cold-start drain window: every processor's initial run of
-    // cache-local references, shardable because the runs are mutually
-    // independent (a cross-processor conflict needs the bus, which
-    // parks the reference).  The deferred bookkeeping is merged in
-    // processor order whatever the shard count - and shard count 1
-    // runs the very same deferred code - so the window's outcome is
-    // byte-identical at any sharding.
-    if (shard_count > 1) {
-        for (unsigned sh = 0; sh < shard_count; ++sh) {
-            config_.pool->submit([&, sh]() {
-                for (std::size_t i = sh; i < n; i += shard_count)
-                    drainOne(i);
-            });
-        }
-        config_.pool->wait();
-        std::vector<std::exception_ptr> errs =
-            config_.pool->drainExceptions();
-        if (!errs.empty()) {
-            // Leave the oracle consistent before unwinding.
-            mergeDrains();
-            std::rethrow_exception(errs.front());
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            drainOne(i);
-    }
-    mergeDrains();
+    // cache-local references, in processor order.  The runs are
+    // mutually independent (a cross-processor conflict needs the bus,
+    // which parks the reference).
+    for (std::size_t i = 0; i < n && !stop; ++i)
+        drain(i);
 
     // --- Service loop: bus transactions in readyAt order, each
-    // followed by the winner's next cache-local run drained inline.
-    // Invariant at the top of each iteration: every processor with a
-    // pending reference is parked bus-bound (a completed transaction
-    // can invalidate or demote other caches' lines - making their
-    // parked references *more* bus-bound - but never refill one, so
-    // parked processors stay parked until they win the bus).
-    std::uint64_t sincePoll = 0;
-    CoherenceChecker &ck = system_.checker();
-    while (!stop.load(std::memory_order_relaxed)) {
+    // followed by the winner's next cache-local run.  Invariant at the
+    // top of each iteration: every processor with a pending reference
+    // is parked bus-bound (a completed transaction can invalidate or
+    // demote other caches' lines - making their parked references
+    // *more* bus-bound - but never refill one, so parked processors
+    // stay parked until they win the bus).
+    while (!stop) {
         constexpr Cycles kIdle = ~Cycles{0};
         Cycles tstar = kIdle;
         for (std::size_t i = 0; i < n; ++i) {
@@ -484,7 +402,7 @@ Engine::runWindowed(const std::vector<RefStream *> &streams,
         if (pollEvery && ++sincePoll >= pollEvery) {
             sincePoll = 0;
             if (control->shouldStop()) {
-                stop.store(true, std::memory_order_relaxed);
+                stop = true;
                 break;
             }
         }
@@ -500,46 +418,14 @@ Engine::runWindowed(const std::vector<RefStream *> &streams,
             });
         fbsim_assert(winner.has_value());
         std::size_t w = *winner;
-        MasterId wid = static_cast<MasterId>(w);
         ProcState &p = procs[w];
         ProcTiming &t = result.procs[w];
 
-        AccessOutcome outcome;
-        if (p.ref.write) {
-            Word value = (static_cast<Word>(w + 1) << 48) ^ (++seq[w]);
-            outcome = system_.write(wid, p.ref.addr, value);
-        } else {
-            outcome = system_.read(wid, p.ref.addr);
-        }
-        if (outcome.faulted)
-            ++result.faultedRefs;
-        if (config_.accessLog)
-            config_.accessLog->push_back({wid, p.ref.write, p.ref.addr});
+        const AccessOutcome outcome = access(result, w, p.ref, seq[w]);
         t.refs += 1;
         t.execCycles += hit;
         if (outcome.usedBus) {
-            const Cycles wait = grant - p.readyAt;
-            t.busWaitCycles += wait;
-            t.busServiceCycles += outcome.busCycles;
-            result.busBusy += outcome.busCycles;
-            if (config_.latency)
-                config_.latency->recordWait(wid, wait);
-            if (config_.trace) {
-                if (wait > 0) {
-                    config_.trace->onSpan(
-                        "arb-wait", kTraceEnginePid,
-                        static_cast<std::uint32_t>(w), p.readyAt, wait,
-                        std::string());
-                }
-                config_.trace->onSpan(
-                    p.ref.write ? "write" : "read", kTraceEnginePid,
-                    static_cast<std::uint32_t>(w), grant,
-                    outcome.busCycles,
-                    strprintf("addr 0x%llx",
-                              static_cast<unsigned long long>(
-                                  p.ref.addr)));
-            }
-            bus_free = grant + outcome.busCycles;
+            bus_free = billBus(result, w, p.ref, p.readyAt, grant, outcome);
             p.readyAt = bus_free + hit;
         } else {
             // Classification is exact and nothing ran in between, so
@@ -551,79 +437,14 @@ Engine::runWindowed(const std::vector<RefStream *> &streams,
         p.done += 1;
         fetch(w);
 
-        // Drain the winner's cache-local run inline (serial): its next
+        // Drain the winner's cache-local run inline: its next
         // bus-bound reference must re-enter arbitration at its true
         // ready time, not after other processors' later transactions
-        // have pushed bus_free past it.  Serial context, so the oracle
-        // bookkeeping is immediate - no deferral, no overlay - and the
-        // per-reference accounting batches in locals exactly as in
-        // drainOne.
-        SnoopingCache *fc = fastCache[w];
-        RefStream &stream = *streams[w];
-        std::uint64_t drained = 0;
-        std::uint64_t sq = seq[w];
-        while (p.hasRef) {
-            if (pollEvery && ++sincePoll >= pollEvery) {
-                sincePoll = 0;
-                if (control->shouldStop()) {
-                    stop.store(true, std::memory_order_relaxed);
-                    break;
-                }
-            }
-            if (p.ref.write) {
-                Word value = (static_cast<Word>(w + 1) << 48) ^ (sq + 1);
-                if (fc) {
-                    if (!fc->tryLocalWrite(p.ref.addr, value))
-                        break;
-                    ck.noteWrite(p.ref.addr, value);
-                } else {
-                    if (system_.wouldUseBus(wid, true, p.ref.addr))
-                        break;
-                    AccessOutcome o = system_.write(wid, p.ref.addr,
-                                                    value);
-                    fbsim_assert(!o.usedBus);
-                }
-                ++sq;
-            } else {
-                if (fc) {
-                    Word got = 0;
-                    if (!fc->tryLocalRead(p.ref.addr, got))
-                        break;
-                    if (got != checker.expected(p.ref.addr))
-                        system_.recordReadMismatch(p.ref.addr, got);
-                } else {
-                    if (system_.wouldUseBus(wid, false, p.ref.addr))
-                        break;
-                    AccessOutcome o = system_.read(wid, p.ref.addr);
-                    fbsim_assert(!o.usedBus);
-                }
-            }
-            if (config_.accessLog)
-                config_.accessLog->push_back(
-                    {wid, p.ref.write, p.ref.addr});
-            ++drained;
-            if (p.done + drained < refs_per_proc)
-                p.ref = stream.next();
-            else
-                p.hasRef = false;
-        }
-        seq[w] = sq;
-        if (drained) {
-            p.done += drained;
-            t.refs += drained;
-            t.execCycles += drained * hit;
-            p.readyAt += drained * hit;
-            t.finishTime = p.readyAt;
-        }
+        // have pushed bus_free past it.
+        drain(w);
     }
-    if (stop.load(std::memory_order_relaxed))
-        result.cancelled = true;
-
-    for (const ProcTiming &p : result.procs)
-        result.elapsed = std::max(result.elapsed, p.finishTime);
-    result.watchdogTrips = system_.watchdogTrips();
-    result.quarantines = system_.quarantineCount();
-    result.reintegrations = system_.reintegrationCount();
+    result.cancelled = stop;
+    finish(result);
     return result;
 }
 
@@ -715,7 +536,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
     } guard{system_.bus()};
     system_.bus().setSpecConflictLog(&conflicts);
 
-    std::atomic<bool> stop{false};
+    bool stop = false;
     const std::uint64_t pollEvery =
         control ? std::max<std::uint64_t>(1, control->checkEveryRefs)
                 : 0;
@@ -733,8 +554,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
      * (bus-bound ref), pauses (read mismatch needing in-order
      * adjudication), exhausts its stream, or the supervisor stops the
      * run.  Touches only proc-i state (its stream, buffer, cache and
-     * its cache's undo log) plus const oracle reads and the atomic
-     * stop flag, so the first round shards across workers.
+     * its cache's undo log) plus const oracle reads and the stop flag.
      */
     auto drainOne = [&](std::size_t i) {
         SpecProc &p = procs[i];
@@ -742,7 +562,6 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             return;
         SnoopingCache &c = *caches[i];
         RefStream &stream = *streams[i];
-        const Word base = static_cast<Word>(i + 1) << 48;
         std::uint64_t sincePoll = 0;
         // Hot per-ref state lives in locals (written back on every
         // exit path below): the cache calls alias `p` through the
@@ -763,9 +582,8 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         while (g < refs_per_proc) {
             if (pollEvery && ++sincePoll >= pollEvery) {
                 sincePoll = 0;
-                if (stop.load(std::memory_order_relaxed) ||
-                    control->shouldStop()) {
-                    stop.store(true, std::memory_order_relaxed);
+                if (stop || control->shouldStop()) {
+                    stop = true;
                     break;
                 }
             }
@@ -786,7 +604,8 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             }
             const ProcRef ref = buf[g - bufBase];
             if (ref.write) {
-                if (!c.specLocalWrite(ref.addr, base ^ (seqExec + 1))) {
+                if (!c.specLocalWrite(ref.addr,
+                                      writeValue(i, seqExec + 1))) {
                     p.parked = true;
                     break;
                 }
@@ -826,7 +645,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
                         --j;
                         if (buf[p.pendWrites[j] - bufBase].addr ==
                             ref.addr) {
-                            own = (base ^ s) == got;
+                            own = writeValue(i, s) == got;
                             break;
                         }
                         --s;
@@ -913,7 +732,6 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         SpecProc &p = procs[i];
         if (cut <= p.commitPos)
             return;
-        const Word base = static_cast<Word>(i + 1) << 48;
         // Oracle updates touch only writes: walk the pending-write
         // index, not the whole buffer.  Values are re-derived from
         // the commit-side counter (the k-th write carries k).
@@ -922,7 +740,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         const std::size_t pendSize = p.pendWrites.size();
         while (h < pendSize && p.pendWrites[h] < cut) {
             ck.noteWrite(p.buf[p.pendWrites[h] - p.bufBase].addr,
-                         base ^ (++seq));
+                         writeValue(i, ++seq));
             ++h;
         }
         p.seqCommit = seq;
@@ -1011,41 +829,16 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         return p.execPos;
     };
 
-    // --- Round 1: every processor's cold run, shardable exactly like
-    // the windowed loop's cold window (per-proc independent work).
-    const unsigned shard_count =
-        (config_.pool != nullptr && config_.shards > 1)
-            ? static_cast<unsigned>(
-                  std::min<std::size_t>(config_.shards, n))
-            : 1;
-    if (shard_count > 1) {
-        for (unsigned sh = 0; sh < shard_count; ++sh) {
-            config_.pool->submit([&, sh]() {
-                for (std::size_t i = sh; i < n; i += shard_count)
-                    drainOne(i);
-            });
-        }
-        config_.pool->wait();
-        std::vector<std::exception_ptr> errs =
-            config_.pool->drainExceptions();
-        if (!errs.empty()) {
-            // Leave the oracle consistent before unwinding.
-            for (std::size_t i = 0; i < n; ++i)
-                commitRange(i, procs[i].execPos);
-            flushLog();
-            std::rethrow_exception(errs.front());
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            drainOne(i);
-    }
+    // --- Round 1: every processor's first run of local hits.
+    for (std::size_t i = 0; i < n; ++i)
+        drainOne(i);
 
     // --- Serialization loop.  Each iteration resolves the earliest
     // outstanding functional event: a paused read's adjudication or
     // the next bus transaction, both at the exact instant the
     // interleaved loop would reach them.
     std::uint64_t sincePoll = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
+    while (!stop) {
         Cycles tstar = kIdle;
         std::size_t pv = 0;
         Cycles tm = kIdle;
@@ -1074,7 +867,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         if (pollEvery && ++sincePoll >= pollEvery) {
             sincePoll = 0;
             if (control->shouldStop()) {
-                stop.store(true, std::memory_order_relaxed);
+                stop = true;
                 break;
             }
         }
@@ -1126,9 +919,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             });
         fbsim_assert(winner.has_value());
         std::size_t w = *winner;
-        MasterId wid = static_cast<MasterId>(w);
         SpecProc &p = procs[w];
-        ProcTiming &t = result.procs[w];
         const std::uint64_t g = p.execPos;
         const ProcRef ref = p.buf[g - p.bufBase];
         const Cycles t_park = startOf(p, g);
@@ -1162,20 +953,9 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         }
 
         conflicts.clear();
-        AccessOutcome outcome;
-        if (ref.write) {
-            fbsim_assert(p.seqExec == p.seqCommit);
-            Word value =
-                (static_cast<Word>(w + 1) << 48) ^ (++p.seqExec);
-            p.seqCommit = p.seqExec;
-            outcome = system_.write(wid, ref.addr, value);
-        } else {
-            outcome = system_.read(wid, ref.addr);
-        }
-        if (outcome.faulted)
-            ++result.faultedRefs;
-        if (config_.accessLog)
-            config_.accessLog->push_back({wid, ref.write, ref.addr});
+        fbsim_assert(p.seqExec == p.seqCommit);
+        const AccessOutcome outcome = access(result, w, ref, p.seqExec);
+        p.seqCommit = p.seqExec;
         // Candidacy required an empty window, so the winner's undo
         // log and pending-write index are already empty; the bus
         // reference itself ran non-speculatively.
@@ -1187,28 +967,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         p.parked = false;
 
         if (outcome.usedBus) {
-            const Cycles wait = grant - t_park;
-            t.busWaitCycles += wait;
-            t.busServiceCycles += outcome.busCycles;
-            result.busBusy += outcome.busCycles;
-            if (config_.latency)
-                config_.latency->recordWait(wid, wait);
-            if (config_.trace) {
-                if (wait > 0) {
-                    config_.trace->onSpan(
-                        "arb-wait", kTraceEnginePid,
-                        static_cast<std::uint32_t>(w), t_park, wait,
-                        std::string());
-                }
-                config_.trace->onSpan(
-                    ref.write ? "write" : "read", kTraceEnginePid,
-                    static_cast<std::uint32_t>(w), grant,
-                    outcome.busCycles,
-                    strprintf("addr 0x%llx",
-                              static_cast<unsigned long long>(
-                                  ref.addr)));
-            }
-            bus_free = grant + outcome.busCycles;
+            bus_free = billBus(result, w, ref, t_park, grant, outcome);
             p.rBase = bus_free + hit;
         } else {
             // Classification is exact and nothing ran in between, so
@@ -1269,8 +1028,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
     for (std::size_t i = 0; i < n; ++i)
         commitRange(i, procs[i].execPos);
     flushLog();
-    if (stop.load(std::memory_order_relaxed))
-        result.cancelled = true;
+    result.cancelled = stop;
 
     for (std::size_t i = 0; i < n; ++i) {
         SpecProc &p = procs[i];
@@ -1279,11 +1037,8 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         t.execCycles = p.commitPos * hit;
         if (p.commitPos > 0)
             t.finishTime = startOf(p, p.execPos);
-        result.elapsed = std::max(result.elapsed, t.finishTime);
     }
-    result.watchdogTrips = system_.watchdogTrips();
-    result.quarantines = system_.quarantineCount();
-    result.reintegrations = system_.reintegrationCount();
+    finish(result);
     return result;
 }
 

@@ -26,7 +26,6 @@
 namespace fbsim {
 
 class LatencyRecorder;
-class ThreadPool;
 class TraceSink;
 
 /**
@@ -109,20 +108,6 @@ struct EngineConfig
     /** Processor cycles per reference when it completes locally. */
     Cycles hitCycles = 1;
     /**
-     * Intra-run sharding: partition the processors across this many
-     * workers of `pool` during the engine's drain phases (cache-local
-     * work only; bus transactions stay serialized).  Results are
-     * byte-identical at every shard count - the drain work is
-     * per-processor independent and its oracle bookkeeping is merged
-     * in processor order at each serialization point.  Takes effect
-     * only on the deferred fast path (fault-free, no per-access
-     * checking); elsewhere the engine ignores it and runs the classic
-     * interleaved loop.  1 = serial (the default).
-     */
-    unsigned shards = 1;
-    /** Worker pool for shards > 1 (not owned; null = serial). */
-    ThreadPool *pool = nullptr;
-    /**
      * Optional per-master latency instrumentation (arbitration wait;
      * service time is recorded by the Bus itself when the recorder is
      * also attached there).  Null = detached, zero overhead beyond a
@@ -145,9 +130,10 @@ struct EngineConfig
     /**
      * Functional access log sink (not owned; null = detached).  Every
      * loop appends each reference at its functional commit point, so
-     * the log is byte-identical across shard counts and, per line,
-     * across orderings - the lockstep cross-validation harness
-     * replays it against the abstract model.
+     * the log is byte-identical between Strict and Interleaved, and
+     * under PerLine still a legal serialization of every line - the
+     * lockstep cross-validation harness replays it against the
+     * abstract model.
      */
     std::vector<EngineAccess> *accessLog = nullptr;
 };
@@ -171,7 +157,8 @@ struct ProcTiming
                          static_cast<double>(finishTime);
     }
 
-    /** Sharded and serial runs of one workload must agree exactly. */
+    /** Strict and Interleaved runs of one workload must agree
+     *  exactly. */
     bool operator==(const ProcTiming &) const = default;
 };
 
@@ -190,7 +177,8 @@ struct EngineResult
      *  fields then cover only the references actually executed. */
     bool cancelled = false;
 
-    /** Sharded and serial runs of one workload must agree exactly. */
+    /** Strict and Interleaved runs of one workload must agree
+     *  exactly. */
     bool operator==(const EngineResult &) const = default;
 
     /** Bus utilization in [0,1]. */
@@ -236,6 +224,18 @@ class Engine
                      std::uint64_t refs_per_proc,
                      const RunControl *control = nullptr);
 
+    /**
+     * The value processor `proc`'s seq-th write stores (seq counts
+     * from 1 per processor).  Unique per (proc, seq), so the checker's
+     * oracle exercises real data movement and replay harnesses can
+     * re-derive every written word from the access log.
+     */
+    static Word
+    writeValue(std::size_t proc, std::uint64_t seq)
+    {
+        return (static_cast<Word>(proc + 1) << 48) ^ seq;
+    }
+
   private:
     /**
      * Classic loop: one global readyAt scan per reference, every
@@ -249,14 +249,12 @@ class Engine
                                 const RunControl *control);
 
     /**
-     * Window-discipline loop for the plain access path: alternating
-     * drain phases (each processor burns through its run of
-     * cache-local references - independent, shardable work) and
-     * service phases (bus transactions, serialized through the
-     * arbiter exactly as in the classic loop).  Oracle bookkeeping
-     * for drained accesses is deferred per processor and merged in
-     * processor order before each service phase, which is what makes
-     * the result independent of the shard count.
+     * Window-discipline loop for the plain access path (PerLine): a
+     * cold drain window (each processor, in order, burns through its
+     * run of cache-local references) and then service phases (bus
+     * transactions, serialized through the arbiter exactly as in the
+     * classic loop), each followed by the winner's next local run.
+     * Both use one drain with immediate oracle bookkeeping.
      */
     EngineResult runWindowed(const std::vector<RefStream *> &streams,
                              std::uint64_t refs_per_proc,
@@ -278,6 +276,27 @@ class Engine
 
     /** True when runSpeculative may serve this system. */
     bool specEligible() const;
+
+    /**
+     * Execute one reference through the System wrapper (a write
+     * stores writeValue(proc, ++seq)), count it when it faulted and
+     * append it to the access log.
+     */
+    AccessOutcome access(EngineResult &result, std::size_t proc,
+                         const ProcRef &ref, std::uint64_t &seq);
+
+    /**
+     * Bill a reference that used the bus, granted at `start` after
+     * becoming ready at `readyAt`: its wait and service cycles, bus
+     * occupancy, the latency recorder and the arb-wait + read/write
+     * trace spans.  Returns the new bus-free time.
+     */
+    Cycles billBus(EngineResult &result, std::size_t proc,
+                   const ProcRef &ref, Cycles readyAt, Cycles start,
+                   const AccessOutcome &outcome);
+
+    /** Shared epilogue: elapsed time and the ladder counters. */
+    void finish(EngineResult &result) const;
 
     System &system_;
     EngineConfig config_;

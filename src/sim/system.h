@@ -227,9 +227,9 @@ class System
     }
 
     /**
-     * Record an oracle mismatch observed by the engine's deferred
-     * drain path: same bookkeeping as an inline read() verification
-     * failure (quarantineOnIntegrity cannot be armed here - it
+     * Record an oracle mismatch observed by an engine drain that
+     * reads the cache directly: same bookkeeping as a failed read()
+     * verification (quarantineOnIntegrity cannot be armed here - it
      * requires a fault injector, which plainAccessPath() excludes).
      */
     void recordReadMismatch(Addr addr, Word value);

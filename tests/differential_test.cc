@@ -70,40 +70,41 @@ TEST(Differential, MixedProtocolsFourCaches)
         << (res.errors.empty() ? "" : res.errors[0]);
 }
 
-// Sharded-engine lockstep: the timed engine at shards 1 and 4 must
-// produce byte-identical functional access logs, timing results and
-// state vectors, and the abstract model must accept the serial run's
-// functional order and land on the same state vector.  Pins the
-// ROADMAP-5 claim that intra-run sharding never changes semantics.
-TEST(Differential, ShardedEngineLockstepPerLine)
+// Engine lockstep: the timed engine's functional access log, replayed
+// against the abstract model, must be accepted transition by
+// transition and land on the engine's final state vector.  This is
+// the relaxed PerLine loop's semantic oracle; the Strict leg checks
+// the speculative loop the same way.
+TEST(Differential, EngineLockstepPerLine)
 {
     for (ProtocolKind kind :
          {ProtocolKind::Moesi, ProtocolKind::Berkeley}) {
-        mc::ShardDiffConfig cfg;
+        mc::EngineDiffConfig cfg;
         cfg.tables.assign(4, &protocolTable(kind));
         cfg.lines = 2;
         cfg.refsPerProc = 4000;
         cfg.seed = 0x5a4d + static_cast<std::uint64_t>(kind);
         cfg.ordering = EngineOrdering::PerLine;
-        mc::DiffResult res = mc::runShardDifferential(cfg);
+        mc::DiffResult res = mc::runEngineDifferential(cfg);
         EXPECT_TRUE(res.ok)
             << protocolKindName(kind) << ": "
             << (res.errors.empty() ? "" : res.errors[0]);
-        EXPECT_EQ(res.stepsRun, 2u);
+        EXPECT_EQ(res.stepsRun, 1u);
     }
 }
 
-TEST(Differential, ShardedEngineLockstepStrict)
+TEST(Differential, EngineLockstepStrict)
 {
-    mc::ShardDiffConfig cfg;
+    mc::EngineDiffConfig cfg;
     cfg.tables.assign(4, &moesiTable());
     cfg.lines = 2;
     cfg.refsPerProc = 4000;
     cfg.seed = 0xfb02;
     cfg.ordering = EngineOrdering::Strict;
-    mc::DiffResult res = mc::runShardDifferential(cfg);
+    mc::DiffResult res = mc::runEngineDifferential(cfg);
     EXPECT_TRUE(res.ok)
         << (res.errors.empty() ? "" : res.errors[0]);
+    EXPECT_EQ(res.stepsRun, 1u);
 }
 
 // Hierarchical lockstep: a live HierSystem (2 leaf buses, bridges,

@@ -1,10 +1,12 @@
 /**
  * @file
  * Tests of the timed engine: cycle accounting, utilization metrics,
- * contention behaviour and determinism.
+ * contention behaviour, determinism and cooperative cancellation.
  */
 
 #include <gtest/gtest.h>
+
+#include <chrono>
 
 #include "sim/engine.h"
 #include "test_util.h"
@@ -162,6 +164,42 @@ TEST(EngineTest, WriteThroughLoadsTheBusMoreThanCopyBack)
     };
     // Section 1/3.1: copy-back cuts the bandwidth requirement.
     EXPECT_GT(bus_util(true), bus_util(false));
+}
+
+TEST(EngineTest, ExpiredDeadlineStopsBeforeAnyReference)
+{
+    // Every loop polls before its first access, so an already-expired
+    // deadline stops the run with nothing executed.
+    for (EngineOrdering ordering :
+         {EngineOrdering::Strict, EngineOrdering::PerLine,
+          EngineOrdering::Interleaved}) {
+        System sys(timedConfig());
+        for (std::size_t i = 0; i < 4; ++i) {
+            CacheSpec spec = test::smallCache();
+            spec.numSets = 16;
+            spec.seed = i + 1;
+            sys.addCache(spec);
+        }
+        Arch85Params params;
+        auto streams = makeArch85Streams(params, 4, 7);
+        std::vector<RefStream *> raw;
+        for (auto &s : streams)
+            raw.push_back(s.get());
+
+        EngineConfig ec;
+        ec.ordering = ordering;
+        Engine engine(sys, ec);
+
+        RunControl control;
+        control.hasDeadline = true;
+        control.deadline = std::chrono::steady_clock::now();
+        control.checkEveryRefs = 1;
+
+        EngineResult r = engine.run(raw, 1u << 20, &control);
+        EXPECT_TRUE(r.cancelled) << static_cast<int>(ordering);
+        for (const ProcTiming &p : r.procs)
+            EXPECT_EQ(p.refs, 0u) << static_cast<int>(ordering);
+    }
 }
 
 } // namespace
