@@ -1,15 +1,18 @@
 /**
  * @file
  * M1: google-benchmark microbenchmarks of the simulator engine itself
- * - transaction throughput, snoop fan-out scaling and checker
- * overhead.  These measure fbsim, not the paper's system, and exist
- * so performance regressions in the simulator are visible.
+ * - transaction throughput, snoop fan-out scaling, checker overhead
+ * and model-checker search speed.  These measure fbsim, not the
+ * paper's system, and exist so performance regressions in the
+ * simulator are visible.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "mc/explorer.h"
+#include "mc/hier_model.h"
 #include "obs/latency.h"
 #include "obs/perfetto_sink.h"
 
@@ -360,6 +363,43 @@ BM_AbortPushRetry(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AbortPushRetry);
+
+/** Exhaustive model checking of 4 MOESI caches x 2 lines (8,464
+ *  states); items/s is states explored per second. */
+void
+BM_McExplore(benchmark::State &state)
+{
+    mc::ExploreConfig cfg;
+    cfg.model.tables.assign(4, &protocolTable(ProtocolKind::Moesi));
+    cfg.model.lines = 2;
+    std::int64_t states = 0;
+    for (auto _ : state) {
+        mc::ExploreResult res = mc::explore(cfg);
+        benchmark::DoNotOptimize(res.edgeFingerprint);
+        states += static_cast<std::int64_t>(res.nodes);
+    }
+    state.SetItemsProcessed(states);
+}
+BENCHMARK(BM_McExplore)->Unit(benchmark::kMillisecond);
+
+/** The same four caches as two 2-cache clusters behind bridges
+ *  (13,689 states, filter bits included). */
+void
+BM_McExploreHier(benchmark::State &state)
+{
+    mc::HierExploreConfig cfg;
+    cfg.model.base.tables.assign(4, &protocolTable(ProtocolKind::Moesi));
+    cfg.model.base.lines = 2;
+    cfg.model.clusterOf = {0, 0, 1, 1};
+    std::int64_t states = 0;
+    for (auto _ : state) {
+        mc::HierExploreResult res = mc::exploreHier(cfg);
+        benchmark::DoNotOptimize(res.edgeFingerprint);
+        states += static_cast<std::int64_t>(res.nodes);
+    }
+    state.SetItemsProcessed(states);
+}
+BENCHMARK(BM_McExploreHier)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

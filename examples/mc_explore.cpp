@@ -13,11 +13,15 @@
  *              [--lines L] [--max-nodes N] [--json] [--all]
  *
  * --all sweeps every protocol in Tables 1-7 at the given geometry.
- * Exits nonzero when any exploration finds a violation, hits the node
- * cap, or a counterexample fails to replay.
+ * Exits 1 when any exploration finds a violation, hits the node cap,
+ * or a counterexample fails to replay, and 2 on a malformed command
+ * line (each numeric value must be a whole decimal number in range).
  */
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -46,6 +50,26 @@ printTrace(const mc::Counterexample &cex)
     }
     for (const std::string &v : cex.violations)
         std::printf("  violation: %s\n", v.c_str());
+}
+
+/**
+ * The value of a numeric flag: the whole token must be a decimal number
+ * in [lo, hi].  Anything else - empty, signed, trailing junk, out of
+ * range - is a usage error (exit 2).
+ */
+std::size_t
+parseCount(const char *flag, const char *value, std::size_t lo,
+           std::size_t hi)
+{
+    const char *end = value + std::strlen(value);
+    std::size_t n = 0;
+    auto [stop, ec] = std::from_chars(value, end, n);
+    if (ec != std::errc() || stop != end || n < lo || n > hi) {
+        std::fprintf(stderr, "mc_explore: invalid value '%s' for %s\n",
+                     value, flag);
+        std::exit(2);
+    }
+    return n;
 }
 
 int
@@ -128,11 +152,12 @@ main(int argc, char **argv)
         else if (a == "--mixed")
             mixed = next();
         else if (a == "--caches")
-            caches = std::strtoul(next(), nullptr, 10);
+            caches = parseCount("--caches", next(), 2, mc::kMaxCaches);
         else if (a == "--lines")
-            lines = std::strtoul(next(), nullptr, 10);
+            lines = parseCount("--lines", next(), 1, mc::kMaxLines);
         else if (a == "--max-nodes")
-            max_nodes = std::strtoul(next(), nullptr, 10);
+            // Node indices are 32-bit in the explorer's visited set.
+            max_nodes = parseCount("--max-nodes", next(), 1, UINT32_MAX);
         else if (a == "--json")
             json = true;
         else if (a == "--all")
@@ -142,12 +167,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (caches < 2 || caches > mc::kMaxCaches || lines < 1 ||
-        lines > mc::kMaxLines) {
-        std::fprintf(stderr, "need 2-4 caches and 1-2 lines\n");
-        return 2;
-    }
-
     int rc = 0;
     if (all) {
         for (ProtocolKind kind : kAllProtocolKinds) {
@@ -175,8 +194,9 @@ main(int argc, char **argv)
                 return 2;
             }
             tables.push_back(&protocolTable(*kind));
-            label += (label.empty() ? "" : "+") +
-                     std::string(protocolKindName(*kind));
+            if (!label.empty())
+                label += '+';
+            label += protocolKindName(*kind);
             pos = comma + 1;
         }
         if (tables.size() < 2 || tables.size() > mc::kMaxCaches) {

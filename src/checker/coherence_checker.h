@@ -261,8 +261,15 @@ class CoherenceChecker : public TraceSink
                              std::vector<std::string> &out) const;
 
     /** The annotator's tag (" [ ... ]"), or empty when unset. */
-    std::string annotation() const
-    { return annotator_ ? " " + annotator_() : std::string(); }
+    std::string
+    annotation() const
+    {
+        if (!annotator_)
+            return {};
+        std::string tag = " ";
+        tag += annotator_();
+        return tag;
+    }
 
     /** Word index within a line (line sizes are powers of two). */
     std::size_t wordIndexOf(Addr addr) const

@@ -1,8 +1,9 @@
 #include "mc/explorer.h"
 
-#include <deque>
+#include <algorithm>
 
 #include "common/flat_map.h"
+#include "mc/hier_model.h"
 
 namespace fbsim {
 namespace mc {
@@ -28,117 +29,128 @@ eventCode(const ModelEvent &ev)
            static_cast<std::uint64_t>(ev.ev);
 }
 
-/** One discovered state, with enough breadcrumbs to rebuild the path
- *  that first reached it. */
-struct Node
+/** The flat model as the search sees it. */
+struct FlatOps
 {
-    ModelState state;
-    std::uint64_t key = 0;
-    std::size_t depth = 0;
-    /** Index of the BFS predecessor; npos for the initial state. */
-    std::size_t parent = static_cast<std::size_t>(-1);
-    /** The step that produced this node from its parent. */
-    TraceStep via;
+    using State = ModelState;
+    const ModelConfig &cfg;
+
+    State initial() const { return initialState(cfg); }
+    std::vector<ModelEvent> events(const State &st) const
+    { return legalEvents(cfg, st); }
+    StepResult step(State &st, const ModelEvent &ev, ChoiceFeed &feed,
+                    std::vector<ChoiceRecord> &log) const
+    { return stepModel(cfg, st, ev, feed, &log); }
+    std::vector<std::string> invariants(const State &st) const
+    { return checkInvariants(cfg, st); }
+    std::uint64_t key(const State &st) const
+    { return canonicalKey(cfg, st); }
 };
 
-} // namespace
-
-ExploreResult
-explore(const ExploreConfig &cfg)
+/** The two-level model as the search sees it. */
+struct HierOps
 {
-    const ModelConfig &mc = cfg.model;
-    ExploreResult res;
+    using State = HierModelState;
+    const HierModelConfig &cfg;
 
-    std::vector<Node> nodes;
-    FlatMap64<std::uint32_t> visited;   // canonical key -> node index
-    std::deque<std::size_t> frontier;
+    State initial() const { return initialHierState(cfg); }
+    std::vector<ModelEvent> events(const State &st) const
+    { return legalHierEvents(cfg, st); }
+    StepResult step(State &st, const ModelEvent &ev, ChoiceFeed &feed,
+                    std::vector<ChoiceRecord> &log) const
+    { return stepHierModel(cfg, st, ev, feed, &log); }
+    std::vector<std::string> invariants(const State &st) const
+    { return checkHierInvariants(cfg, st); }
+    std::uint64_t key(const State &st) const
+    { return canonicalHierKey(cfg, st); }
+};
 
-    Node init;
-    init.state = initialState(mc);
-    init.key = canonicalKey(mc, init.state);
-    nodes.push_back(init);
-    visited[init.key] = 0;
-    frontier.push_back(0);
-    res.nodeFingerprint += mix64(init.key);
+/** The search behind explore() and exploreHier() (see explorer.h). */
+template <class Ops>
+BasicExploreResult<typename Ops::State>
+bfs(const Ops &ops, std::size_t max_nodes)
+{
+    using S = typename Ops::State;
+    constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
 
-    // Rebuild the parent-chain trace into a counterexample ending with
-    // the given violating step.
-    auto buildCex = [&](std::size_t from, TraceStep last,
-                        std::vector<std::string> violations,
-                        const ModelState &final_state) {
-        Counterexample cex;
-        std::vector<const TraceStep *> chain;
-        for (std::size_t i = from; i != static_cast<std::size_t>(-1);
-             i = nodes[i].parent) {
-            if (nodes[i].parent != static_cast<std::size_t>(-1))
-                chain.push_back(&nodes[i].via);
-        }
-        for (auto it = chain.rbegin(); it != chain.rend(); ++it)
-            cex.steps.push_back(**it);
-        cex.steps.push_back(std::move(last));
-        cex.violations = std::move(violations);
-        cex.finalState = final_state;
-        return cex;
+    /** One discovered state, with enough breadcrumbs to rebuild the
+     *  path that first reached it. */
+    struct Node
+    {
+        S state;
+        std::uint64_t key;
+        std::size_t depth;
+        /** Index of the BFS predecessor; kNoParent for the initial
+         *  state. */
+        std::size_t parent;
+        /** The step that produced this node from its parent. */
+        TraceStep via;
     };
 
-    while (!frontier.empty()) {
-        const std::size_t cur = frontier.front();
-        frontier.pop_front();
+    BasicExploreResult<S> res;
+    // Nodes are appended in BFS order, so the ones past the node being
+    // expanded are the frontier.
+    std::vector<Node> nodes;
+    FlatMap64<std::uint32_t> visited;   // canonical key -> node index
+    // One odometer for every event (its tape is empty whenever
+    // advance() returns false) and one log for every step's choices.
+    OdoFeed odo;
+    std::vector<ChoiceRecord> choices;
+
+    const S init = ops.initial();
+    const std::uint64_t init_key = ops.key(init);
+    nodes.push_back({init, init_key, 0, kNoParent, {}});
+    visited[init_key] = 0;
+    res.nodeFingerprint += mix64(init_key);
+
+    for (std::size_t cur = 0; cur < nodes.size(); ++cur) {
         // nodes[] may reallocate as successors are appended; copy the
         // expansion state out first.
-        const ModelState cur_state = nodes[cur].state;
+        const S cur_state = nodes[cur].state;
+        const std::uint64_t cur_key = nodes[cur].key;
         const std::size_t cur_depth = nodes[cur].depth;
-        if (cur_depth > res.depth)
-            res.depth = cur_depth;
+        res.depth = std::max(res.depth, cur_depth);
 
-        for (const ModelEvent &ev : legalEvents(mc, cur_state)) {
-            OdoFeed odo;
+        for (const ModelEvent &ev : ops.events(cur_state)) {
             do {
                 odo.rewind();
-                ModelState succ = cur_state;
-                TraceStep step;
-                step.event = ev;
-                StepResult r =
-                    stepModel(mc, succ, ev, odo, &step.choices);
+                choices.clear();
+                S succ = cur_state;
+                StepResult r = ops.step(succ, ev, odo, choices);
                 ++res.edges;
 
-                if (!r.ok) {
-                    res.nodes = nodes.size();
-                    res.counterexample =
-                        buildCex(cur, std::move(step),
-                                 std::move(r.violations), succ);
-                    return res;
-                }
                 // Invariant-check BEFORE dedup: the canonical key only
                 // abstracts clean states.
-                std::vector<std::string> bad =
-                    checkInvariants(mc, succ);
-                if (!bad.empty()) {
+                if (r.ok)
+                    r.violations = ops.invariants(succ);
+                if (!r.ok || !r.violations.empty()) {
+                    // Rebuild the parent chain into a counterexample
+                    // ending with this step.
                     res.nodes = nodes.size();
-                    res.counterexample = buildCex(
-                        cur, std::move(step), std::move(bad), succ);
+                    BasicCounterexample<S> &cex =
+                        res.counterexample.emplace();
+                    for (std::size_t i = cur; nodes[i].parent != kNoParent;
+                         i = nodes[i].parent)
+                        cex.steps.push_back(nodes[i].via);
+                    std::reverse(cex.steps.begin(), cex.steps.end());
+                    cex.steps.push_back({ev, choices});
+                    cex.violations = std::move(r.violations);
+                    cex.finalState = succ;
                     return res;
                 }
 
-                const std::uint64_t key = canonicalKey(mc, succ);
-                res.edgeFingerprint += mix64(
-                    nodes[cur].key ^ mix64(key ^ eventCode(ev)));
+                const std::uint64_t key = ops.key(succ);
+                res.edgeFingerprint +=
+                    mix64(cur_key ^ mix64(key ^ eventCode(ev)));
                 if (!visited.find(key)) {
-                    if (nodes.size() >= cfg.maxNodes) {
+                    if (nodes.size() >= max_nodes) {
                         res.nodes = nodes.size();
                         return res;   // capped: complete stays false
                     }
-                    Node n;
-                    n.state = succ;
-                    n.key = key;
-                    n.depth = cur_depth + 1;
-                    n.parent = cur;
-                    n.via = std::move(step);
-                    visited[key] =
-                        static_cast<std::uint32_t>(nodes.size());
-                    frontier.push_back(nodes.size());
+                    visited[key] = static_cast<std::uint32_t>(nodes.size());
                     res.nodeFingerprint += mix64(key);
-                    nodes.push_back(std::move(n));
+                    nodes.push_back(
+                        {succ, key, cur_depth + 1, cur, {ev, choices}});
                 }
             } while (odo.advance());
         }
@@ -147,6 +159,20 @@ explore(const ExploreConfig &cfg)
     res.nodes = nodes.size();
     res.complete = true;
     return res;
+}
+
+} // namespace
+
+ExploreResult
+explore(const ExploreConfig &cfg)
+{
+    return bfs(FlatOps{cfg.model}, cfg.maxNodes);
+}
+
+HierExploreResult
+exploreHier(const HierExploreConfig &cfg)
+{
+    return bfs(HierOps{cfg.model}, cfg.maxNodes);
 }
 
 } // namespace mc

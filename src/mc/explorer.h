@@ -17,6 +17,12 @@
  * breadth-first, the first violation found is at minimal depth, and the
  * parent chain yields a minimal-length counterexample trace whose
  * recorded choice stream replays through the real engine (replay.h).
+ *
+ * explore() and the hierarchical exploreHier() (hier_model.h) run the
+ * same search.  It allocates per discovered node, never per enumerated
+ * transition: one odometer and one choice log serve every transition,
+ * and a step's choices are copied out only into a node or a
+ * counterexample.
  */
 
 #ifndef FBSIM_MC_EXPLORER_H_
@@ -89,16 +95,20 @@ struct TraceStep
     std::vector<ChoiceRecord> choices;
 };
 
-/** A minimal-depth path from the initial state into a violation. */
-struct Counterexample
+/** A minimal-depth path from the initial state into a violation; `S`
+ *  is the model's state (ModelState, HierModelState). */
+template <class S>
+struct BasicCounterexample
 {
     std::vector<TraceStep> steps;
     /** The violations the final step produced (invariant breaches or
      *  an illegal transition the fault-free engine would panic on). */
     std::vector<std::string> violations;
     /** The violating state (partially advanced for illegal steps). */
-    ModelState finalState;
+    S finalState;
 };
+
+using Counterexample = BasicCounterexample<ModelState>;
 
 struct ExploreConfig
 {
@@ -107,7 +117,8 @@ struct ExploreConfig
     std::size_t maxNodes = 1u << 20;
 };
 
-struct ExploreResult
+template <class S>
+struct BasicExploreResult
 {
     /** Distinct invariant-clean reachable states (incl. initial). */
     std::size_t nodes = 0;
@@ -122,8 +133,10 @@ struct ExploreResult
     /** True when the full space was enumerated (no node-cap stop and
      *  no counterexample cut). */
     bool complete = false;
-    std::optional<Counterexample> counterexample;
+    std::optional<BasicCounterexample<S>> counterexample;
 };
+
+using ExploreResult = BasicExploreResult<ModelState>;
 
 /** Run the exhaustive search. */
 ExploreResult explore(const ExploreConfig &cfg);

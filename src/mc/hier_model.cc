@@ -1,10 +1,6 @@
 #include "mc/hier_model.h"
 
-#include <deque>
-
-#include "common/flat_map.h"
-#include "common/logging.h"
-#include "mc/explorer.h"
+#include "mc/local_exec.h"
 
 namespace fbsim {
 namespace mc {
@@ -13,9 +9,9 @@ namespace {
 
 /**
  * Engine-faithful transition executor for one processor event through
- * the two-level fabric.  The local dispatch mirrors model.cc's Exec
- * (SnoopingCache::dispatchLocal/executeLocal); the bus transaction
- * mirrors the composite hierarchy path instead of the flat bus:
+ * the two-level fabric.  The local dispatch is LocalExec's
+ * (local_exec.h); the bus transaction mirrors the composite hierarchy
+ * path instead of the flat bus:
  *
  *   leafTransact   = leaf Bus::attempt (address cycle over the
  *                    master's cluster, bridge as the slave, commit)
@@ -27,182 +23,39 @@ namespace {
  *                    fromBridge (no slave, chHint carries the
  *                    originating cluster's CH)
  */
-class HierExec
+class HierExec : public LocalExec<HierExec>
 {
   public:
+    static constexpr const char *kTag = "MC-hier";
+
     HierExec(const HierModelConfig &cfg, HierModelState &st,
              ChoiceFeed &feed, std::vector<ChoiceRecord> *log)
-        : cfg_(cfg), st_(st), feed_(feed), log_(log)
+        : LocalExec(cfg.base, st.flat, feed, log), hcfg_(cfg), hst_(st)
     {
-    }
-
-    StepResult
-    run(const ModelEvent &ev)
-    {
-        if (ev.ev == LocalEvent::Write) {
-            wval_ = nextWriteValue(st_.flat, ev.line);
-            st_.flat.image[ev.line] = wval_;
-        }
-        result_.value = dispatchLocal(ev.cache, ev.line, ev.ev, 0);
-        return std::move(result_);
     }
 
   private:
-    std::size_t
-    pick(std::size_t cache, std::size_t n)
-    {
-        std::size_t idx = feed_.pick(cache, n);
-        fbsim_assert(idx < n);
-        if (log_) {
-            log_->push_back({static_cast<std::uint8_t>(cache),
-                             static_cast<std::uint8_t>(n),
-                             static_cast<std::uint8_t>(idx)});
-        }
-        return idx;
-    }
+    friend class LocalExec<HierExec>;
 
-    void
-    fail(std::string why)
+    std::string
+    render() const
     {
-        result_.ok = false;
-        result_.violations.push_back(
-            std::move(why) + renderStateVector(cfg_.base, st_.flat) +
-            renderHierFilters(cfg_, st_));
+        return renderStateVector(cfg_, st_) +
+               renderHierFilters(hcfg_, hst_);
     }
-
-    ModelCopy &cp(std::size_t c, std::size_t l)
-    { return copyAt(cfg_.base, st_.flat, c, l); }
 
     std::uint8_t &lheld(std::size_t k, std::size_t l)
-    { return st_.localHeld[k * cfg_.base.lines + l]; }
+    { return hst_.localHeld[k * cfg_.lines + l]; }
 
     std::uint8_t &rshared(std::size_t k, std::size_t l)
-    { return st_.remoteShared[k * cfg_.base.lines + l]; }
+    { return hst_.remoteShared[k * cfg_.lines + l]; }
 
-    /** Mirror of SnoopingCache::kindFiltered for copy-back caches. */
-    void
-    kindFiltered(const LocalCell &cell, std::vector<LocalAction> &out)
+    BusOutcome
+    transact(std::size_t master, std::size_t l, BusCmd cmd,
+             const MasterSignals &sig, Word wdata)
     {
-        out.clear();
-        for (const LocalAction &a : cell) {
-            if (a.kinds & kindBit(ClientKind::CopyBack))
-                out.push_back(a);
-        }
+        return leafTransact(master, l, cmd, sig, wdata);
     }
-
-    /** Mirror of SnoopingCache::dispatchLocal. */
-    Word
-    dispatchLocal(std::size_t c, std::size_t l, LocalEvent ev,
-                  int depth)
-    {
-        fbsim_assert(depth < 3);
-        State s = cp(c, l).s;
-        std::vector<LocalAction> cands;
-        kindFiltered(cfg_.base.tables[c]->local(s, ev), cands);
-        if (cands.empty()) {
-            if (ev == LocalEvent::Pass || ev == LocalEvent::Flush)
-                return 0;
-            fail(strprintf("MC-hier: %s cache %zu: no legal action for "
-                           "state %s on local %s",
-                           cfg_.base.tables[c]->name().c_str(), c,
-                           std::string(stateName(s)).c_str(),
-                           std::string(localEventName(ev)).c_str()));
-            return 0;
-        }
-        const LocalAction &action = cands[pick(c, cands.size())];
-        return executeLocal(c, l, action, ev, depth);
-    }
-
-    /** Mirror of SnoopingCache::executeLocal. */
-    Word
-    executeLocal(std::size_t c, std::size_t l,
-                 const LocalAction &action, LocalEvent ev, int depth)
-    {
-        if (action.readThenWrite) {
-            fbsim_assert(ev == LocalEvent::Write);
-            dispatchLocal(c, l, LocalEvent::Read, depth + 1);
-            if (!result_.ok)
-                return 0;
-            return dispatchLocal(c, l, LocalEvent::Write, depth + 1);
-        }
-
-        ModelCopy &copy = cp(c, l);
-
-        if (!action.usesBus) {
-            if (copy.s == State::I) {
-                fail(strprintf("MC-hier: %s cache %zu: purely local "
-                               "action on an invalid line (local %s)",
-                               cfg_.base.tables[c]->name().c_str(), c,
-                               std::string(localEventName(ev))
-                                   .c_str()));
-                return 0;
-            }
-            if (ev == LocalEvent::Write)
-                copy.value = wval_;
-            Word out = copy.value;
-            copy.s = action.next.resolve(false);
-            return out;
-        }
-
-        MasterSignals sig{action.ca, action.im, action.bc};
-        switch (action.cmd) {
-          case BusCmd::Read: {
-            BusOutcome r = leafTransact(c, l, BusCmd::Read, sig, 0);
-            if (!result_.ok)
-                return 0;
-            copy.value = r.data;
-            copy.s = action.next.resolve(r.ch);
-            if (ev == LocalEvent::Write && isValid(copy.s))
-                copy.value = wval_;
-            return copy.value;
-          }
-
-          case BusCmd::WriteWord: {
-            BusOutcome r = leafTransact(c, l, BusCmd::WriteWord, sig,
-                                        wval_);
-            if (!result_.ok)
-                return 0;
-            if (copy.s != State::I) {
-                copy.value = wval_;
-                copy.s = action.next.resolve(r.ch);
-            }
-            return wval_;
-          }
-
-          case BusCmd::WriteLine: {
-            fbsim_assert(copy.s != State::I);
-            BusOutcome r = leafTransact(c, l, BusCmd::WriteLine, sig,
-                                        copy.value);
-            if (!result_.ok)
-                return 0;
-            Word out = copy.value;
-            copy.s = action.next.resolve(r.ch);
-            return out;
-          }
-
-          case BusCmd::AddrOnly: {
-            fbsim_assert(copy.s != State::I);
-            BusOutcome r = leafTransact(c, l, BusCmd::AddrOnly, sig, 0);
-            if (!result_.ok)
-                return 0;
-            if (ev == LocalEvent::Write)
-                copy.value = wval_;
-            copy.s = action.next.resolve(r.ch);
-            return copy.value;
-          }
-
-          case BusCmd::Sync:
-            break;
-        }
-        fail("MC-hier: protocol table issued an unmodelled bus command");
-        return 0;
-    }
-
-    struct BusOutcome
-    {
-        bool ch = false;   ///< total wired CH as the master observes it
-        Word data = 0;     ///< fill data (Read)
-    };
 
     /** What comes back over the bridge into the leaf transaction. */
     struct RemoteOutcome
@@ -233,13 +86,12 @@ class HierExec
         BusOutcome out;
         std::optional<BusEvent> ev = classifyBusEvent(cmd, sig);
         if (!ev) {
-            fail("MC-hier: table issued signals no class protocol "
-                 "emits");
+            fail("table issued signals no class protocol emits");
             return out;
         }
 
-        const std::size_t n = cfg_.base.numCaches();
-        const std::size_t home = cfg_.clusterOf[master];
+        const std::size_t n = cfg_.numCaches();
+        const std::size_t home = hcfg_.clusterOf[master];
 
         // Phase 1: address cycle over the master's cluster, in id
         // order (= leaf attach order).
@@ -248,7 +100,7 @@ class HierExec
         unsigned ch_count = 0;
         int di = -1;
         for (std::size_t d = 0; d < n; ++d) {
-            if (d == master || cfg_.clusterOf[d] != home)
+            if (d == master || hcfg_.clusterOf[d] != home)
                 continue;
             const ModelCopy &copy = cp(d, l);
             if (copy.s == State::I)
@@ -259,14 +111,13 @@ class HierExec
                 continue;
             }
             const SnoopCell &cell =
-                cfg_.base.tables[d]->snoop(copy.s, *ev);
+                cfg_.tables[d]->snoop(copy.s, *ev);
             if (cell.empty()) {
-                fail(strprintf(
-                    "MC-hier: %s cache %zu: illegal bus event col %d "
-                    "on line %zu in state %s",
-                    cfg_.base.tables[d]->name().c_str(), d,
-                    busEventColumn(*ev), l,
-                    std::string(stateName(copy.s)).c_str()));
+                fail("%s cache %zu: illegal bus event col %d on line %zu "
+                     "in state %s",
+                     cfg_.tables[d]->name().c_str(), d,
+                     busEventColumn(*ev), l,
+                     std::string(stateName(copy.s)).c_str());
                 return out;
             }
             const SnoopAction &a = cell[pick(d, cell.size())];
@@ -274,17 +125,15 @@ class HierExec
                 // MOESI-class only below a bridge: an abort could not
                 // propagate across buses, so the hierarchy (and this
                 // model) excludes BS protocols from leaves.
-                fail(strprintf("MC-hier: %s cache %zu asserted BS on "
-                               "a leaf bus (aborts cannot cross a "
-                               "bridge)",
-                               cfg_.base.tables[d]->name().c_str(), d));
+                fail("%s cache %zu asserted BS on a leaf bus (aborts "
+                     "cannot cross a bridge)",
+                     cfg_.tables[d]->name().c_str(), d);
                 return out;
             }
             if (a.di) {
                 if (di >= 0) {
-                    fail(strprintf("MC-hier: caches %d and %zu both "
-                                   "intervened on line %zu",
-                                   di, d, l));
+                    fail("caches %d and %zu both intervened on line %zu",
+                         di, d, l);
                     return out;
                 }
                 di = static_cast<int>(d);
@@ -406,7 +255,7 @@ class HierExec
           case BusCmd::Sync:
             break;
         }
-        fail("MC-hier: Sync commands do not cross bus bridges");
+        fail("Sync commands do not cross bus bridges");
         return {};
     }
 
@@ -423,15 +272,14 @@ class HierExec
         RemoteOutcome out;
         std::optional<BusEvent> ev = classifyBusEvent(cmd, sig);
         if (!ev) {
-            fail("MC-hier: bridge issued signals no class protocol "
-                 "emits");
+            fail("bridge issued signals no class protocol emits");
             return out;
         }
 
         unsigned root_ch = 0;
         int di_cluster = -1;
         Word di_data = 0;
-        for (std::size_t j = 0; j < cfg_.numClusters(); ++j) {
+        for (std::size_t j = 0; j < hcfg_.numClusters(); ++j) {
             if (j == origin)
                 continue;
             // Mirror of BusBridge::snoop: any transaction whose master
@@ -460,9 +308,8 @@ class HierExec
                 ++root_ch;
             if (d.di) {
                 if (di_cluster >= 0) {
-                    fail(strprintf("MC-hier: clusters %d and %zu both "
-                                   "intervened on line %zu",
-                                   di_cluster, j, l));
+                    fail("clusters %d and %zu both intervened on line %zu",
+                         di_cluster, j, l);
                     return out;
                 }
                 di_cluster = static_cast<int>(j);
@@ -475,16 +322,16 @@ class HierExec
         switch (cmd) {
           case BusCmd::Read:
             // Intervention inhibits the (stale) memory.
-            out.data = out.di ? di_data : st_.flat.mem[l];
+            out.data = out.di ? di_data : st_.mem[l];
             break;
           case BusCmd::WriteWord:
             // Broadcasts update memory; otherwise a remote owner
             // captures and memory stays stale.
             if (sig.bc || !out.di)
-                st_.flat.mem[l] = wdata;
+                st_.mem[l] = wdata;
             break;
           case BusCmd::WriteLine:
-            st_.flat.mem[l] = wdata;
+            st_.mem[l] = wdata;
             break;
           case BusCmd::AddrOnly:
           case BusCmd::Sync:
@@ -506,13 +353,13 @@ class HierExec
                 bool ch_hint, Word wdata)
     {
         DownOutcome out;
-        const std::size_t n = cfg_.base.numCaches();
+        const std::size_t n = cfg_.numCaches();
         std::array<SnoopAction, kMaxCaches> latched;
         std::array<std::uint8_t, kMaxCaches> part{};
         unsigned ch_count = 0;
         int di = -1;
         for (std::size_t d = 0; d < n; ++d) {
-            if (cfg_.clusterOf[d] != j)
+            if (hcfg_.clusterOf[d] != j)
                 continue;
             const ModelCopy &copy = cp(d, l);
             if (copy.s == State::I)
@@ -523,29 +370,24 @@ class HierExec
                 continue;
             }
             const SnoopCell &cell =
-                cfg_.base.tables[d]->snoop(copy.s, ev);
+                cfg_.tables[d]->snoop(copy.s, ev);
             if (cell.empty()) {
-                fail(strprintf(
-                    "MC-hier: %s cache %zu: illegal bus event col %d "
-                    "on line %zu in state %s",
-                    cfg_.base.tables[d]->name().c_str(), d,
-                    busEventColumn(ev), l,
-                    std::string(stateName(copy.s)).c_str()));
+                fail("%s cache %zu: illegal bus event col %d on line %zu "
+                     "in state %s",
+                     cfg_.tables[d]->name().c_str(), d, busEventColumn(ev),
+                     l, std::string(stateName(copy.s)).c_str());
                 return out;
             }
             const SnoopAction &a = cell[pick(d, cell.size())];
             if (a.bs) {
-                fail(strprintf("MC-hier: %s cache %zu asserted BS "
-                               "under a bridge",
-                               cfg_.base.tables[d]->name().c_str(),
-                               d));
+                fail("%s cache %zu asserted BS under a bridge",
+                     cfg_.tables[d]->name().c_str(), d);
                 return out;
             }
             if (a.di) {
                 if (di >= 0) {
-                    fail(strprintf("MC-hier: caches %d and %zu both "
-                                   "intervened on line %zu",
-                                   di, d, l));
+                    fail("caches %d and %zu both intervened on line %zu",
+                         di, d, l);
                     return out;
                 }
                 di = static_cast<int>(d);
@@ -565,7 +407,7 @@ class HierExec
         // Commit: external CH is the down request's chHint (the
         // originating cluster's CH), conservatively forced beyond two
         // clusters; no slave response exists on a fromBridge leg.
-        const bool ext = ch_hint || cfg_.conservativeCh();
+        const bool ext = ch_hint || hcfg_.conservativeCh();
         for (std::size_t d = 0; d < n; ++d) {
             if (part[d] != 1)
                 continue;
@@ -582,31 +424,9 @@ class HierExec
         return out;
     }
 
-    const HierModelConfig &cfg_;
-    HierModelState &st_;
-    ChoiceFeed &feed_;
-    std::vector<ChoiceRecord> *log_;
-    Word wval_ = 0;
-    StepResult result_;
+    const HierModelConfig &hcfg_;
+    HierModelState &hst_;
 };
-
-/** splitmix64 finalizer (same mixing as mc/explorer.cc). */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
-eventCode(const ModelEvent &ev)
-{
-    return (static_cast<std::uint64_t>(ev.cache) << 10) |
-           (static_cast<std::uint64_t>(ev.line) << 8) |
-           static_cast<std::uint64_t>(ev.ev);
-}
 
 } // namespace
 
@@ -629,8 +449,7 @@ stepHierModel(const HierModelConfig &cfg, HierModelState &st,
               const ModelEvent &ev, ChoiceFeed &feed,
               std::vector<ChoiceRecord> *log)
 {
-    HierExec exec(cfg, st, feed, log);
-    return exec.run(ev);
+    return HierExec(cfg, st, feed, log).run(ev);
 }
 
 std::vector<ModelEvent>
@@ -753,115 +572,6 @@ renderHierStateVector(const HierModelConfig &cfg,
             static_cast<unsigned long long>(st.flat.image[l]));
     }
     return out + renderHierFilters(cfg, st);
-}
-
-HierExploreResult
-exploreHier(const HierExploreConfig &cfg)
-{
-    const HierModelConfig &mc = cfg.model;
-    HierExploreResult res;
-
-    struct Node
-    {
-        HierModelState state;
-        std::uint64_t key = 0;
-        std::size_t depth = 0;
-        std::size_t parent = static_cast<std::size_t>(-1);
-        HierTraceStep via;
-    };
-
-    std::vector<Node> nodes;
-    FlatMap64<std::uint32_t> visited;
-    std::deque<std::size_t> frontier;
-
-    Node init;
-    init.state = initialHierState(mc);
-    init.key = canonicalHierKey(mc, init.state);
-    nodes.push_back(init);
-    visited[init.key] = 0;
-    frontier.push_back(0);
-    res.nodeFingerprint += mix64(init.key);
-
-    auto buildCex = [&](std::size_t from, HierTraceStep last,
-                        std::vector<std::string> violations,
-                        const HierModelState &final_state) {
-        HierCounterexample cex;
-        std::vector<const HierTraceStep *> chain;
-        for (std::size_t i = from; i != static_cast<std::size_t>(-1);
-             i = nodes[i].parent) {
-            if (nodes[i].parent != static_cast<std::size_t>(-1))
-                chain.push_back(&nodes[i].via);
-        }
-        for (auto it = chain.rbegin(); it != chain.rend(); ++it)
-            cex.steps.push_back(**it);
-        cex.steps.push_back(std::move(last));
-        cex.violations = std::move(violations);
-        cex.finalState = final_state;
-        return cex;
-    };
-
-    while (!frontier.empty()) {
-        const std::size_t cur = frontier.front();
-        frontier.pop_front();
-        const HierModelState cur_state = nodes[cur].state;
-        const std::size_t cur_depth = nodes[cur].depth;
-        if (cur_depth > res.depth)
-            res.depth = cur_depth;
-
-        for (const ModelEvent &ev : legalHierEvents(mc, cur_state)) {
-            OdoFeed odo;
-            do {
-                odo.rewind();
-                HierModelState succ = cur_state;
-                HierTraceStep step;
-                step.event = ev;
-                StepResult r =
-                    stepHierModel(mc, succ, ev, odo, &step.choices);
-                ++res.edges;
-
-                if (!r.ok) {
-                    res.nodes = nodes.size();
-                    res.counterexample =
-                        buildCex(cur, std::move(step),
-                                 std::move(r.violations), succ);
-                    return res;
-                }
-                std::vector<std::string> bad =
-                    checkHierInvariants(mc, succ);
-                if (!bad.empty()) {
-                    res.nodes = nodes.size();
-                    res.counterexample = buildCex(
-                        cur, std::move(step), std::move(bad), succ);
-                    return res;
-                }
-
-                const std::uint64_t key = canonicalHierKey(mc, succ);
-                res.edgeFingerprint += mix64(
-                    nodes[cur].key ^ mix64(key ^ eventCode(ev)));
-                if (!visited.find(key)) {
-                    if (nodes.size() >= cfg.maxNodes) {
-                        res.nodes = nodes.size();
-                        return res;
-                    }
-                    Node n;
-                    n.state = succ;
-                    n.key = key;
-                    n.depth = cur_depth + 1;
-                    n.parent = cur;
-                    n.via = std::move(step);
-                    visited[key] =
-                        static_cast<std::uint32_t>(nodes.size());
-                    frontier.push_back(nodes.size());
-                    res.nodeFingerprint += mix64(key);
-                    nodes.push_back(std::move(n));
-                }
-            } while (odo.advance());
-        }
-    }
-
-    res.nodes = nodes.size();
-    res.complete = true;
-    return res;
 }
 
 } // namespace mc

@@ -30,9 +30,7 @@
 #ifndef FBSIM_MC_HIER_MODEL_H_
 #define FBSIM_MC_HIER_MODEL_H_
 
-#include <optional>
-
-#include "mc/model.h"
+#include "mc/explorer.h"
 
 namespace fbsim {
 namespace mc {
@@ -127,20 +125,8 @@ std::string renderHierFilters(const HierModelConfig &cfg,
 std::string renderHierStateVector(const HierModelConfig &cfg,
                                   const HierModelState &st);
 
-/** One step of a hier counterexample trace. */
-struct HierTraceStep
-{
-    ModelEvent event;
-    std::vector<ChoiceRecord> choices;
-};
-
-/** A minimal-depth path from the initial state into a violation. */
-struct HierCounterexample
-{
-    std::vector<HierTraceStep> steps;
-    std::vector<std::string> violations;
-    HierModelState finalState;
-};
+using HierTraceStep = TraceStep;
+using HierCounterexample = BasicCounterexample<HierModelState>;
 
 struct HierExploreConfig
 {
@@ -149,23 +135,13 @@ struct HierExploreConfig
     std::size_t maxNodes = 1u << 20;
 };
 
-struct HierExploreResult
-{
-    std::size_t nodes = 0;
-    std::size_t edges = 0;
-    std::size_t depth = 0;
-    /** Order-independent hashes (same mixing as mc::explore), over
-     *  canonicalHierKey - the filter bits are part of the graph. */
-    std::uint64_t nodeFingerprint = 0;
-    std::uint64_t edgeFingerprint = 0;
-    bool complete = false;
-    std::optional<HierCounterexample> counterexample;
-};
+using HierExploreResult = BasicExploreResult<HierModelState>;
 
 /**
  * Bounded exhaustive BFS over the hierarchy's reachable state space,
  * invariant-checking every generated successor (H1/H2 included)
- * before deduplication.
+ * before deduplication.  The search is mc::explore's; its fingerprints
+ * hash canonicalHierKey, so the filter bits are part of the graph.
  */
 HierExploreResult exploreHier(const HierExploreConfig &cfg);
 

@@ -1,193 +1,25 @@
 #include "mc/model.h"
 
-#include "common/logging.h"
+#include "mc/local_exec.h"
 
 namespace fbsim {
 namespace mc {
 
 namespace {
 
-/** Engine-faithful transition executor for one processor event. */
-class Exec
+/** The flat model's executor: LocalExec's processor half over one bus
+ *  with memory as its slave. */
+class FlatExec : public LocalExec<FlatExec>
 {
   public:
-    Exec(const ModelConfig &cfg, ModelState &st, ChoiceFeed &feed,
-         std::vector<ChoiceRecord> *log)
-        : cfg_(cfg), st_(st), feed_(feed), log_(log)
-    {
-    }
+    static constexpr const char *kTag = "MC";
 
-    StepResult
-    run(const ModelEvent &ev)
-    {
-        if (ev.ev == LocalEvent::Write) {
-            // Advance the shared image first (System::write updates
-            // the oracle from the same value the access carries).
-            wval_ = nextWriteValue(st_, ev.line);
-            st_.image[ev.line] = wval_;
-        }
-        result_.value = dispatchLocal(ev.cache, ev.line, ev.ev, 0);
-        return std::move(result_);
-    }
+    using LocalExec::LocalExec;
 
   private:
-    std::size_t
-    pick(std::size_t cache, std::size_t n)
-    {
-        std::size_t idx = feed_.pick(cache, n);
-        fbsim_assert(idx < n);
-        if (log_) {
-            log_->push_back({static_cast<std::uint8_t>(cache),
-                             static_cast<std::uint8_t>(n),
-                             static_cast<std::uint8_t>(idx)});
-        }
-        return idx;
-    }
+    friend class LocalExec<FlatExec>;
 
-    void
-    fail(std::string why)
-    {
-        result_.ok = false;
-        result_.violations.push_back(std::move(why) +
-                                     renderStateVector(cfg_, st_));
-    }
-
-    ModelCopy &cp(std::size_t c, std::size_t l)
-    { return copyAt(cfg_, st_, c, l); }
-
-    /** Mirror of SnoopingCache::kindFiltered for copy-back caches. */
-    void
-    kindFiltered(const LocalCell &cell, std::vector<LocalAction> &out)
-    {
-        out.clear();
-        for (const LocalAction &a : cell) {
-            if (a.kinds & kindBit(ClientKind::CopyBack))
-                out.push_back(a);
-        }
-    }
-
-    /** Mirror of SnoopingCache::dispatchLocal. */
-    Word
-    dispatchLocal(std::size_t c, std::size_t l, LocalEvent ev,
-                  int depth)
-    {
-        fbsim_assert(depth < 3);
-        State s = cp(c, l).s;
-        std::vector<LocalAction> cands;
-        kindFiltered(cfg_.tables[c]->local(s, ev), cands);
-        if (cands.empty()) {
-            // The paper's "--" cells: Pass/Flush of an unheld (or
-            // silently droppable) line is a no-op at the API level.
-            if (ev == LocalEvent::Pass || ev == LocalEvent::Flush)
-                return 0;
-            fail(strprintf("MC: %s cache %zu: no legal action for "
-                           "state %s on local %s",
-                           cfg_.tables[c]->name().c_str(), c,
-                           std::string(stateName(s)).c_str(),
-                           std::string(localEventName(ev)).c_str()));
-            return 0;
-        }
-        const LocalAction &action = cands[pick(c, cands.size())];
-        return executeLocal(c, l, action, ev, depth);
-    }
-
-    /** Mirror of SnoopingCache::executeLocal. */
-    Word
-    executeLocal(std::size_t c, std::size_t l,
-                 const LocalAction &action, LocalEvent ev, int depth)
-    {
-        if (action.readThenWrite) {
-            fbsim_assert(ev == LocalEvent::Write);
-            dispatchLocal(c, l, LocalEvent::Read, depth + 1);
-            if (!result_.ok)
-                return 0;
-            return dispatchLocal(c, l, LocalEvent::Write, depth + 1);
-        }
-
-        ModelCopy &copy = cp(c, l);
-
-        if (!action.usesBus) {
-            // Purely local transition: the engine asserts the line is
-            // resident (dispatchLocal located it).
-            if (copy.s == State::I) {
-                fail(strprintf("MC: %s cache %zu: purely local action "
-                               "on an invalid line (local %s)",
-                               cfg_.tables[c]->name().c_str(), c,
-                               std::string(localEventName(ev))
-                                   .c_str()));
-                return 0;
-            }
-            if (ev == LocalEvent::Write)
-                copy.value = wval_;
-            Word out = copy.value;
-            copy.s = action.next.resolve(false);
-            return out;
-        }
-
-        MasterSignals sig{action.ca, action.im, action.bc};
-        switch (action.cmd) {
-          case BusCmd::Read: {
-            // Fill (read miss or read-for-ownership).  The enumerated
-            // geometry is eviction-free, so allocateFor reduces to the
-            // install.
-            BusOutcome r = busTransact(c, l, BusCmd::Read, sig, 0);
-            if (!result_.ok)
-                return 0;
-            copy.value = r.data;
-            copy.s = action.next.resolve(r.ch);
-            if (ev == LocalEvent::Write && isValid(copy.s))
-                copy.value = wval_;
-            return copy.value;
-          }
-
-          case BusCmd::WriteWord: {
-            BusOutcome r = busTransact(c, l, BusCmd::WriteWord, sig,
-                                       wval_);
-            if (!result_.ok)
-                return 0;
-            if (copy.s != State::I) {
-                copy.value = wval_;
-                copy.s = action.next.resolve(r.ch);
-            }
-            return wval_;
-          }
-
-          case BusCmd::WriteLine: {
-            // Push (Pass keeps the copy, Flush discards it).
-            fbsim_assert(copy.s != State::I);
-            BusOutcome r = busTransact(c, l, BusCmd::WriteLine, sig,
-                                       copy.value);
-            if (!result_.ok)
-                return 0;
-            Word out = copy.value;
-            copy.s = action.next.resolve(r.ch);
-            return out;
-          }
-
-          case BusCmd::AddrOnly: {
-            // Pure invalidate; no data phase.
-            fbsim_assert(copy.s != State::I);
-            BusOutcome r = busTransact(c, l, BusCmd::AddrOnly, sig, 0);
-            if (!result_.ok)
-                return 0;
-            if (ev == LocalEvent::Write)
-                copy.value = wval_;
-            copy.s = action.next.resolve(r.ch);
-            return copy.value;
-          }
-
-          case BusCmd::Sync:
-            break;
-        }
-        fail("MC: protocol table issued an unmodelled bus command");
-        return 0;
-    }
-
-    struct BusOutcome
-    {
-        bool ch = false;   ///< wired-OR CH as the master observes it
-        Word data = 0;     ///< fill data (Read)
-    };
+    std::string render() const { return renderStateVector(cfg_, st_); }
 
     /**
      * Mirror of Bus::execute/attempt + MainMemorySlave::transact:
@@ -197,13 +29,13 @@ class Exec
      * snooper against the OR of the *other* modules' CH.
      */
     BusOutcome
-    busTransact(std::size_t master, std::size_t l, BusCmd cmd,
-                const MasterSignals &sig, Word wdata)
+    transact(std::size_t master, std::size_t l, BusCmd cmd,
+             const MasterSignals &sig, Word wdata)
     {
         BusOutcome out;
         std::optional<BusEvent> ev = classifyBusEvent(cmd, sig);
         if (!ev) {
-            fail("MC: table issued signals no class protocol emits");
+            fail("table issued signals no class protocol emits");
             return out;
         }
 
@@ -235,29 +67,28 @@ class Exec
                 const SnoopCell &cell =
                     cfg_.tables[d]->snoop(copy.s, *ev);
                 if (cell.empty()) {
-                    fail(strprintf(
-                        "MC: %s cache %zu: illegal bus event col %d "
-                        "on line %zu in state %s",
-                        cfg_.tables[d]->name().c_str(), d,
-                        busEventColumn(*ev), l,
-                        std::string(stateName(copy.s)).c_str()));
+                    fail("%s cache %zu: illegal bus event col %d on line "
+                         "%zu in state %s",
+                         cfg_.tables[d]->name().c_str(), d,
+                         busEventColumn(*ev), l,
+                         std::string(stateName(copy.s)).c_str());
                     return out;
                 }
                 const SnoopAction &a = cell[pick(d, cell.size())];
                 if (a.di) {
                     if (di >= 0) {
-                        fail(strprintf("MC: caches %d and %zu both "
-                                       "intervened on line %zu",
-                                       di, d, l));
+                        fail("caches %d and %zu both intervened on line "
+                             "%zu",
+                             di, d, l);
                         return out;
                     }
                     di = static_cast<int>(d);
                 }
                 if (a.bs) {
                     if (bs >= 0) {
-                        fail(strprintf("MC: caches %d and %zu both "
-                                       "asserted BS on line %zu",
-                                       bs, d, l));
+                        fail("caches %d and %zu both asserted BS on line "
+                             "%zu",
+                             bs, d, l);
                         return out;
                     }
                     bs = static_cast<int>(d);
@@ -319,18 +150,11 @@ class Exec
             out.ch = ch_count > 0;
             return out;
         }
-        fail(strprintf("MC: transaction on line %zu did not converge "
-                       "after %u retries",
-                       l, cfg_.maxBusRetries));
+        fail("transaction on line %zu did not converge after %u retries",
+             l, cfg_.maxBusRetries);
         return out;
     }
 
-    const ModelConfig &cfg_;
-    ModelState &st_;
-    ChoiceFeed &feed_;
-    std::vector<ChoiceRecord> *log_;
-    Word wval_ = 0;
-    StepResult result_;
 };
 
 } // namespace
@@ -349,31 +173,22 @@ StepResult
 stepModel(const ModelConfig &cfg, ModelState &st, const ModelEvent &ev,
           ChoiceFeed &feed, std::vector<ChoiceRecord> *log)
 {
-    Exec exec(cfg, st, feed, log);
-    return exec.run(ev);
+    return FlatExec(cfg, st, feed, log).run(ev);
 }
 
 std::vector<ModelEvent>
 legalEvents(const ModelConfig &cfg, const ModelState &st)
 {
     std::vector<ModelEvent> out;
+    out.reserve(cfg.numCaches() * cfg.lines * kNumLocalEvents);
     for (std::size_t c = 0; c < cfg.numCaches(); ++c) {
         for (std::size_t l = 0; l < cfg.lines; ++l) {
             State s = copyAt(cfg, st, c, l).s;
             for (LocalEvent ev : kAllLocalEvents) {
-                if (ev == LocalEvent::Pass || ev == LocalEvent::Flush) {
-                    // Skip silent no-ops (empty kind-filtered cell).
-                    bool any = false;
-                    for (const LocalAction &a :
-                         cfg.tables[c]->local(s, ev)) {
-                        if (a.kinds & kindBit(ClientKind::CopyBack)) {
-                            any = true;
-                            break;
-                        }
-                    }
-                    if (!any)
-                        continue;
-                }
+                // Skip silent no-ops (empty kind-filtered cell).
+                if ((ev == LocalEvent::Pass || ev == LocalEvent::Flush) &&
+                    copyBackAlternatives(cfg.tables[c]->local(s, ev)) == 0)
+                    continue;
                 out.push_back({static_cast<std::uint8_t>(c),
                                static_cast<std::uint8_t>(l), ev});
             }

@@ -232,8 +232,11 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{3}, std::size_t{4}),
                        ::testing::Values(1, 2, 3)),
     [](const auto &info) {
-        return "c" + std::to_string(std::get<0>(info.param)) + "_s" +
-               std::to_string(std::get<1>(info.param));
+        std::string name = "c";
+        name += std::to_string(std::get<0>(info.param));
+        name += "_s";
+        name += std::to_string(std::get<1>(info.param));
+        return name;
     });
 
 } // namespace

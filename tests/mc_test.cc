@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "mc/explorer.h"
 #include "mc/hier_model.h"
 #include "mc/replay.h"
@@ -25,6 +26,35 @@ exploreHomogeneous(ProtocolKind kind, std::size_t caches,
     cfg.model.tables.assign(caches, &protocolTable(kind));
     cfg.model.lines = lines;
     return mc::explore(cfg);
+}
+
+// Graph shape of a flat or hierarchical run, pinned field by field.
+template <class Result>
+void
+expectGraph(const Result &res, std::size_t nodes, std::size_t edges,
+            std::size_t depth, std::uint64_t node_fp, std::uint64_t edge_fp)
+{
+    EXPECT_EQ(res.nodes, nodes);
+    EXPECT_EQ(res.edges, edges);
+    EXPECT_EQ(res.depth, depth);
+    EXPECT_EQ(res.nodeFingerprint, node_fp);
+    EXPECT_EQ(res.edgeFingerprint, edge_fp);
+}
+
+// One line per step: "cache.line Event" then every choice the step drew
+// as cCACHE:IDX/ALTS (mc_explore's trace format).
+std::string
+renderSteps(const std::vector<mc::TraceStep> &steps)
+{
+    std::string out;
+    for (const mc::TraceStep &s : steps) {
+        out += strprintf("%u.%u %s", s.event.cache, s.event.line,
+                         std::string(localEventName(s.event.ev)).c_str());
+        for (const mc::ChoiceRecord &r : s.choices)
+            out += strprintf(" c%u:%u/%u", r.cache, r.idx, r.nAlts);
+        out += '\n';
+    }
+    return out;
 }
 
 // The theorem's base case: every protocol of Tables 1-7, alone, keeps
@@ -106,6 +136,28 @@ TEST(McGolden, IllinoisFingerprint)
     EXPECT_EQ(res.edgeFingerprint, 0xab2952b69e607678ull);
 }
 
+// The perfbench mc-explore graphs: a four-protocol class mix on one bus,
+// and a node-capped run of it (the cap stops mid-level, so the partial
+// counts pin the enumeration order, not just the reachable set).
+TEST(McGolden, FourProtocolMixFingerprint)
+{
+    mc::ExploreConfig cfg;
+    cfg.model.tables = {&moesiTable(), &berkeleyTable(), &dragonTable(),
+                        &moesiTable()};
+    cfg.model.lines = 2;
+    mc::ExploreResult res = mc::explore(cfg);
+    EXPECT_TRUE(res.complete);
+    expectGraph(res, 6724, 269944, 8, 0x279fc1333d8311fdull,
+                0x8b600fda41b15b2dull);
+
+    cfg.maxNodes = 100;
+    res = mc::explore(cfg);
+    EXPECT_FALSE(res.complete);
+    EXPECT_FALSE(res.counterexample);
+    expectGraph(res, 100, 217, 1, 0xcb208c44fb91afecull,
+                0xe2c8fe3fbae3b35aull);
+}
+
 // A deliberately corrupted Illinois table: S on a local write silently
 // jumps to M without any bus transaction (the classic forgotten
 // invalidate).  The checker must find it, the counterexample must be
@@ -130,6 +182,22 @@ TEST(McCounterexample, CorruptedTableFoundAndReplayed)
     EXPECT_LE(cex.steps.size(), 20u);
     ASSERT_FALSE(cex.violations.empty());
 
+    // The exact minimal trace, byte for byte.
+    expectGraph(res, 6, 28, 2, 0x352d1119a7af1e38ull,
+                0x2a330ec702324e80ull);
+    EXPECT_EQ(renderSteps(cex.steps), "0.0 Read c0:0/1\n"
+                                      "1.0 Read c1:0/1 c0:0/1\n"
+                                      "0.0 Write c0:0/1\n");
+    const std::string state =
+        " | line 0x0: c0:M[0x1] c1:S[0x0] mem[0x0] image[0x1]";
+    const std::vector<std::string> want = {
+        "V1: cache 1 holds line 0x0 = 0x0 in state S, shared image is 0x1" +
+            state,
+        "U1: line 0x0 has 1 exclusive holder(s) among 2 valid holder(s)" +
+            state};
+    EXPECT_EQ(cex.violations, want);
+    EXPECT_EQ(mc::renderStateVector(cfg.model, cex.finalState), state);
+
     mc::ReplayResult rr =
         mc::replayTrace(cfg.model, cex.steps, /*expect_violation=*/true);
     EXPECT_TRUE(rr.ok) << (rr.errors.empty() ? "" : rr.errors[0]);
@@ -153,10 +221,18 @@ TEST(McCounterexample, WriteOnceOwnerCollisionPinned)
     ASSERT_TRUE(res.counterexample.has_value());
     const mc::Counterexample &cex = *res.counterexample;
     EXPECT_LE(cex.steps.size(), 20u);
-    bool v2 = false;
-    for (const std::string &v : cex.violations)
-        v2 = v2 || v.find("V2") != std::string::npos;
-    EXPECT_TRUE(v2);
+    expectGraph(res, 8, 21, 1, 0x748e62587547ccb0ull,
+                0xb41cc90da3a6368aull);
+    EXPECT_EQ(renderSteps(cex.steps),
+              "0.0 Write c0:0/2\n"
+              "1.0 Write c1:1/2 c1:0/1 c0:0/1 c1:0/1 c0:0/1\n");
+    const std::string state =
+        " | line 0x0: c0:I c1:E[0x2] mem[0x0] image[0x2]";
+    const std::vector<std::string> want = {
+        "V3: cache 1 line 0x0 in E = 0x2 but memory = 0x0" + state,
+        "V2: line 0x0 unowned; memory = 0x0, shared image is 0x2" + state};
+    EXPECT_EQ(cex.violations, want);
+    EXPECT_EQ(mc::renderStateVector(cfg.model, cex.finalState), state);
 
     // It is no model artifact: the real engine reaches the same state.
     mc::ReplayResult rr =
@@ -306,17 +382,63 @@ TEST(McHierGolden, MoesiTwoLeafFingerprint)
     EXPECT_EQ(res.edgeFingerprint, 0x31e6485c196cba92ull);
 }
 
+// The perfbench hier graph: MOESI + Berkeley on one leaf, Dragon on the
+// other, two lines.
+TEST(McHierGolden, MixedTwoLeafTwoLineFingerprint)
+{
+    mc::HierExploreConfig cfg;
+    cfg.model.base.tables = {&moesiTable(), &berkeleyTable(),
+                             &dragonTable()};
+    cfg.model.clusterOf = {0, 0, 1};
+    cfg.model.base.lines = 2;
+    mc::HierExploreResult res = mc::exploreHier(cfg);
+    EXPECT_TRUE(res.complete);
+    expectGraph(res, 2401, 55860, 8, 0xfebcb22a7e96ad07ull,
+                0xd52a390fb9d1d27bull);
+}
+
+// A node-capped hier run stops mid-level with these exact partial counts.
+TEST(McHierGolden, CappedMoesiTwoLeaf)
+{
+    mc::HierExploreConfig cfg;
+    cfg.model.base.tables.assign(4, &moesiTable());
+    cfg.model.clusterOf = {0, 0, 1, 1};
+    cfg.model.base.lines = 1;
+    cfg.maxNodes = 50;
+    mc::HierExploreResult res = mc::exploreHier(cfg);
+    EXPECT_FALSE(res.complete);
+    EXPECT_FALSE(res.counterexample);
+    expectGraph(res, 50, 200, 2, 0xd12d6faef9d6ef01ull,
+                0x675b2ace87fdb64dull);
+}
+
 // Abort-class protocols cannot live below a bridge: BS cannot cross,
 // so the explorer must surface a counterexample that says exactly
 // that, rather than wandering into undefined behaviour.
 TEST(McHier, AbortProtocolRejectedUnderBridge)
 {
-    mc::HierExploreResult res = exploreHier2x2(ProtocolKind::Illinois);
+    mc::HierExploreConfig cfg;
+    cfg.model.base.tables.assign(4, &illinoisTable());
+    cfg.model.clusterOf = {0, 0, 1, 1};
+    cfg.model.base.lines = 1;
+    mc::HierExploreResult res = mc::exploreHier(cfg);
     ASSERT_TRUE(res.counterexample.has_value());
-    EXPECT_NE(res.counterexample->violations[0].find(
-                  "asserted BS on a leaf bus"),
-              std::string::npos)
-        << res.counterexample->violations[0];
+    const mc::HierCounterexample &cex = *res.counterexample;
+
+    // The illegal step, pinned byte for byte: its violation renders the
+    // global cache ids, the full render the leaf-local ones.
+    expectGraph(res, 13, 22, 1, 0xc8b38574f4b1f800ull,
+                0xdc190300c90aadfcull);
+    EXPECT_EQ(renderSteps(cex.steps), "0.0 Write c0:0/1\n"
+                                      "1.0 Read c1:0/1 c0:0/1\n");
+    const std::vector<std::string> want = {
+        "MC-hier: Illinois cache 0 asserted BS on a leaf bus (aborts "
+        "cannot cross a bridge) | line 0x0: c0:M[0x1] c1:I c2:I c3:I "
+        "mem[0x0] image[0x1] | flt 0x0: b0:L- b1:-R"};
+    EXPECT_EQ(cex.violations, want);
+    EXPECT_EQ(mc::renderHierStateVector(cfg.model, cex.finalState),
+              " | line 0x0: c0:M[0x1] c1:I c0:I c1:I mem[0x0] image[0x1]"
+              " | flt 0x0: b0:L- b1:-R");
 }
 
 } // namespace
