@@ -40,6 +40,7 @@
 
 #include "bench_util.h"
 #include "campaign/campaign_runner.h"
+#include "common/logging.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "text/report.h"
@@ -244,6 +245,7 @@ main(int argc, char **argv)
             CampaignRunner(pass_jobs, sup).run(spec);
         // Table only: stdout is the diffable artifact.
         std::fputs(renderCampaignTable(report).c_str(), stdout);
+        std::fputs(warnSuppressionSummary().c_str(), stderr);
         for (const CampaignResult &r : report.results) {
             if (r.status != JobStatus::Ok)
                 return 1;
@@ -344,6 +346,7 @@ main(int argc, char **argv)
         ok = false;
     }
 
+    std::fputs(warnSuppressionSummary().c_str(), stderr);
     return verdict(ok, "campaign throughput (reports byte-identical "
                        "at every worker count)");
 }

@@ -211,6 +211,18 @@ BM_SpeculativeEngineThroughput(benchmark::State &state)
 BENCHMARK(BM_SpeculativeEngineThroughput)->Arg(8)->Arg(32);
 
 /**
+ * The relaxed per-line loop (one windowed drain, immediate oracle
+ * writes, no undo records): the speed the strict speculative loop is
+ * measured against.
+ */
+void
+BM_PerLineEngineThroughput(benchmark::State &state)
+{
+    engineThroughputOrdered(state, EngineOrdering::PerLine);
+}
+BENCHMARK(BM_PerLineEngineThroughput)->Arg(8);
+
+/**
  * Adversarial rollback storm: every processor ping-pongs over the
  * same four hot lines under an invalidating protocol (Berkeley), so
  * speculated hit runs are constantly killed by foreign write

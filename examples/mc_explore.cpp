@@ -18,14 +18,12 @@
  * line (each numeric value must be a whole decimal number in range).
  */
 
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "core/protocol_table.h"
 #include "mc/explorer.h"
 #include "mc/replay.h"
@@ -50,26 +48,6 @@ printTrace(const mc::Counterexample &cex)
     }
     for (const std::string &v : cex.violations)
         std::printf("  violation: %s\n", v.c_str());
-}
-
-/**
- * The value of a numeric flag: the whole token must be a decimal number
- * in [lo, hi].  Anything else - empty, signed, trailing junk, out of
- * range - is a usage error (exit 2).
- */
-std::size_t
-parseCount(const char *flag, const char *value, std::size_t lo,
-           std::size_t hi)
-{
-    const char *end = value + std::strlen(value);
-    std::size_t n = 0;
-    auto [stop, ec] = std::from_chars(value, end, n);
-    if (ec != std::errc() || stop != end || n < lo || n > hi) {
-        std::fprintf(stderr, "mc_explore: invalid value '%s' for %s\n",
-                     value, flag);
-        std::exit(2);
-    }
-    return n;
 }
 
 int
@@ -147,17 +125,21 @@ main(int argc, char **argv)
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : "";
         };
+        auto count = [&](const char *flag, std::size_t lo,
+                         std::size_t hi) {
+            return cli::parseCount("mc_explore", flag, next(), lo, hi);
+        };
         if (a == "--protocol")
             protocol = next();
         else if (a == "--mixed")
             mixed = next();
         else if (a == "--caches")
-            caches = parseCount("--caches", next(), 2, mc::kMaxCaches);
+            caches = count("--caches", 2, mc::kMaxCaches);
         else if (a == "--lines")
-            lines = parseCount("--lines", next(), 1, mc::kMaxLines);
+            lines = count("--lines", 1, mc::kMaxLines);
         else if (a == "--max-nodes")
             // Node indices are 32-bit in the explorer's visited set.
-            max_nodes = parseCount("--max-nodes", next(), 1, UINT32_MAX);
+            max_nodes = count("--max-nodes", 1, UINT32_MAX);
         else if (a == "--json")
             json = true;
         else if (a == "--all")

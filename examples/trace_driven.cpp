@@ -47,13 +47,19 @@
  * The --generate mode writes a synthetic Archibald-Baer style trace so
  * the example is runnable with no external data (the paper itself had
  * no multiprocessor traces either; see section 5.2).
+ *
+ * Every numeric argument must be a whole decimal number in range; any
+ * other value exits 2 with "trace_driven: invalid value '<v>' for
+ * <flag>" (positional counts are named procs and refs).
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 
 #include "campaign/campaign_runner.h"
+#include "cli_args.h"
 #include "fault/shrinker.h"
 #include "obs/perfetto_sink.h"
 #include "sim/engine.h"
@@ -65,6 +71,20 @@
 using namespace fbsim;
 
 namespace {
+
+/** Bounds of the numeric arguments (processors, worker threads and
+ *  clusters are small counts; the rest only need to fit). */
+constexpr std::size_t kMaxProcs = 1024;
+constexpr std::size_t kMaxJobs = 1024;
+constexpr std::size_t kMaxCount = ~std::size_t{0};
+
+/** A numeric argument's value, or exit 2 with a diagnostic. */
+std::size_t
+count(const char *what, const char *value, std::size_t lo,
+      std::size_t hi)
+{
+    return cli::parseCount("trace_driven", what, value, lo, hi);
+}
 
 int
 generate(const char *path, std::size_t procs, std::size_t refs)
@@ -104,8 +124,10 @@ int
 main(int argc, char **argv)
 {
     if (argc >= 3 && std::strcmp(argv[1], "--generate") == 0) {
-        std::size_t procs = argc > 3 ? std::atoi(argv[3]) : 4;
-        std::size_t refs = argc > 4 ? std::atoi(argv[4]) : 100000;
+        std::size_t procs =
+            argc > 3 ? count("procs", argv[3], 1, kMaxProcs) : 4;
+        std::size_t refs =
+            argc > 4 ? count("refs", argv[4], 0, kMaxCount) : 100000;
         return generate(argv[2], procs, refs);
     }
 
@@ -140,12 +162,13 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *value = nullptr;
         if (flagValue(i, "--jobs", &value)) {
-            jobs = static_cast<unsigned>(std::atoi(value));
+            jobs = static_cast<unsigned>(
+                count("--jobs", value, 1, kMaxJobs));
         } else if (flagValue(i, "--timeout-ms", &value)) {
-            sup.timeoutMs =
-                static_cast<std::uint64_t>(std::atoll(value));
+            sup.timeoutMs = count("--timeout-ms", value, 0, kMaxCount);
         } else if (flagValue(i, "--retries", &value)) {
-            sup.retries = static_cast<unsigned>(std::atoi(value));
+            sup.retries = static_cast<unsigned>(
+                count("--retries", value, 0, UINT32_MAX));
         } else if (flagValue(i, "--journal", &value)) {
             sup.journalPath = value;
         } else if (std::strcmp(argv[i], "--resume") == 0) {
@@ -155,7 +178,7 @@ main(int argc, char **argv)
         } else if (flagValue(i, "--metrics-out", &value)) {
             metrics_out = value;
         } else if (flagValue(i, "--trace-job", &value)) {
-            trace_job = static_cast<std::size_t>(std::atoll(value));
+            trace_job = count("--trace-job", value, 0, kMaxCount);
         } else if (flagValue(i, "--ordering", &value)) {
             if (std::strcmp(value, "strict") == 0) {
                 ordering = EngineOrdering::Strict;
@@ -172,15 +195,14 @@ main(int argc, char **argv)
             }
             ordering_name = value;
         } else if (flagValue(i, "--warn-limit", &value)) {
-            setWarnSiteLimit(static_cast<unsigned>(std::atoi(value)));
+            setWarnSiteLimit(static_cast<unsigned>(
+                count("--warn-limit", value, 0, UINT32_MAX)));
         } else if (std::strcmp(argv[i], "--faults") == 0) {
             with_faults = true;
         } else if (std::strcmp(argv[i], "--shrink") == 0) {
             shrink = true;
         } else if (flagValue(i, "--clusters", &value)) {
-            clusters = static_cast<std::size_t>(std::atoi(value));
-            if (clusters == 0)
-                clusters = 1;
+            clusters = count("--clusters", value, 1, kMaxProcs);
         } else {
             args.push_back(argv[i]);
         }
@@ -221,14 +243,16 @@ main(int argc, char **argv)
         }
     }
 
+    // Checked before the trace is read, so a bad count fails fast.
+    std::size_t procs =
+        args.size() > 2 ? count("procs", args[2], 1, kMaxProcs) : 0;
     auto trace = std::make_shared<std::vector<TraceRef>>(
         readTraceFile(args[0]));
     MasterId max_proc = 0;
     for (const TraceRef &r : *trace)
         max_proc = std::max(max_proc, r.proc);
-    std::size_t procs =
-        args.size() > 2 ? static_cast<std::size_t>(std::atoi(args[2]))
-                        : max_proc + 1;
+    if (procs == 0)
+        procs = max_proc + 1;
 
     // Each processor replays its own sub-trace; run every stream for
     // the shortest shard so no processor wraps around.

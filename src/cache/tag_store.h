@@ -173,35 +173,31 @@ class TagStore
     /** The replacement policy's touch dispatch kind (immutable). */
     ReplacementPolicy::TouchKind touchKind() const { return touchKind_; }
 
-    /**
-     * Replacement stamp of a resident line (Stamp policies only).
-     * Speculative execution snapshots this before a touch so rollback
-     * can restore the exact recency order.
-     */
-    std::uint64_t
-    stampOf(const CacheLine &line) const
+    /** Frame index of a resident line, for deferred touchFrames(). */
+    std::uint32_t
+    frameOf(const CacheLine &line) const
     {
-        std::size_t idx =
-            static_cast<std::size_t>(&line - lines_.data());
-        return touchStamps_[idx];
+        return static_cast<std::uint32_t>(&line - lines_.data());
     }
 
-    /** Restore a previously snapshotted replacement stamp. */
+    /**
+     * touch() each frame in order - speculated hits record their frame
+     * and replay the touches when they commit.  The stamp clock stays
+     * in a register for the whole batch.
+     */
     void
-    restoreStamp(const CacheLine &line, std::uint64_t stamp)
+    touchFrames(const std::uint32_t *frames, std::size_t count)
     {
-        std::size_t idx =
-            static_cast<std::size_t>(&line - lines_.data());
-        touchStamps_[idx] = stamp;
+        if (touchKind_ == ReplacementPolicy::TouchKind::Stamp) {
+            std::uint64_t clock = *touchClock_;
+            for (std::size_t k = 0; k < count; ++k)
+                touchStamps_[frames[k]] = ++clock;
+            *touchClock_ = clock;
+        } else if (touchKind_ == ReplacementPolicy::TouchKind::Custom) {
+            for (std::size_t k = 0; k < count; ++k)
+                touch(lines_[frames[k]]);
+        }
     }
-
-    /**
-     * Undo the clock advance of one touch() (Stamp policies only).
-     * Rolling back a speculated access restores the touched line's
-     * stamp via restoreStamp() and rewinds the clock here, so a replay
-     * of the same accesses re-issues byte-identical stamps.
-     */
-    void undoTouchClock() { --*touchClock_; }
 
     /** Visit every valid line (for checkers and statistics). */
     void forEachValidLine(

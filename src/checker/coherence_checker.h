@@ -79,6 +79,33 @@ class CoherenceChecker : public TraceSink
     }
 
     /**
+     * The line's writable oracle slab, allocating a zero-filled one if
+     * new.  Stores through it skip dirty-line tracking: the timed
+     * engine's speculative drain writes (and on rollback restores)
+     * oracle words here, on the plain access path where tracking is
+     * off.  Allocation may move every slab, so a pointer from here or
+     * expectedLine() is stale after the next call.
+     */
+    Word *oracleLine(LineAddr la)
+    {
+        if (la < kDenseLines) {
+            if (la < denseOff_.size() && denseOff_[la] != 0)
+                return oracleWords_.data() + (denseOff_[la] - 1);
+        } else if (std::uint64_t *off = oracleSlot_.find(la)) {
+            return oracleWords_.data() + *off;
+        }
+        std::uint64_t at = oracleWords_.size();
+        oracleSlot_[la] = at;
+        oracleWords_.resize(at + wordsPerLine_, 0);
+        if (la < kDenseLines) {
+            if (la >= denseOff_.size())
+                denseOff_.resize(static_cast<std::size_t>(la) + 1, 0);
+            denseOff_[static_cast<std::size_t>(la)] = at + 1;
+        }
+        return oracleWords_.data() + at;
+    }
+
+    /**
      * Record a processor read; returns an error description when the
      * value differs from the oracle, empty string when correct.
      */
@@ -97,7 +124,7 @@ class CoherenceChecker : public TraceSink
      * reads as 0).  One hash probe per line instead of one per word;
      * stable across reads, so a drain loop may memoize it for a run
      * of same-line hits and verify each with an indexed load.
-     * Invalidated by any noteWrite.
+     * Invalidated by any noteWrite or oracleLine call.
      */
     const Word *expectedLine(LineAddr la) const
     {
@@ -274,25 +301,6 @@ class CoherenceChecker : public TraceSink
     /** Word index within a line (line sizes are powers of two). */
     std::size_t wordIndexOf(Addr addr) const
     { return (addr / kWordBytes) & (wordsPerLine_ - 1); }
-
-    /** The line's oracle slab, allocating a zero-filled one if new. */
-    Word *oracleLine(LineAddr la)
-    {
-        std::uint64_t *off = oracleSlot_.find(la);
-        if (off == nullptr) {
-            std::uint64_t at = oracleWords_.size();
-            oracleSlot_[la] = at;
-            oracleWords_.resize(at + wordsPerLine_, 0);
-            if (la < kDenseLines) {
-                if (la >= denseOff_.size())
-                    denseOff_.resize(
-                        static_cast<std::size_t>(la) + 1, 0);
-                denseOff_[static_cast<std::size_t>(la)] = at + 1;
-            }
-            return oracleWords_.data() + at;
-        }
-        return oracleWords_.data() + *off;
-    }
 
     /// Largest line address mirrored in the dense lookup array (caps
     /// its memory at 512 KiB even for adversarial sparse traces).

@@ -65,7 +65,7 @@ namespace {
 struct WarnLimiter
 {
     std::mutex mu;
-    unsigned limit = 0;   // 0 = unlimited
+    unsigned limit = kDefaultWarnSiteLimit;   // 0 = unlimited
     WarnStats stats;
     std::map<std::pair<std::string, int>, std::uint64_t> perSite;
 };

@@ -32,11 +32,10 @@ void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Rate-limited warning keyed by emitting site (file:line).  Once a
- * site has emitted warnSiteLimit() messages, further ones from the
- * same site are counted but not printed; warnSuppressionSummary()
- * reports "suppressed N similar messages" per muted site.  A limit of
- * 0 (the default) disables suppression, preserving the historical
- * behavior tests depend on.
+ * site has emitted warnSiteLimit() messages (kDefaultWarnSiteLimit
+ * unless changed), further ones from the same site are counted but not
+ * printed; warnSuppressionSummary() reports "suppressed N similar
+ * messages" per muted site.  A limit of 0 disables suppression.
  */
 void warnAtImpl(const char *file, int line, const char *fmt, ...)
     __attribute__((format(printf, 3, 4)));
@@ -49,6 +48,9 @@ struct WarnStats
     std::uint64_t emitted = 0;
     std::uint64_t suppressed = 0;
 };
+
+/** Per-site emission cap for fbsim_warn until setWarnSiteLimit(). */
+inline constexpr unsigned kDefaultWarnSiteLimit = 8;
 
 /** Set the per-site emission cap for fbsim_warn (0 = unlimited). */
 void setWarnSiteLimit(unsigned limit);

@@ -38,9 +38,6 @@ SnoopingCache::SnoopingCache(MasterId id, Bus &bus,
     lineShift_ = static_cast<unsigned>(std::countr_zero(lineBytes_));
     memoize_ = chooser_->deterministic();
     plain_ = dynamic_cast<PlainLineStore *>(store_.get());
-    specStamp_ = plain_ != nullptr &&
-                 plain_->tags().touchKind() ==
-                     ReplacementPolicy::TouchKind::Stamp;
     updateFastPath();
     name_ = table_.name();
     if (kind_ == ClientKind::WriteThrough)
@@ -48,6 +45,18 @@ SnoopingCache::SnoopingCache(MasterId id, Bus &bus,
     std::vector<std::string> problems = table_.validate();
     if (!problems.empty())
         fbsim_fatal("protocol table invalid: %s", problems[0].c_str());
+    specSafe_ = memoize_ && plain_ != nullptr &&
+                !discardNearReplacement_ &&
+                plain_->tags().touchKind() !=
+                    ReplacementPolicy::TouchKind::Custom;
+    // The exclusivity gate: no pure write hit from a shared state.
+    for (State s : {State::O, State::S}) {
+        HitPlan &p = writeHit_[static_cast<int>(s)];
+        if (specSafe_) {
+            fillHitPlan(p, true, s);
+            specSafe_ = !p.pure;
+        }
+    }
 }
 
 const char *
@@ -122,32 +131,20 @@ SnoopingCache::updateFastPath()
 }
 
 void
-SnoopingCache::specRollbackTo(std::uint64_t count)
+SnoopingCache::specRollback(std::uint64_t reads, std::uint64_t writes)
 {
     TagStore &tags = plain_->tags();
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    fbsim_assert(specUndo_.size() - specUndoHead_ >= count);
-    while (count-- > 0) {
-        SpecUndo &u = specUndo_.back();
-        if (u.write) {
-            // A speculated write required M/E, so no snooped
-            // transaction can have touched the line since (exclusivity
-            // - any snoop hit would have rolled this entry back
-            // first); the restore target is exactly as the write left
-            // it.
-            fbsim_assert(u.line->valid());
-            u.line->data[u.wordIdx] = u.prevWord;
-            if (u.prevState != u.line->state)
-                tags.setState(*u.line, u.prevState);
-            ++writes;
-        } else {
-            ++reads;
-        }
-        if (specStamp_) {
-            tags.restoreStamp(*u.line, u.stamp);
-            tags.undoTouchClock();
-        }
+    fbsim_assert(specUndo_.size() - specUndoHead_ >= writes);
+    for (std::uint64_t k = 0; k < writes; ++k) {
+        // A speculated write required M/E, so no snooped transaction
+        // can have touched the line since (exclusivity - any snoop hit
+        // would have rolled this entry back first); the restore
+        // target is exactly as the write left it.
+        const SpecUndo &u = specUndo_.back();
+        fbsim_assert(u.line->valid());
+        u.line->data[u.wordIdx] = u.prevWord;
+        if (u.prevState != u.line->state)
+            tags.setState(*u.line, u.prevState);
         specUndo_.pop_back();
     }
     stats_.reads -= reads;
@@ -157,9 +154,11 @@ SnoopingCache::specRollbackTo(std::uint64_t count)
 }
 
 void
-SnoopingCache::specDropCommitted(std::uint64_t count)
+SnoopingCache::specCommit(const std::uint32_t *frames, std::size_t count,
+                          std::uint64_t writes)
 {
-    std::size_t h = specUndoHead_ + count;
+    plain_->tags().touchFrames(frames, count);
+    std::size_t h = specUndoHead_ + writes;
     fbsim_assert(h <= specUndo_.size());
     if (h == specUndo_.size()) {
         specUndo_.clear();

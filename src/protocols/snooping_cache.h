@@ -248,32 +248,28 @@ class SnoopingCache : public BusClient, public Snooper
     /**
      * True when the engine may run this cache speculatively: the
      * devirtualized hit path is armed, snoop behaviour is independent
-     * of replacement recency (no near-replacement discard), and the
-     * replacement policy's touch is undoable (Noop, or the stamp
-     * table + clock which rollback restores exactly; Custom policies
-     * like PLRU mutate opaque state).
+     * of replacement recency (no near-replacement discard), the
+     * replacement touch can be deferred to commit (Noop, or the stamp
+     * table + clock; Custom policies like PLRU mutate opaque state),
+     * and bus-free writes need an exclusive (M/E) copy.  The last is
+     * what makes a speculated write invisible until the next bus
+     * transaction on its line: a table that writes S or O without the
+     * bus fails the gate and runs interleaved.
      */
-    bool
-    specEligible() const
-    {
-        return fastLocal_ && !discardNearReplacement_ &&
-               plain_ != nullptr &&
-               plain_->tags().touchKind() !=
-                   ReplacementPolicy::TouchKind::Custom;
-    }
+    bool specEligible() const { return fastLocal_ && specSafe_; }
 
     /**
      * Speculative counterparts of tryLocalRead/tryLocalWrite: same
-     * classification, same execution, plus one undo-log entry so the
-     * access can be rolled back (specRollbackTo) or made permanent
-     * (specDropCommitted).  Entries are strictly one per successful
-     * call, in call order, so the engine addresses them by count
+     * classification and execution, minus the replacement touch - the
+     * hit's frame index goes to `frame` and specCommit() replays the
+     * touches in order.  A write also leaves one undo entry (reads
+     * leave none), so the engine addresses entries by write count
      * alone.  Hit counters are NOT bumped here - the engine batches
      * them through specCountHits() once per drained run.  Callers must
      * check specEligible() first.
      */
     bool
-    specLocalRead(Addr addr, Word &out)
+    specLocalRead(Addr addr, Word &out, std::uint32_t &frame)
     {
         TagStore &tags = plain_->tags();
         CacheLine *l = tags.find(lineOf(addr));
@@ -285,19 +281,13 @@ class SnoopingCache : public BusClient, public Snooper
         if (!p.pure)
             return false;
         out = l->data[wordIndexOf(addr)];
-        SpecUndo &u = specUndo_.emplace_back();
-        u.line = l;
-        u.write = false;
-        if (specStamp_) {
-            u.stamp = tags.stampOf(*l);
-            tags.touch(*l);
-        }
+        frame = tags.frameOf(*l);
         return true;
     }
 
     /** Write counterpart of specLocalRead(). */
     bool
-    specLocalWrite(Addr addr, Word value)
+    specLocalWrite(Addr addr, Word value, std::uint32_t &frame)
     {
         TagStore &tags = plain_->tags();
         CacheLine *l = tags.find(lineOf(addr));
@@ -309,19 +299,12 @@ class SnoopingCache : public BusClient, public Snooper
         if (!p.pure)
             return false;
         std::size_t w = wordIndexOf(addr);
-        SpecUndo &u = specUndo_.emplace_back();
-        u.line = l;
-        u.write = true;
-        u.wordIdx = static_cast<std::uint32_t>(w);
-        u.prevWord = l->data[w];
-        u.prevState = l->state;
-        if (specStamp_)
-            u.stamp = tags.stampOf(*l);
+        specUndo_.push_back({l, l->data[w],
+                             static_cast<std::uint32_t>(w), l->state});
         l->data[w] = value;
         if (p.next != l->state)
             tags.setState(*l, p.next);
-        if (specStamp_)
-            tags.touch(*l);
+        frame = tags.frameOf(*l);
         return true;
     }
 
@@ -329,9 +312,8 @@ class SnoopingCache : public BusClient, public Snooper
      * Bulk stats for a drained run of speculated hits.  specLocalRead
      * and specLocalWrite leave the hit counters alone so the drain
      * loop pays no per-reference increments; the engine adds the run's
-     * totals here once per drain.  specRollbackTo still recounts per
-     * popped entry, which stays consistent because the bulk add
-     * covered every successful call.
+     * totals here once per drain and specRollback() takes the undone
+     * ones back out.
      */
     void
     specCountHits(std::uint64_t reads, std::uint64_t writes)
@@ -343,20 +325,23 @@ class SnoopingCache : public BusClient, public Snooper
     }
 
     /**
-     * Roll back the newest `count` speculated accesses, newest first:
-     * restore the written word, consistency state and replacement
-     * stamp, rewind the touch clock, and recount stats.  After the
-     * call a replay of the same accesses reproduces byte-identical
-     * cache state (data, states, stamps, clock).
+     * Roll back the newest speculated accesses, `reads` reads and
+     * `writes` writes: restore each written word and consistency
+     * state, newest first, and recount stats.  Their touches were
+     * never applied, so a replay reproduces byte-identical cache
+     * state.
      */
-    void specRollbackTo(std::uint64_t count);
+    void specRollback(std::uint64_t reads, std::uint64_t writes);
 
     /**
-     * Make the oldest `count` outstanding speculated accesses
-     * permanent (drop their undo entries).  Called at each
-     * serialization point for the committed prefix.
+     * Make the oldest outstanding speculated accesses permanent: apply
+     * the replacement touches of `count` accesses, whose frames are
+     * given in access order, and drop the undo entries of the `writes`
+     * writes among them.  Called at each serialization point for the
+     * committed prefix.
      */
-    void specDropCommitted(std::uint64_t count);
+    void specCommit(const std::uint32_t *frames, std::size_t count,
+                    std::uint64_t writes);
 
   private:
     /** Dispatch one local event on the line's current state. */
@@ -548,27 +533,25 @@ class SnoopingCache : public BusClient, public Snooper
     Pending pending_;
 
     /**
-     * One speculated access pending commit or rollback.  Entries are
-     * appended in increasing `idx` order; rollback pops a suffix,
-     * commit advances a head cursor past a prefix, so the live window
-     * is contiguous.  Line pointers stay exact across the window: no
+     * One speculated write pending commit or rollback.  Entries are
+     * appended in access order; rollback pops a suffix, commit
+     * advances a head cursor past a prefix, so the live window is
+     * contiguous.  Line pointers stay exact across the window: no
      * frame is installed or evicted while speculation is outstanding
      * (local hits never allocate, snooped transactions never install,
      * and a cache executes a bus access only with an empty window).
      */
     struct SpecUndo
     {
-        CacheLine *line = nullptr;
-        std::uint64_t stamp = 0;   ///< pre-touch replacement stamp
-        Word prevWord = 0;         ///< writes: overwritten word
-        std::uint32_t wordIdx = 0; ///< writes: word within the line
-        bool write = false;
-        State prevState = State::I; ///< writes: pre-access state
+        CacheLine *line;
+        Word prevWord;          ///< overwritten word
+        std::uint32_t wordIdx;  ///< word within the line
+        State prevState;        ///< pre-access state
     };
     std::vector<SpecUndo> specUndo_;
     std::size_t specUndoHead_ = 0;
-    /** Replacement touches stamp (vs Noop), latched at construction. */
-    bool specStamp_ = false;
+    /** specEligible()'s configuration half, fixed at construction. */
+    bool specSafe_ = false;
     /** Speculation-conflict sink (Bus fan-out; not owned). */
     std::vector<SpecConflict> *specLog_ = nullptr;
 };

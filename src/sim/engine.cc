@@ -457,6 +457,8 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
     const Cycles hit = config_.hitCycles;
     constexpr Cycles kIdle = ~Cycles{0};
     constexpr std::uint64_t kFetchBatch = 64;
+    // Committed prefix length at which a window's buffers compact.
+    constexpr std::uint64_t kCompactAt = 256;
 
     /**
      * Per-processor speculation state.  Reference positions are
@@ -466,23 +468,31 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
      * instant the interleaved loop would begin it.  Invariants:
      * bufBase <= commitPos <= execPos <= fetched, runStart <=
      * commitPos, and every reference in [commitPos, execPos) executed
-     * speculatively with a live undo entry in its cache.
+     * speculatively: its frame is recorded, and a write's value is in
+     * the oracle with live undo entries here and in its cache.
      */
+    struct PendWrite
+    {
+        std::uint64_t g;   ///< absolute index of the speculated write
+        Word old;          ///< the oracle word it overwrote
+    };
     struct SpecProc
     {
         std::vector<ProcRef> buf;
-        /** Absolute indices g of the window's speculated writes, in
-         *  order; the prefix below pendHead is committed.  Lets the
-         *  commit, rollback and conflict paths walk only writes
-         *  instead of re-scanning the whole buffer. */
-        std::vector<std::uint64_t> pendWrites;
+        /** Frame each executed ref hit, parallel to buf: the deferred
+         *  replacement touches commitRange applies. */
+        std::vector<std::uint32_t> frames;
+        /** The window's speculated writes, in order; the prefix below
+         *  pendHead is committed.  Lets the commit, rollback and
+         *  conflict paths walk only writes instead of re-scanning the
+         *  whole buffer. */
+        std::vector<PendWrite> pendWrites;
         std::size_t pendHead = 0;
         std::uint64_t bufBase = 0;   ///< g of buf[0]
         std::uint64_t fetched = 0;   ///< g past the last buffered ref
         std::uint64_t commitPos = 0; ///< refs below are permanent
         std::uint64_t execPos = 0;   ///< refs below executed
         std::uint64_t seqExec = 0;   ///< write counter at execPos
-        std::uint64_t seqCommit = 0; ///< write counter at commitPos
         std::uint64_t runStart = 0;  ///< g whose start time is rBase
         Cycles rBase = 0;
         std::uint64_t sig = 0;   ///< line-hash OR over open window
@@ -554,7 +564,12 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
      * (bus-bound ref), pauses (read mismatch needing in-order
      * adjudication), exhausts its stream, or the supervisor stops the
      * run.  Touches only proc-i state (its stream, buffer, cache and
-     * its cache's undo log) plus const oracle reads and the stop flag.
+     * its cache's undo log), oracle words of lines its cache holds
+     * exclusively, and the stop flag.  A speculated write stores its
+     * value into the oracle at once: its line is M or E (the
+     * exclusivity gate), so no other processor can read the word
+     * before the next bus transaction on the line, which first commits
+     * or rolls the write back.
      */
     auto drainOne = [&](std::size_t i) {
         SpecProc &p = procs[i];
@@ -574,9 +589,10 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         std::uint64_t seqExec = p.seqExec;
         const std::uint64_t bufBase = p.bufBase;
         const ProcRef *buf = p.buf.data();
-        // Oracle slab memo: commits only happen at serialization
-        // points, so no slab can move while this drain runs and a run
-        // of same-line hits verifies with one indexed load each.
+        std::uint32_t *frames = p.frames.data();
+        // Oracle slab memo, so a run of same-line hits verifies with
+        // one indexed load each.  Only this drain's own writes can
+        // allocate (and so move) slabs, and each one re-points it.
         LineAddr oLa = ~LineAddr{0};
         const Word *oWords = nullptr;
         while (g < refs_per_proc) {
@@ -591,76 +607,56 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
                 std::uint64_t batch = std::min<std::uint64_t>(
                     kFetchBatch, refs_per_proc - fetched);
                 std::size_t at = p.buf.size();
-                if (p.buf.capacity() < at + batch) {
-                    p.buf.reserve(std::max<std::size_t>(
-                        2 * p.buf.capacity(),
-                        std::min<std::uint64_t>(refs_per_proc,
-                                                8192 + kFetchBatch)));
-                }
                 p.buf.resize(at + batch);
+                p.frames.resize(at + batch);
                 stream.nextBatch(p.buf.data() + at, batch);
                 buf = p.buf.data();
+                frames = p.frames.data();
                 fetched += batch;
             }
             const ProcRef ref = buf[g - bufBase];
+            std::uint32_t &frame = frames[g - bufBase];
+            const LineAddr la = ref.addr >> line_shift;
+            const std::size_t wi = (ref.addr / kWordBytes) & word_mask;
             if (ref.write) {
-                if (!c.specLocalWrite(ref.addr,
-                                      writeValue(i, seqExec + 1))) {
+                const Word value = writeValue(i, seqExec + 1);
+                if (!c.specLocalWrite(ref.addr, value, frame)) {
                     p.parked = true;
                     break;
                 }
                 ++seqExec;
-                p.pendWrites.push_back(g);
-                const std::uint64_t b = sigBit(ref.addr >> line_shift);
+                Word *slab = ck.oracleLine(la);
+                p.pendWrites.push_back({g, slab[wi]});
+                slab[wi] = value;
+                oLa = la;
+                oWords = slab;
+                const std::uint64_t b = sigBit(la);
                 sig |= b;
                 sigW |= b;
                 ++g;
             } else {
                 Word got = 0;
-                if (!c.specLocalRead(ref.addr, got)) {
+                if (!c.specLocalRead(ref.addr, got, frame)) {
                     p.parked = true;
                     break;
                 }
-                const LineAddr la = ref.addr >> line_shift;
                 sig |= sigBit(la);
                 ++g;
                 if (la != oLa) {
                     oLa = la;
                     oWords = ck.expectedLine(la);
                 }
-                const Word exp =
-                    oWords
-                        ? oWords[(ref.addr / kWordBytes) & word_mask]
-                        : 0;
-                if (got != exp) {
-                    // The committed oracle lags this proc's own
-                    // pending writes; reconstruct the latest one to
-                    // the word from the pending-write index (the k-th
-                    // write carries sequence number k, so a backward
-                    // walk recovers each value without storing it).
-                    bool own = false;
-                    std::uint64_t s = seqExec;
-                    for (std::size_t j = p.pendWrites.size();
-                         j > p.pendHead;) {
-                        --j;
-                        if (buf[p.pendWrites[j] - bufBase].addr ==
-                            ref.addr) {
-                            own = writeValue(i, s) == got;
-                            break;
-                        }
-                        --s;
-                    }
-                    if (!own) {
-                        // Possibly a real mismatch: its violation
-                        // string must be rendered at the exact
-                        // functional instant, so stop here and let
-                        // the serialization loop adjudicate in order.
-                        p.paused = true;
-                        p.pausePos = g - 1;
-                        p.pauseAddr = ref.addr;
-                        p.pauseGot = got;
-                        break;
-                    }
+                if (got != (oWords ? oWords[wi] : 0)) {
+                    // The oracle already holds this proc's own writes,
+                    // so this is a mismatch candidate: its violation
+                    // string must be rendered at the exact functional
+                    // instant, so stop here and let the serialization
+                    // loop adjudicate in order.
+                    p.paused = true;
+                    p.pausePos = g - 1;
+                    p.pauseAddr = ref.addr;
+                    p.pauseGot = got;
+                    break;
                 }
             }
         }
@@ -688,7 +684,9 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             return p.execPos;
         // Walk forward from the committed frontier; the steps taken
         // are exactly the refs about to commit, so the cost amortizes
-        // to one compare per committed ref (no division).
+        // to one compare per committed ref.  (A closed form costs a
+        // 64-bit division per call, which measured slower: most calls
+        // commit only a few refs.)
         std::uint64_t cut = p.commitPos;
         Cycles s = startOf(p, cut);
         while (cut < p.execPos && (s < tc || (s == tc && i < qc))) {
@@ -726,24 +724,17 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         logScratch.clear();
     };
 
-    /** Make proc i's speculated prefix below `cut` permanent: oracle
-     *  writes and the access log, in reference order. */
+    /** Make proc i's speculated prefix below `cut` permanent: the
+     *  replacement touches and the access log, in reference order
+     *  (the oracle already holds its writes). */
     auto commitRange = [&](std::size_t i, std::uint64_t cut) {
         SpecProc &p = procs[i];
         if (cut <= p.commitPos)
             return;
-        // Oracle updates touch only writes: walk the pending-write
-        // index, not the whole buffer.  Values are re-derived from
-        // the commit-side counter (the k-th write carries k).
-        std::uint64_t seq = p.seqCommit;
         std::size_t h = p.pendHead;
-        const std::size_t pendSize = p.pendWrites.size();
-        while (h < pendSize && p.pendWrites[h] < cut) {
-            ck.noteWrite(p.buf[p.pendWrites[h] - p.bufBase].addr,
-                         writeValue(i, ++seq));
+        while (h < p.pendWrites.size() && p.pendWrites[h].g < cut)
             ++h;
-        }
-        p.seqCommit = seq;
+        const std::size_t writes = h - p.pendHead;
         p.pendHead = h;
         if (config_.accessLog) {
             Cycles s = startOf(p, p.commitPos);
@@ -760,46 +751,51 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             config_.specStats->specRefs += cut - p.commitPos;
             config_.specStats->batchLen.record(cut - p.commitPos);
         }
-        caches[i]->specDropCommitted(cut - p.commitPos);
+        caches[i]->specCommit(p.frames.data() + (p.commitPos - p.bufBase),
+                              cut - p.commitPos, writes);
         p.commitPos = cut;
         if (p.commitPos == p.execPos) {
             p.sig = 0;
             p.sigW = 0;
             p.pendWrites.clear();
             p.pendHead = 0;
-        } else if (p.pendHead >= 1024 &&
+        } else if (p.pendHead >= kCompactAt &&
                    p.pendHead * 2 >= p.pendWrites.size()) {
-            // Mirror the cache's bounded dead-prefix policy.
             p.pendWrites.erase(
                 p.pendWrites.begin(),
                 p.pendWrites.begin() +
                     static_cast<std::ptrdiff_t>(p.pendHead));
             p.pendHead = 0;
         }
-        if (p.commitPos - p.bufBase >= 8192) {
-            p.buf.erase(p.buf.begin(),
-                        p.buf.begin() +
-                            static_cast<std::ptrdiff_t>(p.commitPos -
-                                                        p.bufBase));
+        if (p.commitPos - p.bufBase >= kCompactAt) {
+            const auto dead =
+                static_cast<std::ptrdiff_t>(p.commitPos - p.bufBase);
+            p.buf.erase(p.buf.begin(), p.buf.begin() + dead);
+            p.frames.erase(p.frames.begin(), p.frames.begin() + dead);
             p.bufBase = p.commitPos;
         }
     };
 
-    /** Undo proc i's speculated suffix [k, execPos): cache state via
-     *  the undo log, the write counter here; the refs replay on the
-     *  next drain with byte-identical values and stamps. */
+    /** Undo proc i's speculated suffix [k, execPos): oracle words
+     *  newest-first, cache state via the undo log, the write counter
+     *  here; the refs replay on the next drain with byte-identical
+     *  values, and their touches were never applied. */
     auto rollbackTo = [&](std::size_t i, std::uint64_t k) {
         SpecProc &p = procs[i];
         fbsim_assert(k >= p.commitPos && k < p.execPos);
         std::uint64_t undone = p.execPos - k;
         std::uint64_t writes = 0;
         while (p.pendWrites.size() > p.pendHead &&
-               p.pendWrites.back() >= k) {
+               p.pendWrites.back().g >= k) {
+            const PendWrite &w = p.pendWrites.back();
+            const Addr a = p.buf[w.g - p.bufBase].addr;
+            ck.oracleLine(a >> line_shift)[(a / kWordBytes) & word_mask] =
+                w.old;
             p.pendWrites.pop_back();
             ++writes;
         }
         p.seqExec -= writes;
-        caches[i]->specRollbackTo(undone);
+        caches[i]->specRollback(undone - writes, writes);
         p.execPos = k;
         p.parked = false;
         p.paused = false;   // a rolled-back pause re-adjudicates
@@ -877,7 +873,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             // Adjudicate the earliest pending mismatch at C = (tm,
             // qp): commit everything functionally before it, roll
             // back everything at or after it (except the paused read
-            // itself, whose only residue is its replacement stamp),
+            // itself, which stays in the window and commits later),
             // and re-check the value against the now-exact oracle.
             // Recording through the system here renders the identical
             // violation string the interleaved loop would have - or
@@ -926,11 +922,11 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
 
         // Pre-execute: speculated *writes* on the transaction's line
         // roll back first, so snoop decisions, wired-OR responses and
-        // any supplied or pushed data see exactly the state the
-        // interleaved order implies at the grant.  Speculated reads
-        // change nothing a snooper or supplier can observe (only
-        // replacement stamps), so they may stay; if the transaction
-        // mutates their line the conflict log rolls them back after.
+        // any supplied or pushed data - and the oracle - see exactly
+        // the state the interleaved order implies at the grant.
+        // Speculated reads change nothing (their touches wait for
+        // commit), so they may stay; if the transaction mutates their
+        // line the conflict log rolls them back after.
         const LineAddr la = ref.addr >> line_shift;
         const std::uint64_t laBit = sigBit(la);
         for (std::size_t i = 0; i < n; ++i) {
@@ -941,7 +937,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             std::uint64_t first = q.execPos;
             for (std::size_t h = q.pendHead; h < q.pendWrites.size();
                  ++h) {
-                const std::uint64_t g2 = q.pendWrites[h];
+                const std::uint64_t g2 = q.pendWrites[h].g;
                 if ((q.buf[g2 - q.bufBase].addr >> line_shift) ==
                     la) {
                     first = g2;
@@ -953,11 +949,9 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         }
 
         conflicts.clear();
-        fbsim_assert(p.seqExec == p.seqCommit);
         const AccessOutcome outcome = access(result, w, ref, p.seqExec);
-        p.seqCommit = p.seqExec;
         // Candidacy required an empty window, so the winner's undo
-        // log and pending-write index are already empty; the bus
+        // log and pending writes are already committed; the bus
         // reference itself ran non-speculatively.
         p.execPos = g + 1;
         p.commitPos = g + 1;

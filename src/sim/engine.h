@@ -34,12 +34,20 @@ class TraceSink;
  * Strict is the default: the speculative batch loop whose observable
  * outcome (EngineResult, cache/bus/checker state, violation strings)
  * is byte-identical to the classic interleaved loop - speculation is
- * purely an execution strategy.  PerLine relaxes that to the window
- * discipline, which retains only per-line ordering (each line still
- * sees its accesses in a legal serialization; the global interleaving
- * differs) - validated against the src/mc differential oracle rather
- * than bit-exactly.  Interleaved forces the classic loop (the
- * reference semantics both other modes are measured against).
+ * purely an execution strategy.  The contract holds when bus-free
+ * writes find their line exclusive (M or E).  The gate enforces the
+ * table half: a cache whose table writes S or O without the bus is not
+ * speculation-eligible, so Strict runs the interleaved loop.  Runs
+ * that break exclusivity through stale copies (a table that leaves a
+ * sharer valid across an invalidating transaction) are not covered;
+ * study those with Interleaved or checkEveryAccess.
+ *
+ * PerLine relaxes Strict to the window discipline, which retains only
+ * per-line ordering (each line still sees its accesses in a legal
+ * serialization; the global interleaving differs) - validated against
+ * the src/mc differential oracle rather than bit-exactly.  Interleaved
+ * forces the classic loop (the reference semantics both other modes
+ * are measured against).
  */
 enum class EngineOrdering : std::uint8_t
 {
@@ -263,7 +271,7 @@ class Engine
     /**
      * Strict-mode speculative loop: between bus transactions every
      * processor batch-executes its run of provable local hits ahead
-     * of the global order, with a bounded undo log per cache; at each
+     * of the global order, with undo records for its writes; at each
      * serialization point the prefix preceding the transaction (in
      * the interleaved functional order) commits and conflicting
      * suffixes roll back and replay.  Observable outcome is

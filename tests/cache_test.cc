@@ -274,5 +274,60 @@ TEST(LineStoreTest, ReintegrationBumpsEpochOnce)
     EXPECT_TRUE(sys.violations().empty());
 }
 
+TEST(SpeculativeCacheTest, CommitTimeTouchesPickThePlainVictim)
+{
+    // Speculated hits defer their replacement touches to commit, and a
+    // rollback drops them: after a partial rollback and a commit, the
+    // next fill must evict the same line as the plain accesses of the
+    // committed prefix.  Fill order a, b, c, d; committed b, a leaves c
+    // least recently used (touching at speculation time would pick b,
+    // never touching would pick a).
+    SystemConfig cfg;
+    cfg.lineBytes = 32;
+    System spec_sys(cfg);
+    System plain_sys(cfg);
+    for (System *sys : {&spec_sys, &plain_sys}) {
+        CacheSpec cache = test::smallCache();
+        cache.numSets = 1;
+        cache.assoc = 4;
+        sys->addCache(cache);
+    }
+    const Addr a = 0, b = 32, c = 64, d = 96, e = 128;
+    for (System *sys : {&spec_sys, &plain_sys}) {
+        for (Addr addr : {a, b, c, d})
+            sys->read(0, addr);
+    }
+
+    SnoopingCache &cache = *spec_sys.cacheOf(0);
+    ASSERT_TRUE(cache.specEligible());
+    std::uint32_t frames[4];
+    Word got = 0;
+    ASSERT_TRUE(cache.specLocalRead(b, got, frames[0]));
+    ASSERT_TRUE(cache.specLocalRead(a, got, frames[1]));
+    ASSERT_TRUE(cache.specLocalRead(c, got, frames[2]));
+    ASSERT_TRUE(cache.specLocalWrite(d, 99, frames[3]));
+    cache.specCountHits(3, 1);
+    EXPECT_EQ(cache.peekLine(d / 32)->state, State::M);
+    cache.specRollback(1, 1);   // the read of c and the write of d
+    cache.specCommit(frames, 2, 0);
+    plain_sys.read(0, b);
+    plain_sys.read(0, a);
+
+    for (System *sys : {&spec_sys, &plain_sys})
+        sys->read(0, e);
+    const SnoopingCache &plain = *plain_sys.cacheOf(0);
+    EXPECT_EQ(plain.peekLine(c / 32), nullptr);
+    for (Addr addr : {a, b, c, d, e}) {
+        const CacheLine *s = cache.peekLine(addr / 32);
+        const CacheLine *p = plain.peekLine(addr / 32);
+        ASSERT_EQ(s == nullptr, p == nullptr) << "addr " << addr;
+        if (s != nullptr) {
+            EXPECT_EQ(s->state, p->state) << "addr " << addr;
+            EXPECT_EQ(s->data, p->data) << "addr " << addr;
+        }
+    }
+    EXPECT_EQ(cache.stats(), plain.stats());
+}
+
 } // namespace
 } // namespace fbsim

@@ -337,6 +337,21 @@ TEST(TransactionLogTest, SystemOwnsLogWhenCapacityConfigured)
 // ---------------------------------------------------------------- //
 // Rate-limited warnings
 
+TEST(WarnLimiterTest, DefaultLimitKeepsOutputReadable)
+{
+    // Out of the box a repeating site prints a few lines, then only
+    // the suppression summary.
+    resetWarnStats();
+    EXPECT_EQ(warnSiteLimit(), kDefaultWarnSiteLimit);
+    for (unsigned i = 0; i < kDefaultWarnSiteLimit + 3; ++i)
+        fbsim_warn("default-limited warning %u", i);
+    EXPECT_EQ(warnStats().emitted, kDefaultWarnSiteLimit);
+    EXPECT_EQ(warnStats().suppressed, 3u);
+    EXPECT_NE(warnSuppressionSummary().find("suppressed 3 similar"),
+              std::string::npos);
+    resetWarnStats();
+}
+
 TEST(WarnLimiterTest, SuppressesPerSiteBeyondLimitAndSummarizes)
 {
     resetWarnStats();
@@ -351,15 +366,15 @@ TEST(WarnLimiterTest, SuppressesPerSiteBeyondLimitAndSummarizes)
               std::string::npos);
     EXPECT_NE(summary.find("obs_test.cc"), std::string::npos);
 
-    // Limit 0 (the default) keeps the historical always-print
-    // behavior and an empty summary.
+    // Limit 0 keeps the always-print behavior and an empty summary.
     resetWarnStats();
     setWarnSiteLimit(0);
-    for (int i = 0; i < 3; ++i)
-        fbsim_warn("unlimited warning %d", i);
-    EXPECT_EQ(warnStats().emitted, 3u);
+    for (unsigned i = 0; i < kDefaultWarnSiteLimit + 3; ++i)
+        fbsim_warn("unlimited warning %u", i);
+    EXPECT_EQ(warnStats().emitted, kDefaultWarnSiteLimit + 3);
     EXPECT_EQ(warnStats().suppressed, 0u);
     EXPECT_TRUE(warnSuppressionSummary().empty());
+    setWarnSiteLimit(kDefaultWarnSiteLimit);
     resetWarnStats();
 }
 

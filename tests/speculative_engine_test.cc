@@ -8,11 +8,13 @@
  * NOTHING observable may change versus the classic interleaved
  * scheduler - the EngineResult, every cache's counters, the bus
  * counters, the checker's verdicts and the functional access log.
- * These tests pin that byte-for-byte across protocol mixes, from cold
- * and from warm caches, with fault injection armed (where the engine
- * must fall back to the interleaved loop entirely), and through forced
- * mid-batch rollbacks.  The relaxed PerLine loop has no such twin, so
- * its exact output is pinned by digest.
+ * These tests pin that byte-for-byte across protocol mixes and every
+ * stock protocol, from cold and from warm caches, under replacement
+ * pressure, with fault injection armed or a table that writes S
+ * without the bus (where the engine must fall back to the interleaved
+ * loop entirely), and through forced mid-batch rollbacks.  The relaxed
+ * PerLine loop has no such twin, so its exact output is pinned by
+ * digest.
  */
 
 #include <gtest/gtest.h>
@@ -45,19 +47,33 @@ struct Observed
     std::size_t warmHeads = 0;
 };
 
+/** One Arch85 run's shape; the defaults are the kMixes setting. */
+struct Arch85Setup
+{
+    std::vector<ProtocolKind> mix;
+    bool withFaults = false;
+    unsigned passes = 1;
+    std::uint64_t refsPerProc = 1500;
+    Arch85Params params;
+    std::uint64_t seed = 7;
+    std::size_t numSets = 16;
+    /** Replaces every cache's stock table when set. */
+    const ProtocolTable *table = nullptr;
+};
+
 /**
  * Timed runs of an Arch85 workload over the given protocol mix.  With
  * passes = 2 the engine runs twice on one System: the second pass
  * continues the same streams on the caches the first left warm.
  */
 Observed
-runArch85(const std::vector<ProtocolKind> &mix, EngineOrdering ordering,
-          bool with_faults, SpecStats *spec = nullptr,
-          unsigned passes = 1, std::uint64_t refs_per_proc = 1500)
+runArch85(const Arch85Setup &setup, EngineOrdering ordering,
+          SpecStats *spec = nullptr)
 {
+    const std::vector<ProtocolKind> &mix = setup.mix;
     SystemConfig cfg;
     cfg.lineBytes = 32;
-    if (with_faults) {
+    if (setup.withFaults) {
         FaultConfig fc;
         fc.seed = 11;
         fc.spuriousAbort.probability = 0.02;
@@ -67,16 +83,18 @@ runArch85(const std::vector<ProtocolKind> &mix, EngineOrdering ordering,
     System sys(cfg);
     for (std::size_t i = 0; i < mix.size(); ++i) {
         CacheSpec spec = test::smallCache(mix[i]);
-        spec.numSets = 16;
+        spec.numSets = setup.numSets;
         spec.assoc = 2;
         spec.seed = i + 1;
+        spec.table = setup.table;
         sys.addCache(spec);
     }
-    Arch85Params params;
-    auto streams = makeArch85Streams(params, mix.size(), 7);
+    const unsigned passes = setup.passes;
+    const std::uint64_t refs_per_proc = setup.refsPerProc;
+    auto streams = makeArch85Streams(setup.params, mix.size(), setup.seed);
     // Identically seeded twins, read one pass at a time, expose each
     // pass's first references without disturbing the engine's streams.
-    auto twins = makeArch85Streams(params, mix.size(), 7);
+    auto twins = makeArch85Streams(setup.params, mix.size(), setup.seed);
     std::vector<RefStream *> raw;
     for (auto &s : streams)
         raw.push_back(s.get());
@@ -106,6 +124,18 @@ runArch85(const std::vector<ProtocolKind> &mix, EngineOrdering ordering,
     o.violations = sys.violations();
     o.checkNow = sys.checkNow();
     return o;
+}
+
+Observed
+runArch85(const std::vector<ProtocolKind> &mix, EngineOrdering ordering,
+          bool with_faults, SpecStats *spec = nullptr,
+          unsigned passes = 1)
+{
+    Arch85Setup setup;
+    setup.mix = mix;
+    setup.withFaults = with_faults;
+    setup.passes = passes;
+    return runArch85(setup, ordering, spec);
 }
 
 void
@@ -169,6 +199,81 @@ TEST(SpeculativeEngineTest, FaultCampaignsFallBackIdentically)
         expectIdentical(inter, strict);
         EXPECT_EQ(spec.batches, 0u);
         EXPECT_EQ(spec.specRefs, 0u);
+    }
+}
+
+TEST(SpeculativeEngineTest, EveryStockProtocolSpeculates)
+{
+    // Every stock table keeps bus-free writes on exclusive lines, so
+    // each homogeneous bus must take the speculative loop (the
+    // exclusivity gate may not quietly disable it) and stay identical
+    // from cold and warm caches.
+    for (ProtocolKind kind : kAllProtocolKinds) {
+        SCOPED_TRACE(std::string(protocolKindName(kind)));
+        Arch85Setup setup;
+        setup.mix.assign(4, kind);
+        setup.passes = 2;
+        Observed inter = runArch85(setup, EngineOrdering::Interleaved);
+        SpecStats spec;
+        Observed strict = runArch85(setup, EngineOrdering::Strict, &spec);
+        expectIdentical(inter, strict);
+        EXPECT_GT(spec.batches, 0u);
+    }
+}
+
+TEST(SpeculativeEngineTest, ReplacementPressureStaysIdentical)
+{
+    // Arch85's private lines map one per set at the default geometry,
+    // so victims are rarely chosen.  Four sets and a flat stack-depth
+    // distribution make most refills evict a valid line picked by LRU
+    // stamps - which speculated hits only apply at commit.
+    for (const auto &mix : kMixes) {
+        Arch85Setup setup;
+        setup.mix = mix;
+        setup.passes = 2;
+        setup.numSets = 4;
+        setup.params.pLocality = 0.3;
+        Observed inter = runArch85(setup, EngineOrdering::Interleaved);
+        SpecStats spec;
+        Observed strict = runArch85(setup, EngineOrdering::Strict, &spec);
+        expectIdentical(inter, strict);
+        EXPECT_GT(spec.batches, 0u);
+        EXPECT_GT(inter.caches[0].evictions, 0u);
+    }
+}
+
+TEST(SpeculativeEngineTest, NonExclusiveSilentWriteFallsBack)
+{
+    // Illinois with a bus-free write from S: the write leaves the other
+    // sharers' copies stale, so its value is visible to foreign reads
+    // before any bus transaction on the line.  Speculation relies on
+    // bus-free writes finding their line exclusive, so such a table
+    // must run the interleaved loop - and match it exactly, stale-read
+    // mismatches included.
+    ProtocolTable silent = illinoisTable();
+    LocalAction stay;
+    stay.next = toState(State::S);
+    stay.usesBus = false;
+    silent.setLocal(State::S, LocalEvent::Write, {stay});
+    for (double p_shared : {0.05, 0.3}) {
+        for (std::uint64_t seed : {1u, 2u, 3u, 7u}) {
+            SCOPED_TRACE(testing::Message() << "pShared " << p_shared
+                                            << " seed " << seed);
+            Arch85Setup setup;
+            setup.mix.assign(4, ProtocolKind::Illinois);
+            setup.table = &silent;
+            setup.refsPerProc = 3000;
+            setup.params.sharedLines = 4;
+            setup.params.pShared = p_shared;
+            setup.seed = seed;
+            Observed inter =
+                runArch85(setup, EngineOrdering::Interleaved);
+            SpecStats spec;
+            Observed strict =
+                runArch85(setup, EngineOrdering::Strict, &spec);
+            expectIdentical(inter, strict);
+            EXPECT_EQ(spec.batches, 0u);
+        }
     }
 }
 
