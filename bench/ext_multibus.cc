@@ -175,9 +175,9 @@ main()
             raw.push_back(streams.back().get());
         }
         HierEngine engine(sys, {});
-        HierEngineResult r = engine.run(raw, 6000);
+        EngineResult r = engine.run(raw, 6000);
         std::printf("%-10zu %16.2f %16.3f\n", clusters,
-                    r.systemPower(), r.rootUtilization());
+                    r.systemPower(), r.busUtilization());
         ok = ok && sys.checkNow().empty();
         if (clusters == 1)
             power1 = r.systemPower();

@@ -71,6 +71,31 @@ expandCampaign(const CampaignSpec &spec)
     return jobs;
 }
 
+namespace {
+
+/** What every job reports from its system's shared core. */
+void
+harvestCore(CampaignResult &result, const Fabric &system,
+            const CampaignSpec &spec)
+{
+    result.bus = system.rootBus().stats();
+    result.cacheTotals = system.cacheTotals();
+    result.violations = system.violations();
+    if (spec.terminalCheck) {
+        for (std::string &v : system.checkNow())
+            result.violations.push_back(std::move(v));
+    }
+    result.consistent = result.violations.empty();
+    result.faultEvents = system.faultEvents();
+    result.watchdogTrips = system.watchdogTrips();
+    result.quarantines = system.quarantineCount();
+    result.reintegrations = system.reintegrationCount();
+    if (const FaultInjector *injector = system.faultInjector())
+        result.faults = injector->stats();
+}
+
+} // namespace
+
 CampaignResult
 runCampaignJob(const CampaignSpec &spec, const CampaignJob &job,
                CampaignScratch &scratch, const RunControl *control,
@@ -131,90 +156,63 @@ runCampaignJob(const CampaignSpec &spec, const CampaignJob &job,
     if (trace)
         ecfg.trace = trace;
 
+    // Per-job configuration: the spec's base overridden by the job's
+    // axis points.
+    auto applyAxes = [&](FabricConfig &config) {
+        if (geometry && geometry->lineBytes)
+            config.lineBytes = geometry->lineBytes;
+        if (haveFaultAxis)
+            config.faults = jobFaults;
+    };
+    auto slotCache = [&](const MixSlot &slot) {
+        CacheSpec cache = slot.cache;
+        if (geometry && geometry->numSets)
+            cache.numSets = geometry->numSets;
+        if (geometry && geometry->assoc)
+            cache.assoc = geometry->assoc;
+        return cache;
+    };
+    MetricRegistry reg;
+
     if (spec.clusters > 1) {
         // Hierarchical job: a private HierSystem (root bus, bridges,
-        // leaf buses) driven by a HierEngine.  HierEngine::run has no
-        // cancellation hook, so a supervised deadline cannot interrupt
-        // a hier job mid-run - the run always completes and supervision
-        // only classifies it afterwards.  Per-master latency recording
-        // is skipped: leaf master ids are cluster-local and would
-        // collide in one recorder.
-        (void)control;
+        // leaf buses) driven by a HierEngine.  Per-master latency
+        // recording is skipped: leaf master ids are cluster-local and
+        // would collide in one recorder.
         HierConfig hc = spec.hier;
         hc.lineBytes = spec.base.lineBytes;
-        if (geometry && geometry->lineBytes)
-            hc.lineBytes = geometry->lineBytes;
+        applyAxes(hc);
         if (!spec.costs.empty()) {
             hc.rootCost = spec.costs[job.costIdx].cost;
             hc.leafCost = hc.rootCost;
         }
-        if (haveFaultAxis)
-            hc.faults = jobFaults;
         HierSystem system(hc, spec.clusters);
         if (trace)
             system.attachTrace(trace);
         std::size_t slotIdx = 0;
         for (const MixSlot &slot : mix.slots) {
             const std::size_t cluster = slotIdx++ % spec.clusters;
-            if (slot.nonCaching) {
-                system.addNonCachingMaster(cluster,
-                                           slot.broadcastWrites);
-                continue;
-            }
-            CacheSpec cache = slot.cache;
-            if (geometry && geometry->numSets)
-                cache.numSets = geometry->numSets;
-            if (geometry && geometry->assoc)
-                cache.assoc = geometry->assoc;
-            system.addCache(cluster, cache);
+            if (slot.nonCaching)
+                system.addNonCachingMaster(cluster, slot.broadcastWrites);
+            else
+                system.addCache(cluster, slotCache(slot));
         }
 
-        HierEngine engine(system, ecfg);
-        HierEngineResult hres = engine.run(scratch.raw, refs);
-        result.engine.elapsed = hres.elapsed;
-        result.engine.busBusy = hres.rootBusy;
-        result.engine.faultedRefs = hres.faultedRefs;
-        result.engine.watchdogTrips = hres.watchdogTrips;
-        result.engine.quarantines = hres.quarantines;
-        result.engine.reintegrations = hres.reintegrations;
-        result.engine.procs = std::move(hres.procs);
-
-        result.bus = system.rootBus().stats();
-        for (MasterId id = 0; id < system.numClients(); ++id) {
-            if (const SnoopingCache *cache = system.cacheOf(id))
-                result.cacheTotals += cache->stats();
-        }
-        result.violations = system.violations();
-        if (spec.terminalCheck) {
-            for (std::string &v : system.checkNow())
-                result.violations.push_back(std::move(v));
-        }
-        result.consistent = result.violations.empty();
-        result.faultEvents = system.faultEvents();
-        result.watchdogTrips = system.watchdogTrips();
-        result.quarantines = system.quarantineCount();
-        result.reintegrations = system.reintegrationCount();
+        result.engine =
+            HierEngine(system, ecfg).run(scratch.raw, refs, control);
+        harvestCore(result, system, spec);
         result.scrubDivergence = system.scrubDivergence();
-        if (const FaultInjector *injector = system.faults()) {
-            result.faults = injector->stats();
-            result.faultReport = renderFaultReport(system);
-        }
-
-        MetricRegistry reg;
+        result.faultReport = renderFaultReport(system);
         exportEngineMetrics(reg, result.engine);
         exportHierMetrics(reg, system);
         result.metrics = reg.snapshot();
         return result;
     }
 
-    // Per-job configuration: base overridden by the job's axis points.
     SystemConfig config = spec.base;
-    if (geometry && geometry->lineBytes)
-        config.lineBytes = geometry->lineBytes;
+    applyAxes(config);
     if (!spec.costs.empty())
         config.cost = spec.costs[job.costIdx].cost;
-    if (haveFaultAxis)
-        config.faults = jobFaults;
 
     // The job's own shared-nothing System (and, via config.faults,
     // its own FaultInjector - injectors are per-System by contract).
@@ -223,45 +221,19 @@ runCampaignJob(const CampaignSpec &spec, const CampaignJob &job,
     if (trace)
         system.attachTrace(trace);
     for (const MixSlot &slot : mix.slots) {
-        if (slot.nonCaching) {
+        if (slot.nonCaching)
             system.addNonCachingMaster(slot.broadcastWrites);
-            continue;
-        }
-        CacheSpec cache = slot.cache;
-        if (geometry && geometry->numSets)
-            cache.numSets = geometry->numSets;
-        if (geometry && geometry->assoc)
-            cache.assoc = geometry->assoc;
-        system.addCache(cache);
+        else
+            system.addCache(slotCache(slot));
     }
 
     ecfg.latency = &latency;
-    Engine engine(system, ecfg);
-    result.engine = engine.run(scratch.raw, refs, control);
-
-    result.bus = system.bus().stats();
-    for (MasterId id = 0; id < system.numClients(); ++id) {
-        if (const SnoopingCache *cache = system.cacheOf(id))
-            result.cacheTotals += cache->stats();
-    }
-    result.violations = system.violations();
-    if (spec.terminalCheck) {
-        for (std::string &v : system.checkNow())
-            result.violations.push_back(std::move(v));
-    }
-    result.consistent = result.violations.empty();
-    result.faultEvents = system.faultEvents();
-    result.watchdogTrips = system.watchdogTrips();
-    result.quarantines = system.quarantineCount();
-    result.reintegrations = system.reintegrationCount();
-    if (const FaultInjector *injector = system.faultInjector()) {
-        result.faults = injector->stats();
-        result.faultReport = renderFaultReport(system);
-    }
+    result.engine = Engine(system, ecfg).run(scratch.raw, refs, control);
+    harvestCore(result, system, spec);
+    result.faultReport = renderFaultReport(system);
 
     // Metric snapshot: a pure function of this job's System/Engine
     // state, so it merges byte-identically at any worker count.
-    MetricRegistry reg;
     exportEngineMetrics(reg, result.engine);
     exportSystemMetrics(reg, system);
     latency.exportTo(reg);

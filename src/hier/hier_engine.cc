@@ -6,29 +6,14 @@
 
 namespace fbsim {
 
-double
-HierEngineResult::systemPower() const
-{
-    double sum = 0.0;
-    for (const ProcTiming &p : procs)
-        sum += p.utilization();
-    return sum;
-}
-
-double
-HierEngineResult::meanUtilization() const
-{
-    return procs.empty() ? 0.0 : systemPower() / procs.size();
-}
-
 HierEngine::HierEngine(HierSystem &system, const EngineConfig &config)
     : system_(system), config_(config)
 {
 }
 
-HierEngineResult
+EngineResult
 HierEngine::run(const std::vector<RefStream *> &streams,
-                std::uint64_t refs_per_proc)
+                std::uint64_t refs_per_proc, const RunControl *control)
 {
     std::size_t n = streams.size();
     fbsim_assert(n == system_.numClients());
@@ -43,9 +28,8 @@ HierEngine::run(const std::vector<RefStream *> &streams,
         ProcRef ref;
     };
     std::vector<ProcState> procs(n);
-    HierEngineResult result;
+    EngineResult result;
     result.procs.resize(n);
-    result.leafBusy.assign(clusters, 0);
 
     std::vector<Cycles> leaf_free(clusters, 0);
     Cycles root_free = 0;
@@ -64,7 +48,21 @@ HierEngine::run(const std::vector<RefStream *> &streams,
         return system_.leafBus(c).stats().busyCycles;
     };
 
+    // Leaf occupancies before each access, to attribute its deltas.
+    std::vector<Cycles> before(clusters);
+    std::uint64_t untilCheck =
+        control ? std::max<std::uint64_t>(1, control->checkEveryRefs)
+                : 0;
+    std::uint64_t executed = 0;
+
     for (;;) {
+        if (control && ++executed >= untilCheck) {
+            executed = 0;
+            if (control->shouldStop()) {
+                result.cancelled = true;
+                break;
+            }
+        }
         std::size_t imin = n;
         for (std::size_t i = 0; i < n; ++i) {
             if (procs[i].hasRef &&
@@ -91,7 +89,6 @@ HierEngine::run(const std::vector<RefStream *> &streams,
         }
 
         // Snapshot bus occupancies, execute, attribute the deltas.
-        std::vector<Cycles> before(clusters);
         for (std::size_t c = 0; c < clusters; ++c)
             before[c] = leaf_busy(c);
         Cycles root_before = system_.rootBus().stats().busyCycles;
@@ -119,13 +116,12 @@ HierEngine::run(const std::vector<RefStream *> &streams,
             if (delta == 0)
                 continue;
             leaf_free[c] = std::max(leaf_free[c], start + delta);
-            result.leafBusy[c] += delta;
             if (c == home)
                 my_leaf_delta = delta;
         }
         if (root_delta > 0) {
             root_free = start + root_delta;
-            result.rootBusy += root_delta;
+            result.busBusy += root_delta;
         }
 
         timing.refs += 1;
@@ -149,7 +145,6 @@ HierEngine::run(const std::vector<RefStream *> &streams,
     result.watchdogTrips = system_.watchdogTrips();
     result.quarantines = system_.quarantineCount();
     result.reintegrations = system_.reintegrationCount();
-    result.scrubDivergence = system_.scrubDivergence();
     return result;
 }
 

@@ -16,6 +16,12 @@
  * remote leaf reached by a down-forward is charged from the same start
  * (its possible extra queueing is folded into the conservative
  * single-reference-in-flight rule).
+ *
+ * run() returns the flat engine's EngineResult: busBusy is the root
+ * bus's occupancy over the run, and each leaf's occupancy is that leaf
+ * bus's BusStats::busyCycles (HierSystem::leafBus).  The ladder
+ * counters come from the system; a RunControl cancels the run
+ * cooperatively, marking the result cancelled.
  */
 
 #ifndef FBSIM_HIER_HIER_ENGINE_H_
@@ -29,47 +35,20 @@
 
 namespace fbsim {
 
-/** Timed results for a hierarchical run. */
-struct HierEngineResult
-{
-    Cycles elapsed = 0;
-    std::vector<ProcTiming> procs;
-    Cycles rootBusy = 0;
-    std::vector<Cycles> leafBusy;   ///< per cluster
-
-    // Resilience ladder summary (all zero in fault-free runs).
-    std::uint64_t faultedRefs = 0;      ///< accesses that gave up
-    std::uint64_t watchdogTrips = 0;
-    std::uint64_t quarantines = 0;      ///< leaf segments pulled
-    std::uint64_t reintegrations = 0;   ///< leaf segments rejoined
-    std::uint64_t scrubDivergence = 0;  ///< filter entries repaired
-
-    /** Sum of per-processor utilizations. */
-    double systemPower() const;
-
-    /** Mean processor utilization. */
-    double meanUtilization() const;
-
-    /** Root bus utilization in [0,1]. */
-    double
-    rootUtilization() const
-    {
-        return elapsed == 0 ? 0.0
-                            : static_cast<double>(rootBusy) /
-                                  static_cast<double>(elapsed);
-    }
-};
-
 /** Drives per-processor reference streams through a HierSystem. */
 class HierEngine
 {
   public:
     HierEngine(HierSystem &system, const EngineConfig &config);
 
-    /** Run every stream for refs_per_proc references; streams[i]
-     *  feeds HierSystem client i. */
-    HierEngineResult run(const std::vector<RefStream *> &streams,
-                         std::uint64_t refs_per_proc);
+    /**
+     * Run every stream for refs_per_proc references; streams[i] feeds
+     * HierSystem client i.  A non-null `control` is polled every
+     * checkEveryRefs references, as in Engine::run.
+     */
+    EngineResult run(const std::vector<RefStream *> &streams,
+                     std::uint64_t refs_per_proc,
+                     const RunControl *control = nullptr);
 
   private:
     HierSystem &system_;

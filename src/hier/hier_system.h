@@ -18,50 +18,23 @@
 #define FBSIM_HIER_HIER_SYSTEM_H_
 
 #include <memory>
-#include <optional>
 #include <unordered_set>
 #include <vector>
 
-#include "checker/coherence_checker.h"
 #include "hier/bridge.h"
-#include "sim/system.h"
+#include "sim/fabric.h"
 
 namespace fbsim {
 
-/** Configuration of a hierarchical system. */
-struct HierConfig
+/** Configuration of a hierarchical system: the shared settings plus
+ *  the bus tree's own.  One injector serves the whole fabric: root
+ *  bus, root memory slave, every leaf bus, and the bridges' own fault
+ *  sites ("bridge<k>.drop" etc., keyed by cluster index so assembly
+ *  order never shifts a schedule). */
+struct HierConfig : FabricConfig
 {
-    std::size_t lineBytes = 32;
     BusCostModel rootCost;   ///< root bus timing
     BusCostModel leafCost;   ///< leaf bus timing
-    unsigned maxBusRetries = 16;
-    /** Run the full invariant check after every access (tests). */
-    bool checkEveryAccess = false;
-    /** Snoop-filter fast path on root and leaf buses (see SystemConfig). */
-    bool snoopFilter = true;
-    /** Debug: assert the filter never suppresses a holder. */
-    bool snoopFilterCrossCheck = false;
-    /** checkEveryAccess re-verifies only dirtied lines (see SystemConfig). */
-    bool incrementalCheck = true;
-
-    /**
-     * Fault campaign (nullopt = fault-free).  One injector serves the
-     * whole fabric: root bus, root memory slave, every leaf bus, and
-     * the bridges' own fault sites ("bridge<k>.drop" etc., keyed by
-     * cluster index so assembly order never shifts a schedule).
-     */
-    std::optional<FaultConfig> faults;
-    /** Consecutive faulted accesses by one master before its cluster's
-     *  watchdog trips (see SystemConfig::watchdogRounds). */
-    unsigned watchdogRounds = 8;
-    bool quarantineOnWatchdog = true;
-    /** Watchdog trips charged to a cluster (by its masters or its
-     *  bridge's forward watchdog) before the whole leaf segment is
-     *  quarantined - the hierarchy's board is the board-bus. */
-    unsigned quarantineAfterTrips = 1;
-    /** Schedule a quarantined segment's reintegration this many
-     *  root-bus busy cycles after it was pulled; 0 = permanent. */
-    Cycles reintegrateAfterCycles = 0;
     /** Bridge cross-bus forward retry policy (see
      *  BusBridge::setForwardRetryPolicy). */
     unsigned bridgeForwardRetries = 4;
@@ -78,16 +51,19 @@ struct HierConfig
     std::uint64_t scrubEveryAccesses = 0;
 };
 
-/** A root bus plus clusters of caches behind bridges. */
-class HierSystem
+/**
+ * A root bus plus clusters of caches behind bridges.  Each bridge and
+ * its leaf segment is one board of the fabric's ladder: master and
+ * bridge watchdog trips are charged to the cluster, and a pull takes
+ * the whole board-bus out (quarantineAfterTrips counts trips per
+ * cluster; reintegrateAfterCycles runs on the root bus's clock).
+ */
+class HierSystem : public Fabric
 {
   public:
     /** @param clusters number of leaf buses (>= 1). */
     HierSystem(const HierConfig &config, std::size_t clusters);
-    ~HierSystem();
-
-    HierSystem(const HierSystem &) = delete;
-    HierSystem &operator=(const HierSystem &) = delete;
+    ~HierSystem() override;
 
     std::size_t numClusters() const { return clusters_.size(); }
 
@@ -102,34 +78,15 @@ class HierSystem
     MasterId addNonCachingMaster(std::size_t cluster,
                                  bool broadcast_writes);
 
-    /** Processor access API (mirrors System). */
-    AccessOutcome read(MasterId id, Addr addr);
-    AccessOutcome write(MasterId id, Addr addr, Word value);
-    AccessOutcome flush(MasterId id, Addr addr, bool keep_copy);
-
-    /** Run the global invariant check. */
-    std::vector<std::string> checkNow() const;
-
-    /** Oracle violations recorded so far. */
-    const std::vector<std::string> &violations() const
-    { return violations_; }
-
-    std::size_t numClients() const { return clients_.size(); }
-    SnoopingCache *cacheOf(MasterId id);
-
     /** Cluster a client was added to. */
-    std::size_t clusterOf(MasterId id) const;
+    std::size_t clusterOf(MasterId id) const { return boardOf(id); }
 
-    /** Exact test: would the client's next access use a bus? */
-    bool wouldUseBus(MasterId id, bool is_write, Addr addr) const;
-    Bus &rootBus() { return *rootBus_; }
     Bus &leafBus(std::size_t cluster);
     BusBridge &bridge(std::size_t cluster);
-    MainMemory &memory() { return *memory_; }
-    CoherenceChecker &checker() { return *checker_; }
 
-    /** Observe fault/recovery instants on every bus (Perfetto etc.). */
-    void attachTrace(TraceSink *sink);
+    /** Observe bus transactions and fault/recovery instants on every
+     *  bus (Perfetto etc.). */
+    void attachTrace(TraceSink *sink) override;
 
     /**
      * Pull one leaf segment (P896 live removal of a board-bus): every
@@ -140,7 +97,8 @@ class HierSystem
      * drains to memory.  Returns false when already quarantined (or no
      * fault machinery is armed).
      */
-    bool quarantineCluster(std::size_t cluster);
+    bool quarantineCluster(std::size_t cluster)
+    { return quarantineBoard(cluster); }
 
     /**
      * Rejoin a quarantined segment: caches rejoin cold (all lines
@@ -149,10 +107,11 @@ class HierSystem
      * cluster's H1/H2 checks re-attach.  Returns false when not
      * quarantined.
      */
-    bool reintegrateCluster(std::size_t cluster);
+    bool reintegrateCluster(std::size_t cluster)
+    { return reintegrateBoard(cluster); }
 
     bool clusterQuarantined(std::size_t cluster) const
-    { return clusterQuarantined_[cluster]; }
+    { return boardPulled(cluster); }
 
     /**
      * Audit-and-scrub every active bridge's filters against the exact
@@ -162,14 +121,7 @@ class HierSystem
      */
     std::uint64_t scrubFilters();
 
-    /** Fault/recovery ladder counters and log (mirror System's). */
-    const std::vector<std::string> &faultEvents() const
-    { return faultEvents_; }
-    std::uint64_t watchdogTrips() const { return watchdogTrips_; }
-    std::uint64_t quarantineCount() const { return quarantines_; }
-    std::uint64_t reintegrationCount() const { return reintegrations_; }
     std::uint64_t scrubDivergence() const { return scrubDivergence_; }
-    const FaultInjector *faults() const { return faults_.get(); }
 
   private:
     struct Cluster
@@ -179,26 +131,11 @@ class HierSystem
         MasterId nextLeafId = 0;
     };
 
-    struct ClientRef
-    {
-        std::size_t cluster;
-        std::unique_ptr<BusClient> client;
-        SnoopingCache *cache;   ///< null for non-caching masters
-    };
+    void pullBoard(std::size_t cluster) override;
+    std::string rejoinBoard(std::size_t cluster) override;
 
-    void afterAccess();
-
-    /** Watchdog/ladder bookkeeping after every access. */
-    void postAccess(MasterId id, const AccessOutcome &outcome);
-
-    /** Apply a due dataFlip fault to a random live cache. */
-    void maybeFlipData();
-
-    /** Charge one watchdog trip to a cluster's escalation ladder. */
-    void tripCluster(std::size_t cluster, const std::string &why);
-
-    /** Fire scheduled segment rejoins whose due cycle passed. */
-    void serviceRejoins();
+    /** The bridges' forward watchdogs and the scrub cadence. */
+    void afterWatchdog() override;
 
     /** Re-attach cluster `k`'s H1/H2 probes to its bridge. */
     void attachFilterChecks(std::size_t k);
@@ -207,32 +144,11 @@ class HierSystem
     void computePresence(
         std::vector<std::unordered_set<LineAddr>> &held) const;
 
-    void recordFaultEvent(std::string event);
-
     HierConfig config_;
-    std::unique_ptr<MainMemory> memory_;
-    std::unique_ptr<MainMemorySlave> rootSlave_;
-    std::unique_ptr<Bus> rootBus_;
     std::vector<Cluster> clusters_;
-    std::vector<ClientRef> clients_;
-    std::unique_ptr<CoherenceChecker> checker_;
-    std::vector<std::string> violations_;
-
-    // Fault/recovery machinery (all idle when faults_ is null).
-    std::unique_ptr<FaultInjector> faults_;
-    TraceSink *trace_ = nullptr;
-    std::vector<unsigned> noProgress_;       ///< per master
-    std::vector<unsigned> clusterTrips_;     ///< per cluster, since join
     std::vector<std::uint64_t> bridgeTripsSeen_; ///< polled bridge trips
-    std::vector<bool> clusterQuarantined_;
-    std::vector<Cycles> rejoinDue_;          ///< root busy-cycle clock
-    std::size_t scheduledRejoins_ = 0;
-    std::vector<std::string> faultEvents_;
-    std::uint64_t watchdogTrips_ = 0;
-    std::uint64_t quarantines_ = 0;
-    std::uint64_t reintegrations_ = 0;
     std::uint64_t scrubDivergence_ = 0;
-    std::uint64_t accessCount_ = 0;
+    std::uint64_t accessCount_ = 0;   ///< fault-armed accesses
 };
 
 } // namespace fbsim

@@ -41,39 +41,245 @@ class RngFeed : public ChoiceFeed
     std::vector<Rng> rngs_;
 };
 
-/** Overwrite the model state with a live system's (stutter resync);
- *  `cacheOf` maps a model cache index to its SnoopingCache. */
-template <typename CacheGetter>
+/** Overwrite the model state with a live system's (stutter resync). */
 void
-adoptEngineStateFrom(const ModelConfig &mcfg, ModelState &st,
-                     CacheGetter cacheOf, MainMemory &memory,
-                     const CoherenceChecker &checker)
+adoptEngineState(const ModelConfig &mcfg, Fabric &sys, ModelState &st)
 {
     for (std::size_t c = 0; c < mcfg.numCaches(); ++c) {
         for (std::size_t l = 0; l < mcfg.lines; ++l) {
-            const CacheLine *line = cacheOf(c)->peekLine(l);
+            const CacheLine *line =
+                sys.cacheOf(static_cast<MasterId>(c))->peekLine(l);
             copyAt(mcfg, st, c, l) =
                 line ? ModelCopy{line->state, line->data[0]}
                      : ModelCopy{};
         }
     }
     for (std::size_t l = 0; l < mcfg.lines; ++l) {
-        st.mem[l] = memory.peekWord(l, 0);
+        st.mem[l] = sys.memory().peekWord(l, 0);
         st.image[l] =
-            checker.expected(static_cast<Addr>(l) * kWordBytes);
+            sys.checker().expected(static_cast<Addr>(l) * kWordBytes);
     }
 }
 
-void
-adoptEngineState(const ModelConfig &mcfg, System &sys, ModelState &st)
+/** The checker's per-line state vector over the first `lines` lines. */
+std::string
+checkerRender(Fabric &sys, std::size_t lines)
 {
-    adoptEngineStateFrom(
-        mcfg, st,
-        [&](std::size_t c) {
-            return sys.cacheOf(static_cast<MasterId>(c));
-        },
-        sys.memory(), sys.checker());
+    std::string out;
+    for (std::size_t l = 0; l < lines; ++l)
+        out += sys.checker().describeLine(l);
+    return out;
 }
+
+/** Engine-side settings both lockstep walks use. */
+void
+lockstepConfig(FabricConfig &config, unsigned max_bus_retries)
+{
+    config.lineBytes = kWordBytes;
+    config.maxBusRetries = max_bus_retries;
+    config.checkEveryAccess = true;
+    config.quarantineOnWatchdog = false;
+}
+
+/**
+ * Cache c of a lockstep walk: its table over `lines` ways and, when
+ * fault-free, a SequenceChooser over the per-cache stream the model's
+ * RngFeed mirrors (kept alive in `sources`, which must outlive the
+ * system).  With faults on it keeps
+ * the default PreferredChooser, whose draws are position-independent,
+ * so fault-induced retry rounds cannot shift any choice tape.
+ */
+CacheSpec
+lockstepCache(const std::vector<const ProtocolTable *> &tables,
+              std::size_t c, std::size_t lines, std::uint64_t seed,
+              bool faults, std::deque<RngChoiceSource> &sources)
+{
+    CacheSpec spec;
+    spec.table = tables[c];
+    spec.numSets = 1;
+    spec.assoc = lines;
+    if (!faults) {
+        sources.emplace_back(RngFeed::cacheSeed(seed, c));
+        RngChoiceSource &src = sources.back();
+        spec.makeChooser = [&src] {
+            return std::make_unique<SequenceChooser>(src);
+        };
+    }
+    return spec;
+}
+
+/**
+ * The seeded lockstep walk both differentials share.  Each step draws
+ * a legal model event, executes it on the live fabric, then steps the
+ * model and compares the read value and the full renders.  `Model` is
+ * the abstract half over its live system `sys`: kName, legal(),
+ * nextWrite(line), step(ev, feed), render(), systemRender() and
+ * resync() (adopt the engine's state after a faulted, half-completed
+ * access).
+ */
+template <typename Model>
+DiffResult
+lockstepWalk(Model &model, std::size_t steps, std::uint64_t seed,
+             bool faults)
+{
+    DiffResult res;
+    Fabric &sys = model.sys;
+    // The model's feed mirrors lockstepCache's choosers.
+    std::unique_ptr<ChoiceFeed> feed;
+    if (faults)
+        feed = std::make_unique<PreferredFeed>();
+    else
+        feed = std::make_unique<RngFeed>(sys.numClients(), seed);
+    Rng driver(seed * 0x2545f4914f6cdd1dull + 0xb5297a4d3u);
+
+    for (std::size_t i = 0; i < steps; ++i) {
+        std::vector<ModelEvent> events = model.legal();
+        const ModelEvent ev = events[driver.below(events.size())];
+        const Addr addr = static_cast<Addr>(ev.line) * kWordBytes;
+        const auto id = static_cast<MasterId>(ev.cache);
+
+        Word wval = 0;
+        if (ev.ev == LocalEvent::Write)
+            wval = model.nextWrite(ev.line);
+
+        AccessOutcome out;
+        switch (ev.ev) {
+          case LocalEvent::Read:
+            out = sys.read(id, addr);
+            break;
+          case LocalEvent::Write:
+            out = sys.write(id, addr, wval);
+            break;
+          case LocalEvent::Pass:
+            out = sys.flush(id, addr, /*keep_copy=*/true);
+            break;
+          case LocalEvent::Flush:
+            out = sys.flush(id, addr, /*keep_copy=*/false);
+            break;
+        }
+        ++res.stepsRun;
+
+        if (out.faulted) {
+            fbsim_assert(faults);
+            // Stutter: the model cannot express the half-completed
+            // transaction; adopt the engine's state and carry on.
+            ++res.faultedSteps;
+            model.resync();
+            continue;
+        }
+
+        StepResult mr = model.step(ev, *feed);
+        if (!mr.ok) {
+            res.ok = false;
+            res.errors.push_back(strprintf(
+                "step %zu: %s rejected the transition the engine "
+                "executed: %s",
+                i, Model::kName,
+                mr.violations.empty() ? "?"
+                                      : mr.violations[0].c_str()));
+            break;
+        }
+        if (ev.ev == LocalEvent::Read && out.value != mr.value) {
+            res.ok = false;
+            res.errors.push_back(strprintf(
+                "step %zu: engine read 0x%llx, model read 0x%llx", i,
+                static_cast<unsigned long long>(out.value),
+                static_cast<unsigned long long>(mr.value)));
+        }
+        std::string mrender = model.render();
+        std::string srender = model.systemRender();
+        if (mrender != srender) {
+            res.ok = false;
+            res.errors.push_back(
+                strprintf("step %zu: state vectors diverge\n"
+                          "  model :%s\n  system:%s",
+                          i, mrender.c_str(), srender.c_str()));
+        }
+        if (res.errors.size() >= 5)
+            break;
+    }
+
+    if (!sys.violations().empty()) {
+        res.ok = false;
+        res.errors.push_back("engine recorded checker violations: " +
+                             sys.violations()[0]);
+    }
+    return res;
+}
+
+/** The flat model half of a lockstep walk. */
+struct FlatModel
+{
+    static constexpr const char *kName = "model";
+
+    const ModelConfig &cfg;
+    System &sys;
+    ModelState st = initialState(cfg);
+
+    std::vector<ModelEvent> legal() const { return legalEvents(cfg, st); }
+    Word nextWrite(std::size_t line) const
+    { return nextWriteValue(st, line); }
+    StepResult step(const ModelEvent &ev, ChoiceFeed &feed)
+    { return stepModel(cfg, st, ev, feed, nullptr); }
+    std::string render() const { return renderStateVector(cfg, st); }
+    std::string systemRender() const
+    { return checkerRender(sys, cfg.lines); }
+    void resync() { adoptEngineState(cfg, sys, st); }
+};
+
+/** The hierarchical model half: state vector plus bridge filters. */
+struct HierModel
+{
+    static constexpr const char *kName = "hier model";
+
+    const HierModelConfig &cfg;
+    HierSystem &sys;
+    HierModelState st = initialHierState(cfg);
+
+    std::vector<ModelEvent> legal() const
+    { return legalHierEvents(cfg, st); }
+    Word nextWrite(std::size_t line) const
+    { return nextWriteValue(st.flat, line); }
+    StepResult step(const ModelEvent &ev, ChoiceFeed &feed)
+    { return stepHierModel(cfg, st, ev, feed, nullptr); }
+    std::string render() const { return renderHierStateVector(cfg, st); }
+
+    /** The checker's vector plus every bridge's filter bits, in the
+     *  model's renderHierFilters format. */
+    std::string
+    systemRender() const
+    {
+        const std::size_t lines = cfg.base.lines;
+        std::string out = checkerRender(sys, lines);
+        for (std::size_t l = 0; l < lines; ++l) {
+            out += strprintf(" | flt 0x%llx:",
+                             static_cast<unsigned long long>(l));
+            for (std::size_t k = 0; k < sys.numClusters(); ++k) {
+                const BusBridge &b = sys.bridge(k);
+                out += strprintf(
+                    " b%zu:%c%c", k, b.mayBeLocal(l) ? 'L' : '-',
+                    b.mayBeRemote(l) ? 'R' : '-');
+            }
+        }
+        return out;
+    }
+
+    /** A half-completed transaction may have advanced remote clusters
+     *  and filters; resync everything. */
+    void
+    resync()
+    {
+        const std::size_t lines = cfg.base.lines;
+        adoptEngineState(cfg.base, sys, st.flat);
+        for (std::size_t k = 0; k < sys.numClusters(); ++k) {
+            const BusBridge &b = sys.bridge(k);
+            for (std::size_t l = 0; l < lines; ++l) {
+                st.localHeld[k * lines + l] = b.mayBeLocal(l);
+                st.remoteShared[k * lines + l] = b.mayBeRemote(l);
+            }
+        }
+    }
+};
 
 /** Uniform seeded read/write references over the model's line space. */
 class UniformLineStream : public RefStream
@@ -103,7 +309,6 @@ class UniformLineStream : public RefStream
 DiffResult
 runDifferential(const DiffConfig &cfg)
 {
-    DiffResult res;
     ModelConfig mcfg;
     mcfg.tables = cfg.tables;
     mcfg.lines = cfg.lines;
@@ -111,10 +316,7 @@ runDifferential(const DiffConfig &cfg)
     const std::size_t n = mcfg.numCaches();
 
     SystemConfig sc;
-    sc.lineBytes = kWordBytes;
-    sc.maxBusRetries = cfg.maxBusRetries;
-    sc.checkEveryAccess = true;
-    sc.quarantineOnWatchdog = false;
+    lockstepConfig(sc, cfg.maxBusRetries);
     if (cfg.faults) {
         FaultConfig fc;
         fc.seed = cfg.seed;
@@ -129,122 +331,20 @@ runDifferential(const DiffConfig &cfg)
         fc.memoryDrop.probability = 0.02;
         sc.faults = fc;
     }
-    System sys(sc);
-
     std::deque<RngChoiceSource> sources;
+    System sys(sc);
     for (std::size_t c = 0; c < n; ++c) {
-        CacheSpec spec;
-        spec.table = cfg.tables[c];
-        spec.numSets = 1;
-        spec.assoc = cfg.lines;
-        if (!cfg.faults) {
-            sources.emplace_back(RngFeed::cacheSeed(cfg.seed, c));
-            RngChoiceSource &src = sources.back();
-            spec.makeChooser = [&src] {
-                return std::make_unique<SequenceChooser>(src);
-            };
-        }
-        // Faults on: the default PreferredChooser, whose draws are
-        // position-independent, so fault-induced retry rounds cannot
-        // shift any choice tape.
-        sys.addCache(spec);
+        sys.addCache(lockstepCache(cfg.tables, c, cfg.lines, cfg.seed,
+                                   cfg.faults, sources));
     }
 
-    std::unique_ptr<ChoiceFeed> feed;
-    if (cfg.faults)
-        feed = std::make_unique<PreferredFeed>();
-    else
-        feed = std::make_unique<RngFeed>(n, cfg.seed);
-
-    auto systemRender = [&] {
-        std::string out;
-        for (std::size_t l = 0; l < cfg.lines; ++l)
-            out += sys.checker().describeLine(l);
-        return out;
-    };
-
-    ModelState mst = initialState(mcfg);
-    Rng driver(cfg.seed * 0x2545f4914f6cdd1dull + 0xb5297a4d3u);
-
-    for (std::size_t i = 0; i < cfg.steps; ++i) {
-        std::vector<ModelEvent> events = legalEvents(mcfg, mst);
-        const ModelEvent ev = events[driver.below(events.size())];
-        const Addr addr = static_cast<Addr>(ev.line) * kWordBytes;
-        const auto id = static_cast<MasterId>(ev.cache);
-
-        Word wval = 0;
-        if (ev.ev == LocalEvent::Write)
-            wval = nextWriteValue(mst, ev.line);
-
-        AccessOutcome out;
-        switch (ev.ev) {
-          case LocalEvent::Read:
-            out = sys.read(id, addr);
-            break;
-          case LocalEvent::Write:
-            out = sys.write(id, addr, wval);
-            break;
-          case LocalEvent::Pass:
-            out = sys.flush(id, addr, /*keep_copy=*/true);
-            break;
-          case LocalEvent::Flush:
-            out = sys.flush(id, addr, /*keep_copy=*/false);
-            break;
-        }
-        ++res.stepsRun;
-
-        if (out.faulted) {
-            fbsim_assert(cfg.faults);
-            // Stutter: the model cannot express the half-completed
-            // transaction; adopt the engine's state and carry on.
-            ++res.faultedSteps;
-            adoptEngineState(mcfg, sys, mst);
-            continue;
-        }
-
-        StepResult mr = stepModel(mcfg, mst, ev, *feed, nullptr);
-        if (!mr.ok) {
-            res.ok = false;
-            res.errors.push_back(strprintf(
-                "step %zu: model rejected the transition the engine "
-                "executed: %s",
-                i,
-                mr.violations.empty() ? "?"
-                                      : mr.violations[0].c_str()));
-            break;
-        }
-        if (ev.ev == LocalEvent::Read && out.value != mr.value) {
-            res.ok = false;
-            res.errors.push_back(strprintf(
-                "step %zu: engine read 0x%llx, model read 0x%llx", i,
-                static_cast<unsigned long long>(out.value),
-                static_cast<unsigned long long>(mr.value)));
-        }
-        std::string mrender = renderStateVector(mcfg, mst);
-        std::string srender = systemRender();
-        if (mrender != srender) {
-            res.ok = false;
-            res.errors.push_back(
-                strprintf("step %zu: state vectors diverge\n"
-                          "  model :%s\n  system:%s",
-                          i, mrender.c_str(), srender.c_str()));
-        }
-        if (res.errors.size() >= 5)
-            break;
-    }
-
-    if (!sys.violations().empty()) {
-        res.ok = false;
-        res.errors.push_back("engine recorded checker violations: " +
-                             sys.violations()[0]);
-    }
-    return res;
+    FlatModel model{mcfg, sys};
+    return lockstepWalk(model, cfg.steps, cfg.seed, cfg.faults);
 }
 
 DiffResult
 runHierDifferential(const HierDiffConfig &cfg)
 {
-    DiffResult res;
     HierModelConfig mcfg;
     mcfg.base.tables = cfg.tables;
     mcfg.base.lines = cfg.lines;
@@ -256,10 +356,7 @@ runHierDifferential(const HierDiffConfig &cfg)
     }
 
     HierConfig hc;
-    hc.lineBytes = kWordBytes;
-    hc.maxBusRetries = cfg.maxBusRetries;
-    hc.checkEveryAccess = true;
-    hc.quarantineOnWatchdog = false;
+    lockstepConfig(hc, cfg.maxBusRetries);
     if (cfg.faults) {
         FaultConfig fc;
         fc.seed = cfg.seed;
@@ -278,141 +375,16 @@ runHierDifferential(const HierDiffConfig &cfg)
         fc.leafStallForwards = 6;
         hc.faults = fc;
     }
-    HierSystem sys(hc, cfg.clusters);
-
     std::deque<RngChoiceSource> sources;
+    HierSystem sys(hc, cfg.clusters);
     for (std::size_t c = 0; c < n; ++c) {
-        CacheSpec spec;
-        spec.table = cfg.tables[c];
-        spec.numSets = 1;
-        spec.assoc = cfg.lines;
-        if (!cfg.faults) {
-            sources.emplace_back(RngFeed::cacheSeed(cfg.seed, c));
-            RngChoiceSource &src = sources.back();
-            spec.makeChooser = [&src] {
-                return std::make_unique<SequenceChooser>(src);
-            };
-        }
-        sys.addCache(c % cfg.clusters, spec);
+        sys.addCache(c % cfg.clusters,
+                     lockstepCache(cfg.tables, c, cfg.lines, cfg.seed,
+                                   cfg.faults, sources));
     }
 
-    std::unique_ptr<ChoiceFeed> feed;
-    if (cfg.faults)
-        feed = std::make_unique<PreferredFeed>();
-    else
-        feed = std::make_unique<RngFeed>(n, cfg.seed);
-
-    // Both renders cover the full observable state: the checker's
-    // per-line vector plus every bridge's filter bits, in the model's
-    // renderHierFilters format.
-    auto systemRender = [&] {
-        std::string out;
-        for (std::size_t l = 0; l < cfg.lines; ++l)
-            out += sys.checker().describeLine(l);
-        for (std::size_t l = 0; l < cfg.lines; ++l) {
-            out += strprintf(" | flt 0x%llx:",
-                             static_cast<unsigned long long>(l));
-            for (std::size_t k = 0; k < cfg.clusters; ++k) {
-                const BusBridge &b = sys.bridge(k);
-                out += strprintf(
-                    " b%zu:%c%c", k, b.mayBeLocal(l) ? 'L' : '-',
-                    b.mayBeRemote(l) ? 'R' : '-');
-            }
-        }
-        return out;
-    };
-    auto adoptHierState = [&](HierModelState &st) {
-        adoptEngineStateFrom(
-            mcfg.base, st.flat,
-            [&](std::size_t c) {
-                return sys.cacheOf(static_cast<MasterId>(c));
-            },
-            sys.memory(), sys.checker());
-        for (std::size_t k = 0; k < cfg.clusters; ++k) {
-            const BusBridge &b = sys.bridge(k);
-            for (std::size_t l = 0; l < cfg.lines; ++l) {
-                st.localHeld[k * cfg.lines + l] = b.mayBeLocal(l);
-                st.remoteShared[k * cfg.lines + l] = b.mayBeRemote(l);
-            }
-        }
-    };
-
-    HierModelState mst = initialHierState(mcfg);
-    Rng driver(cfg.seed * 0x2545f4914f6cdd1dull + 0xb5297a4d3u);
-
-    for (std::size_t i = 0; i < cfg.steps; ++i) {
-        std::vector<ModelEvent> events = legalHierEvents(mcfg, mst);
-        const ModelEvent ev = events[driver.below(events.size())];
-        const Addr addr = static_cast<Addr>(ev.line) * kWordBytes;
-        const auto id = static_cast<MasterId>(ev.cache);
-
-        Word wval = 0;
-        if (ev.ev == LocalEvent::Write)
-            wval = nextWriteValue(mst.flat, ev.line);
-
-        AccessOutcome out;
-        switch (ev.ev) {
-          case LocalEvent::Read:
-            out = sys.read(id, addr);
-            break;
-          case LocalEvent::Write:
-            out = sys.write(id, addr, wval);
-            break;
-          case LocalEvent::Pass:
-            out = sys.flush(id, addr, /*keep_copy=*/true);
-            break;
-          case LocalEvent::Flush:
-            out = sys.flush(id, addr, /*keep_copy=*/false);
-            break;
-        }
-        ++res.stepsRun;
-
-        if (out.faulted) {
-            fbsim_assert(cfg.faults);
-            // Stutter: a half-completed transaction may have advanced
-            // remote clusters and filters; resync everything.
-            ++res.faultedSteps;
-            adoptHierState(mst);
-            continue;
-        }
-
-        StepResult mr = stepHierModel(mcfg, mst, ev, *feed, nullptr);
-        if (!mr.ok) {
-            res.ok = false;
-            res.errors.push_back(strprintf(
-                "step %zu: hier model rejected the transition the "
-                "engine executed: %s",
-                i,
-                mr.violations.empty() ? "?"
-                                      : mr.violations[0].c_str()));
-            break;
-        }
-        if (ev.ev == LocalEvent::Read && out.value != mr.value) {
-            res.ok = false;
-            res.errors.push_back(strprintf(
-                "step %zu: engine read 0x%llx, model read 0x%llx", i,
-                static_cast<unsigned long long>(out.value),
-                static_cast<unsigned long long>(mr.value)));
-        }
-        std::string mrender = renderHierStateVector(mcfg, mst);
-        std::string srender = systemRender();
-        if (mrender != srender) {
-            res.ok = false;
-            res.errors.push_back(
-                strprintf("step %zu: state vectors diverge\n"
-                          "  model :%s\n  system:%s",
-                          i, mrender.c_str(), srender.c_str()));
-        }
-        if (res.errors.size() >= 5)
-            break;
-    }
-
-    if (!sys.violations().empty()) {
-        res.ok = false;
-        res.errors.push_back("engine recorded checker violations: " +
-                             sys.violations()[0]);
-    }
-    return res;
+    HierModel model{mcfg, sys};
+    return lockstepWalk(model, cfg.steps, cfg.seed, cfg.faults);
 }
 
 DiffResult
@@ -447,9 +419,7 @@ runEngineDifferential(const EngineDiffConfig &cfg)
     engine.run(raw, cfg.refsPerProc);
     res.stepsRun = 1;
 
-    std::string render;
-    for (std::size_t l = 0; l < cfg.lines; ++l)
-        render += sys.checker().describeLine(l);
+    const std::string render = checkerRender(sys, cfg.lines);
     if (!sys.violations().empty()) {
         res.ok = false;
         res.errors.push_back("engine recorded checker violations: " +

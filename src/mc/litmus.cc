@@ -64,34 +64,37 @@ runInterleaving(const LitmusTest &test, const LitmusRunConfig &cfg,
             max_line = std::max<std::size_t>(max_line, op.line);
 
     // Flat bus or a bridged hierarchy, behind one access surface.
-    std::unique_ptr<System> flat;
-    std::unique_ptr<HierSystem> hier;
+    CacheSpec spec;
+    spec.chooser = cfg.chooser;
+    spec.policy = cfg.policy;
+    spec.numSets = 1;
+    spec.assoc = max_line + 1;
+    std::unique_ptr<Fabric> sys;
     if (cfg.clusters > 1) {
         HierConfig hc;
         hc.lineBytes = kWordBytes;
         hc.maxBusRetries = cfg.maxBusRetries;
         hc.checkEveryAccess = true;
-        hier = std::make_unique<HierSystem>(hc, cfg.clusters);
+        auto hier = std::make_unique<HierSystem>(hc, cfg.clusters);
+        for (std::size_t t = 0; t < test.threads.size(); ++t) {
+            spec.table = cfg.tables[t];
+            spec.seed = cfg.seed + t;
+            hier->addCache(t % cfg.clusters, spec);
+        }
+        sys = std::move(hier);
     } else {
         SystemConfig sc;
         sc.lineBytes = kWordBytes;
         sc.maxBusRetries = cfg.maxBusRetries;
         sc.checkEveryAccess = true;
         sc.quarantineOnWatchdog = false;
-        flat = std::make_unique<System>(sc);
-    }
-    for (std::size_t t = 0; t < test.threads.size(); ++t) {
-        CacheSpec spec;
-        spec.table = cfg.tables[t];
-        spec.chooser = cfg.chooser;
-        spec.policy = cfg.policy;
-        spec.seed = cfg.seed + t;
-        spec.numSets = 1;
-        spec.assoc = max_line + 1;
-        if (hier)
-            hier->addCache(t % cfg.clusters, spec);
-        else
+        auto flat = std::make_unique<System>(sc);
+        for (std::size_t t = 0; t < test.threads.size(); ++t) {
+            spec.table = cfg.tables[t];
+            spec.seed = cfg.seed + t;
             flat->addCache(spec);
+        }
+        sys = std::move(flat);
     }
 
     auto describe = [&] {
@@ -109,14 +112,10 @@ runInterleaving(const LitmusTest &test, const LitmusRunConfig &cfg,
         const Addr addr = static_cast<Addr>(op.line) * kWordBytes;
         const auto id = static_cast<MasterId>(t);
         if (op.write) {
-            if (hier)
-                hier->write(id, addr, op.value);
-            else
-                flat->write(id, addr, op.value);
+            sys->write(id, addr, op.value);
             ref[op.line] = op.value;
         } else {
-            AccessOutcome out =
-                hier ? hier->read(id, addr) : flat->read(id, addr);
+            AccessOutcome out = sys->read(id, addr);
             if (out.value != ref[op.line]) {
                 failures.push_back(strprintf(
                     "%s: thread %zu read line %u = 0x%llx, reference "
@@ -129,12 +128,9 @@ runInterleaving(const LitmusTest &test, const LitmusRunConfig &cfg,
         }
     }
 
-    const std::vector<std::string> &violations =
-        hier ? hier->violations() : flat->violations();
-    for (const std::string &v : violations)
+    for (const std::string &v : sys->violations())
         failures.push_back(describe() + ": " + v);
-    for (const std::string &v : (hier ? hier->checkNow()
-                                      : flat->checkNow()))
+    for (const std::string &v : sys->checkNow())
         failures.push_back(describe() + ": final: " + v);
 }
 

@@ -7,6 +7,61 @@
 
 namespace fbsim {
 
+namespace {
+
+/**
+ * The counters both topologies export: cache.* totals (all but
+ * abortPushes), fault.* when an injector is armed, and the ladder's
+ * sys.watchdogTrips / quarantines / reintegrations / violations.
+ */
+void
+exportFabricMetrics(MetricRegistry &reg, const Fabric &system)
+{
+    const CacheStats totals = system.cacheTotals();
+    reg.counter("cache.reads").add(totals.reads);
+    reg.counter("cache.writes").add(totals.writes);
+    reg.counter("cache.readMisses").add(totals.readMisses);
+    reg.counter("cache.writeMisses").add(totals.writeMisses);
+    reg.counter("cache.writebacks").add(totals.writebacks);
+    reg.counter("cache.invalidationsRecv").add(totals.invalidationsRecv);
+    reg.counter("cache.updatesRecv").add(totals.updatesRecv);
+    reg.counter("cache.faultedAccesses").add(totals.faultedAccesses);
+
+    if (const FaultInjector *fi = system.faultInjector()) {
+        const FaultStats &f = fi->stats();
+        reg.counter("fault.spuriousAborts").add(f.spuriousAborts);
+        reg.counter("fault.stormAborts").add(f.stormAborts);
+        reg.counter("fault.memoryDelays").add(f.memoryDelays);
+        reg.counter("fault.memoryDrops").add(f.memoryDrops);
+        reg.counter("fault.dataFlips").add(f.dataFlips);
+        reg.counter("fault.responseFlips").add(f.responseFlips);
+        reg.counter("fault.snooperMutes").add(f.snooperMutes);
+    }
+
+    reg.counter("sys.watchdogTrips").add(system.watchdogTrips());
+    reg.counter("sys.quarantines").add(system.quarantineCount());
+    reg.counter("sys.reintegrations").add(system.reintegrationCount());
+    reg.counter("sys.violations").add(system.violations().size());
+}
+
+/** The bus.*-shaped counters of one bus, under `prefix`. */
+void
+exportBusCounters(MetricRegistry &reg, const std::string &prefix,
+                  const BusStats &b)
+{
+    reg.counter(prefix + "transactions").add(b.transactions);
+    reg.counter(prefix + "invalidates").add(b.invalidates);
+    reg.counter(prefix + "interventions").add(b.interventions);
+    reg.counter(prefix + "aborts").add(b.aborts);
+    reg.counter(prefix + "retryExhausted").add(b.retryExhausted);
+    reg.counter(prefix + "addressCycles").add(b.addressCycles);
+    reg.counter(prefix + "dataWords").add(b.dataWords);
+    reg.counter(prefix + "busyCycles").add(b.busyCycles);
+    reg.counter(prefix + "backoffCycles").add(b.backoffCycles);
+}
+
+} // namespace
+
 void
 exportSystemMetrics(MetricRegistry &reg, const System &system)
 {
@@ -35,57 +90,10 @@ exportSystemMetrics(MetricRegistry &reg, const System &system)
     reg.counter("snoop.invoked").add(sf.snoopsInvoked);
     reg.counter("snoop.suppressed").add(sf.snoopsSuppressed);
 
-    CacheStats totals;
-    for (MasterId id = 0; id < system.numClients(); ++id) {
-        if (const SnoopingCache *cache = system.cacheOf(id))
-            totals += cache->stats();
-    }
-    reg.counter("cache.reads").add(totals.reads);
-    reg.counter("cache.writes").add(totals.writes);
-    reg.counter("cache.readMisses").add(totals.readMisses);
-    reg.counter("cache.writeMisses").add(totals.writeMisses);
-    reg.counter("cache.writebacks").add(totals.writebacks);
-    reg.counter("cache.invalidationsRecv").add(totals.invalidationsRecv);
-    reg.counter("cache.updatesRecv").add(totals.updatesRecv);
-    reg.counter("cache.abortPushes").add(totals.abortPushes);
-    reg.counter("cache.faultedAccesses").add(totals.faultedAccesses);
-
-    if (const FaultInjector *fi = system.faultInjector()) {
-        const FaultStats &f = fi->stats();
-        reg.counter("fault.spuriousAborts").add(f.spuriousAborts);
-        reg.counter("fault.stormAborts").add(f.stormAborts);
-        reg.counter("fault.memoryDelays").add(f.memoryDelays);
-        reg.counter("fault.memoryDrops").add(f.memoryDrops);
-        reg.counter("fault.dataFlips").add(f.dataFlips);
-        reg.counter("fault.responseFlips").add(f.responseFlips);
-        reg.counter("fault.snooperMutes").add(f.snooperMutes);
-    }
-
-    reg.counter("sys.watchdogTrips").add(system.watchdogTrips());
-    reg.counter("sys.quarantines").add(system.quarantineCount());
-    reg.counter("sys.reintegrations").add(system.reintegrationCount());
-    reg.counter("sys.violations").add(system.violations().size());
+    exportFabricMetrics(reg, system);
+    reg.counter("cache.abortPushes")
+        .add(system.cacheTotals().abortPushes);
 }
-
-namespace {
-
-/** The bus.*-shaped counters of one bus, under `prefix`. */
-void
-exportBusCounters(MetricRegistry &reg, const std::string &prefix,
-                  const BusStats &b)
-{
-    reg.counter(prefix + "transactions").add(b.transactions);
-    reg.counter(prefix + "invalidates").add(b.invalidates);
-    reg.counter(prefix + "interventions").add(b.interventions);
-    reg.counter(prefix + "aborts").add(b.aborts);
-    reg.counter(prefix + "retryExhausted").add(b.retryExhausted);
-    reg.counter(prefix + "addressCycles").add(b.addressCycles);
-    reg.counter(prefix + "dataWords").add(b.dataWords);
-    reg.counter(prefix + "busyCycles").add(b.busyCycles);
-    reg.counter(prefix + "backoffCycles").add(b.backoffCycles);
-}
-
-} // namespace
 
 void
 exportHierMetrics(MetricRegistry &reg, HierSystem &system)
@@ -125,36 +133,8 @@ exportHierMetrics(MetricRegistry &reg, HierSystem &system)
             .set(system.clusterQuarantined(k) ? 1 : 0);
     }
 
-    CacheStats totals;
-    for (MasterId id = 0; id < system.numClients(); ++id) {
-        if (const SnoopingCache *cache = system.cacheOf(id))
-            totals += cache->stats();
-    }
-    reg.counter("cache.reads").add(totals.reads);
-    reg.counter("cache.writes").add(totals.writes);
-    reg.counter("cache.readMisses").add(totals.readMisses);
-    reg.counter("cache.writeMisses").add(totals.writeMisses);
-    reg.counter("cache.writebacks").add(totals.writebacks);
-    reg.counter("cache.invalidationsRecv").add(totals.invalidationsRecv);
-    reg.counter("cache.updatesRecv").add(totals.updatesRecv);
-    reg.counter("cache.faultedAccesses").add(totals.faultedAccesses);
-
-    if (const FaultInjector *fi = system.faults()) {
-        const FaultStats &f = fi->stats();
-        reg.counter("fault.spuriousAborts").add(f.spuriousAborts);
-        reg.counter("fault.stormAborts").add(f.stormAborts);
-        reg.counter("fault.memoryDelays").add(f.memoryDelays);
-        reg.counter("fault.memoryDrops").add(f.memoryDrops);
-        reg.counter("fault.dataFlips").add(f.dataFlips);
-        reg.counter("fault.responseFlips").add(f.responseFlips);
-        reg.counter("fault.snooperMutes").add(f.snooperMutes);
-    }
-
-    reg.counter("sys.watchdogTrips").add(system.watchdogTrips());
-    reg.counter("sys.quarantines").add(system.quarantineCount());
-    reg.counter("sys.reintegrations").add(system.reintegrationCount());
+    exportFabricMetrics(reg, system);
     reg.counter("sys.scrubDivergence").add(system.scrubDivergence());
-    reg.counter("sys.violations").add(system.violations().size());
 }
 
 void

@@ -24,10 +24,10 @@ void exportSystemMetrics(MetricRegistry &reg, const System &system);
 /**
  * Hierarchical counterpart of exportSystemMetrics: root-bus counters
  * under hier.root.*, per-cluster leaf-bus and bridge counters under
- * hier.cluster<k>.*, the usual cache.* / fault.* totals, and the
- * fabric's recovery-ladder counters (including scrub divergence)
- * under sys.*.  Non-const because HierSystem exposes its buses and
- * bridges mutably; nothing is modified.
+ * hier.cluster<k>.*, the cache.* / fault.* / sys.* counters flat
+ * systems export (bar cache.abortPushes: leaf caches never abort-push),
+ * and sys.scrubDivergence.  Non-const because HierSystem exposes its
+ * buses and bridges mutably; nothing is modified.
  */
 void exportHierMetrics(MetricRegistry &reg, HierSystem &system);
 

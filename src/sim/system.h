@@ -11,80 +11,23 @@
 #ifndef FBSIM_SIM_SYSTEM_H_
 #define FBSIM_SIM_SYSTEM_H_
 
-#include <functional>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "bus/bus.h"
 #include "bus/transaction_log.h"
-#include "checker/coherence_checker.h"
-#include "fault/fault_injector.h"
-#include "memory/main_memory.h"
-#include "protocols/bus_client.h"
-#include "protocols/factory.h"
-#include "protocols/non_caching.h"
 #include "cache/sector_store.h"
-#include "protocols/snooping_cache.h"
+#include "protocols/non_caching.h"
+#include "sim/fabric.h"
 
 namespace fbsim {
 
-/** System-wide configuration. */
-struct SystemConfig
+/** System-wide configuration: the shared settings plus the flat
+ *  bus's own. */
+struct SystemConfig : FabricConfig
 {
-    /** The standard line size (section 5.1) every cache must use. */
-    std::size_t lineBytes = 32;
     BusCostModel cost;
-    unsigned maxBusRetries = 16;
-    /** Run the invariant check after every access (slow; tests). */
-    bool checkEveryAccess = false;
-    /**
-     * Snoop-filter fast path: only snoop caches whose presence bit
-     * says they may hold the line.  Off = the paper's literal
-     * broadcast to every module.  Behaviour (final states, checker
-     * verdicts, BusStats) is identical either way; only snoop fan-out
-     * differs.
-     */
-    bool snoopFilter = true;
-    /** Debug: assert the filter never suppresses a holder. */
-    bool snoopFilterCrossCheck = false;
-    /**
-     * checkEveryAccess re-verifies only lines dirtied since the last
-     * check (incremental).  Off = full universe scan per access.
-     * checkNow() always scans the full universe.
-     */
-    bool incrementalCheck = true;
-    /**
-     * Fault campaign (nullopt = fault-free).  When any site is
-     * enabled the system builds a FaultInjector, wires it into the
-     * bus and memory slave, and arms the recovery machinery below.
-     */
-    std::optional<FaultConfig> faults;
-    /**
-     * Livelock/starvation watchdog: a master whose accesses come back
-     * faulted (retry-exhausted) this many times consecutively has made
-     * no forward progress; the trip is recorded and - with
-     * quarantineOnWatchdog - its cache is quarantined.
-     */
-    unsigned watchdogRounds = 8;
-    bool quarantineOnWatchdog = true;
-    /**
-     * Escalation ladder, middle rung: with quarantineOnWatchdog the
-     * cache is only quarantined on its Nth watchdog trip since the
-     * last (re)integration.  1 = quarantine on the first trip, the
-     * pre-ladder behaviour; higher values give a persistent fault more
-     * retry rounds before the board is pulled.
-     */
-    unsigned quarantineAfterTrips = 1;
-    /**
-     * Escalation ladder, top rung (P896 hot swap): schedule every
-     * quarantined cache for reintegration this many bus-busy cycles
-     * after it was pulled.  0 = never - quarantine stays permanent.
-     * The functional layer has no clock of its own, so bus occupancy
-     * (BusStats::busyCycles) serves as the monotonic cycle source.
-     */
-    Cycles reintegrateAfterCycles = 0;
     /**
      * Quarantine a cache whose read returns a value that differs from
      * the oracle while it holds the line valid (a failed data
@@ -112,41 +55,15 @@ struct SystemConfig
     bool allowIncompatibleMix = false;
 };
 
-/** Everything needed to add one cache to the system. */
-struct CacheSpec
-{
-    ProtocolKind protocol = ProtocolKind::Moesi;
-    ChooserKind chooser = ChooserKind::Preferred;
-    MoesiPolicy policy;                  ///< used when chooser == Policy
-    std::size_t numSets = 64;
-    std::size_t assoc = 4;
-    ReplacementKind replacement = ReplacementKind::LRU;
-    bool writeThrough = false;           ///< "*" client (MOESI only)
-    bool discardNearReplacement = false; ///< section 5.2 refinement
-    std::uint64_t seed = 1;
-    /**
-     * Explicit protocol table overriding `protocol` (testing: deliber-
-     * ately perturbed tables for counterexample studies).  Must outlive
-     * the system.  Null = the stock table for `protocol`.
-     */
-    const ProtocolTable *table = nullptr;
-    /**
-     * Explicit chooser overriding `chooser`/`policy` (a SequenceChooser
-     * driven from a recorded script, for counterexample replay and
-     * lockstep model comparison).  Called once per addCache.
-     */
-    std::function<std::unique_ptr<ActionChooser>()> makeChooser;
-};
-
-/** A shared-bus multiprocessor. */
-class System
+/**
+ * A shared-bus multiprocessor: the fabric core with every master on
+ * the root bus, each cache its own board.
+ */
+class System : public Fabric
 {
   public:
     explicit System(const SystemConfig &config);
-    ~System();
-
-    System(const System &) = delete;
-    System &operator=(const System &) = delete;
+    ~System() override;
 
     /** Add a snooping cache; returns its master id (= client index). */
     MasterId addCache(const CacheSpec &spec);
@@ -162,25 +79,6 @@ class System
 
     /** Add a non-caching master (an I/O processor). */
     MasterId addNonCachingMaster(bool broadcast_writes);
-
-    /** Number of clients added. */
-    std::size_t numClients() const { return clients_.size(); }
-
-    /** Client by id. */
-    BusClient &client(MasterId id);
-
-    /** The snooping cache behind a client id; null for non-caching. */
-    SnoopingCache *cacheOf(MasterId id);
-    const SnoopingCache *cacheOf(MasterId id) const;
-
-    /** Processor read; checker-verified when enabled. */
-    AccessOutcome read(MasterId id, Addr addr);
-
-    /** Processor write. */
-    AccessOutcome write(MasterId id, Addr addr, Word value);
-
-    /** Push a line (Pass = keep copy, Flush = discard). */
-    AccessOutcome flush(MasterId id, Addr addr, bool keep_copy);
 
     /**
      * Multi-word read that may cross line boundaries.  Section 5.1
@@ -206,42 +104,6 @@ class System
     AccessOutcome syncLine(MasterId id, Addr addr, bool purge = false);
 
     /**
-     * Exact test of whether the client's next access to `addr` would
-     * use the bus (used by the timed engine for arbitration).
-     */
-    bool wouldUseBus(MasterId id, bool is_write, Addr addr) const;
-
-    /**
-     * True when read()/write() reduce to the bare client access plus
-     * oracle bookkeeping: no fault injector (so no watchdog, no
-     * integrity quarantine, no RNG draws), no per-access invariant
-     * check, no scheduled reintegrations.  The timed engine's drain
-     * phases then call the clients directly and replay the oracle
-     * bookkeeping at the next serialization point; this predicate
-     * gates that.
-     */
-    bool plainAccessPath() const
-    {
-        return faults_ == nullptr && !config_.checkEveryAccess &&
-               scheduledReintegrations_ == 0;
-    }
-
-    /**
-     * Record an oracle mismatch observed by an engine drain that
-     * reads the cache directly: same bookkeeping as a failed read()
-     * verification (quarantineOnIntegrity cannot be armed here - it
-     * requires a fault injector, which plainAccessPath() excludes).
-     */
-    void recordReadMismatch(Addr addr, Word value);
-
-    /** Run the invariant check now; returns violations. */
-    std::vector<std::string> checkNow() const;
-
-    /** All violations recorded so far (per-access checking). */
-    const std::vector<std::string> &violations() const
-    { return violations_; }
-
-    /**
      * Quarantine a cache: flush owned lines to memory, invalidate the
      * rest, and route its processor's accesses straight to the bus
      * from then on.  Returns false for non-caching masters and caches
@@ -249,7 +111,7 @@ class System
      * integrity machinery; callable directly for tests and manual
      * isolation.
      */
-    bool quarantine(MasterId id);
+    bool quarantine(MasterId id) { return quarantineBoard(id); }
 
     /**
      * Reintegrate a quarantined cache: every line is forced to state I
@@ -261,83 +123,32 @@ class System
      * Invoked automatically when reintegrateAfterCycles elapses;
      * callable directly for tests and manual hot swap.
      */
-    bool reintegrate(MasterId id);
-
-    /** The fault injector, or null in a fault-free system. */
-    FaultInjector *faultInjector() { return faults_.get(); }
-    const FaultInjector *faultInjector() const { return faults_.get(); }
-
-    /** Log of watchdog trips, quarantines and data-flip injections
-     *  (each entry carries the injector's reproduction tag). */
-    const std::vector<std::string> &faultEvents() const
-    { return faultEvents_; }
-
-    std::uint64_t watchdogTrips() const { return watchdogTrips_; }
-    std::uint64_t quarantineCount() const { return quarantines_; }
-    std::uint64_t reintegrationCount() const { return reintegrations_; }
+    bool reintegrate(MasterId id) { return reintegrateBoard(id); }
 
     const SystemConfig &config() const { return config_; }
-    Bus &bus() { return *bus_; }
-    const Bus &bus() const { return *bus_; }
-    MainMemory &memory() { return *memory_; }
-    CoherenceChecker &checker() { return *checker_; }
-
-    /**
-     * Attach a trace sink: it sees every committed bus transaction and
-     * the fault-ladder instants (watchdog trip, quarantine,
-     * reintegration, injected corruption), each carrying the
-     * injector's reproduction tag.  Must outlive the system.
-     */
-    void attachTrace(TraceSink *sink);
+    Bus &bus() { return rootBus(); }
+    const Bus &bus() const { return rootBus(); }
 
     /** The built-in transaction log, or null when capacity is 0. */
     const TransactionLog *transactionLog() const { return txnLog_.get(); }
 
   private:
-    void afterAccess();
-
     /** Assembly-time compatibility guard (see allowIncompatibleMix):
      *  record a stock protocol joining the bus, fatal on a
      *  Write-Once x O-state mix unless overridden. */
     void checkProtocolMix(ProtocolKind kind);
 
-    /** Per-access fault bookkeeping: watchdog progress counting and
-     *  scheduled cache-array bit flips, then the configured checks. */
-    void postAccess(MasterId id, const AccessOutcome &outcome);
+    /** A new board for the master about to be added (board = id). */
+    std::size_t nextBoard(bool caching);
 
-    /** Fire a scheduled data flip into a random valid cached line. */
-    void maybeCorruptCache();
-
-    void recordFaultEvent(std::string event);
-
-    /** Fire any scheduled reintegrations whose due cycle has passed. */
-    void serviceReintegrations();
+    void pullBoard(std::size_t board) override;
+    std::string rejoinBoard(std::size_t board) override;
+    void onReadMismatch(MasterId id, Addr addr) override;
 
     SystemConfig config_;
-    std::unique_ptr<MainMemory> memory_;
-    std::unique_ptr<MainMemorySlave> slave_;
-    std::unique_ptr<Bus> bus_;
-    std::unique_ptr<CoherenceChecker> checker_;
-    std::unique_ptr<FaultInjector> faults_;
     std::unique_ptr<TransactionLog> txnLog_;
-    TraceSink *trace_ = nullptr;
-    std::vector<std::unique_ptr<BusClient>> clients_;
-    std::vector<SnoopingCache *> caches_;   ///< indexed by id; may be null
-    std::vector<std::string> violations_;
-    /** Consecutive faulted accesses per master (watchdog state). */
-    std::vector<unsigned> noProgress_;
-    /** Watchdog trips per master since its last (re)integration. */
-    std::vector<unsigned> tripsSinceJoin_;
-    /** Bus-busy cycle at which to reintegrate; kNeverDue = none. */
-    std::vector<Cycles> reintegrateDue_;
-    /** Entries of reintegrateDue_ not equal to kNeverDue. */
-    std::size_t scheduledReintegrations_ = 0;
     /** Stock protocols assembled so far (compatibility guard). */
     std::vector<ProtocolKind> stockKinds_;
-    std::vector<std::string> faultEvents_;
-    std::uint64_t watchdogTrips_ = 0;
-    std::uint64_t quarantines_ = 0;
-    std::uint64_t reintegrations_ = 0;
 };
 
 } // namespace fbsim

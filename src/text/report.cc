@@ -139,7 +139,7 @@ renderFaultReport(const System &system)
 std::string
 renderFaultReport(HierSystem &system)
 {
-    const FaultInjector *fi = system.faults();
+    const FaultInjector *fi = system.faultInjector();
     if (!fi)
         return {};
     const FaultStats &s = fi->stats();

@@ -61,7 +61,7 @@ TEST(HierEngineTest, AccountingSanity)
     for (auto &s : streams)
         raw.push_back(s.get());
     HierEngine engine(sys, {});
-    HierEngineResult r = engine.run(raw, 2000);
+    EngineResult r = engine.run(raw, 2000);
 
     ASSERT_EQ(r.procs.size(), 4u);
     for (const ProcTiming &p : r.procs) {
@@ -69,11 +69,36 @@ TEST(HierEngineTest, AccountingSanity)
         EXPECT_GT(p.utilization(), 0.0);
         EXPECT_LE(p.utilization(), 1.0);
     }
-    EXPECT_LE(r.rootBusy, r.elapsed);
-    for (Cycles leaf : r.leafBusy)
-        EXPECT_LE(leaf, r.elapsed);
+    EXPECT_EQ(r.busBusy, sys.rootBus().stats().busyCycles);
+    EXPECT_LE(r.busBusy, r.elapsed);
+    for (std::size_t c = 0; c < sys.numClusters(); ++c)
+        EXPECT_LE(sys.leafBus(c).stats().busyCycles, r.elapsed);
+    EXPECT_FALSE(r.cancelled);
     EXPECT_TRUE(sys.checkNow().empty());
     EXPECT_TRUE(sys.violations().empty());
+}
+
+TEST(HierEngineTest, ExpiredDeadlineCancelsBeforeTheFirstReference)
+{
+    HierConfig cfg;
+    HierSystem sys(cfg, 2);
+    for (int c = 0; c < 2; ++c)
+        sys.addCache(c, leafCache(c + 1));
+    Arch85Params params;
+    auto streams = makeArch85Streams(params, 2, 5);
+    std::vector<RefStream *> raw;
+    for (auto &s : streams)
+        raw.push_back(s.get());
+    RunControl control;
+    control.hasDeadline = true;
+    control.deadline = std::chrono::steady_clock::now();
+    control.checkEveryRefs = 1;
+    EngineResult r = HierEngine(sys, {}).run(raw, 1000, &control);
+    EXPECT_TRUE(r.cancelled);
+    EXPECT_EQ(r.procs.size(), 2u);
+    for (const ProcTiming &p : r.procs)
+        EXPECT_EQ(p.refs, 0u);
+    EXPECT_EQ(r.elapsed, 0u);
 }
 
 TEST(HierEngineTest, Deterministic)
@@ -90,8 +115,8 @@ TEST(HierEngineTest, Deterministic)
         for (auto &s : streams)
             raw.push_back(s.get());
         HierEngine engine(sys, {});
-        HierEngineResult r = engine.run(raw, 1000);
-        return std::make_pair(r.elapsed, r.rootBusy);
+        EngineResult r = engine.run(raw, 1000);
+        return std::make_pair(r.elapsed, r.busBusy);
     };
     EXPECT_EQ(run_once(), run_once());
 }
@@ -116,7 +141,7 @@ TEST(HierEngineTest, ClustersScaleLocalSharing)
             raw.push_back(streams.back().get());
         }
         HierEngine engine(sys, {});
-        HierEngineResult r = engine.run(raw, 4000);
+        EngineResult r = engine.run(raw, 4000);
         EXPECT_TRUE(sys.checkNow().empty());
         return r.systemPower();
     };
@@ -143,7 +168,7 @@ TEST(HierEngineTest, UniformSharingDoesNotScale)
             raw.push_back(streams.back().get());
         }
         HierEngine engine(sys, {});
-        HierEngineResult r = engine.run(raw, 3000);
+        EngineResult r = engine.run(raw, 3000);
         EXPECT_TRUE(sys.checkNow().empty());
         return r.systemPower();
     };

@@ -36,6 +36,7 @@
 #include "common/random.h"
 #include "fault/shrinker.h"
 #include "hier/hier_system.h"
+#include "obs/perfetto_sink.h"
 #include "test_util.h"
 #include "text/report.h"
 
@@ -262,6 +263,66 @@ TEST(HierCampaignTest, FaultArmedCampaignRecoversEverything)
     EXPECT_NE(r.faultReport.find("salvage serves"), std::string::npos);
     EXPECT_NE(r.faultReport.find("scrub divergence"),
               std::string::npos);
+}
+
+/** Run job 0 of `spec` with a trace attached; its ladder pin. */
+std::string
+pinFirstJob(const CampaignSpec &spec, CampaignResult &r)
+{
+    CampaignScratch scratch;
+    PerfettoTraceSink sink;
+    r = runCampaignJob(spec, expandCampaign(spec).front(), scratch,
+                       nullptr, &sink);
+    return test::ladderPin(r, sink.render());
+}
+
+// Exact pins of the hierarchical ladder.  The first job has the
+// campaign-faulted shape: master and bridge watchdog trips charged to
+// a segment, a pull on the second trip, a timed rejoin with its filter
+// scrub, and the periodic scrub cadence.  The second arms data flips,
+// pinning which caches the flip stream picks, also while a segment is
+// out.
+TEST(HierCampaignTest, LadderIsExact)
+{
+    CampaignResult r;
+    EXPECT_EQ(pinFirstJob(hierSpec(0xa1, 2500, true), r),
+              "events 77 f9994f4f4ff980e5 | violations 0 "
+              "cbf29ce484222325 | engine 98009 59392 60 73 2 2 0 "
+              "f31a5a7b65bc4fcb | ladder 73 2 2 78 | report "
+              "db0464c4b811d649 | metrics 0a1681f57cceed2f | trace "
+              "73f5e3830c7f89a4");
+    EXPECT_GT(r.quarantines, 0u);
+    EXPECT_GT(r.reintegrations, 0u);
+    EXPECT_GT(r.scrubDivergence, 0u);
+}
+
+TEST(HierCampaignTest, DataFlipVictimsAreExact)
+{
+    CampaignSpec spec = hierSpec(0x53, 2500, true);
+    spec.faults[0].faults->dataFlip.probability = 0.05;
+    CampaignResult r;
+    EXPECT_EQ(pinFirstJob(spec, r),
+              "events 576 614c406c2188d5be | violations 399 "
+              "df8b3f67a7eed9b4 | engine 97645 60526 63 77 2 2 0 "
+              "0a113aa426b95d08 | ladder 77 2 2 120 | report "
+              "e0d82636fedda306 | metrics 57fdd99b01259e13 | trace "
+              "66c1226360559805");
+    // Some flips land while exactly one segment is out, so the pulled
+    // segment's caches must not be candidates.
+    bool out[2] = {false, false};
+    std::size_t flips_with_one_out = 0;
+    for (const std::string &e : r.faultEvents) {
+        for (std::size_t k = 0; k < 2; ++k) {
+            const std::string seg = "leaf segment " + std::to_string(k);
+            if (e.rfind("quarantine: " + seg, 0) == 0)
+                out[k] = true;
+            if (e.rfind("reintegrate: " + seg, 0) == 0)
+                out[k] = false;
+        }
+        if (e.rfind("data flip", 0) == 0 && out[0] != out[1])
+            ++flips_with_one_out;
+    }
+    EXPECT_GT(flips_with_one_out, 0u);
 }
 
 TEST(HierCampaignTest, ReportByteIdenticalAcrossWorkerCounts)

@@ -1,12 +1,18 @@
 /**
  * @file
- * Allocation guard for the exhaustive explorer: successor generation
- * must not touch the heap.  Every allocation this binary makes goes
- * through the counting global operator new below, and each search may
- * allocate a bounded amount per discovered node (the node's state and
- * first-reaching step, the visited set and the event list it expands)
- * but nothing per enumerated transition - a search walks ~25-60 edges
- * per node, so a per-edge allocation blows the bound immediately.
+ * Allocation guards.  Every allocation this binary makes goes through
+ * the counting global operator new below.
+ *
+ * The exhaustive explorer's successor generation must not touch the
+ * heap: each search may allocate a bounded amount per discovered node
+ * (the node's state and first-reaching step, the visited set and the
+ * event list it expands) but nothing per enumerated transition - a
+ * search walks ~25-60 edges per node, so a per-edge allocation blows
+ * the bound immediately.
+ *
+ * The hierarchical timed engine must not allocate per reference: its
+ * allocations are bounded by set-up and the caches' working set,
+ * independent of how many references run.
  */
 
 #include <cstdlib>
@@ -14,9 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include "hier/hier_engine.h"
 #include "mc/explorer.h"
 #include "mc/hier_model.h"
 #include "protocols/factory.h"
+#include "trace/workloads.h"
 
 namespace {
 
@@ -89,6 +97,34 @@ TEST(McAlloc, HierExploreAllocatesPerNodeNotPerEdge)
     EXPECT_LE(allocs, allocationBudget(res.nodes))
         << allocs << " allocations for " << res.nodes << " nodes and "
         << res.edges << " edges";
+}
+
+TEST(McAlloc, HierEngineAllocatesNothingPerReference)
+{
+    // 2 clusters x 2 processors, 20,000 references each: one heap
+    // allocation per reference would be 80,000.
+    HierConfig cfg;
+    HierSystem sys(cfg, 2);
+    for (std::size_t i = 0; i < 4; ++i) {
+        CacheSpec spec;
+        spec.numSets = 32;
+        spec.assoc = 2;
+        spec.seed = i + 1;
+        sys.addCache(i % 2, spec);
+    }
+    Arch85Params params;
+    auto streams = makeArch85Streams(params, 4, 3);
+    std::vector<RefStream *> raw;
+    for (auto &s : streams)
+        raw.push_back(s.get());
+    HierEngine engine(sys, {});
+
+    const std::size_t before = g_allocations;
+    EngineResult r = engine.run(raw, 20000);
+    const std::size_t allocs = g_allocations - before;
+
+    ASSERT_EQ(r.procs.size(), 4u);
+    EXPECT_LE(allocs, 2000u) << allocs << " allocations for 80000 refs";
 }
 
 } // namespace

@@ -33,6 +33,7 @@
 #include "campaign/campaign_runner.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "obs/perfetto_sink.h"
 #include "sim/engine.h"
 #include "test_util.h"
 #include "text/report.h"
@@ -334,6 +335,45 @@ smallSpec(std::uint64_t campaign_seed, std::uint64_t refs,
     return spec;
 }
 
+// Exact pin of the flat ladder: a memory-drop outage and spurious
+// aborts walk retry -> watchdog (every 2 faulted accesses) -> pull ->
+// scheduled rejoin, while armed data flips corrupt cached lines and
+// the integrity check pulls their readers.  Every message, its order,
+// its trace instant and every counter is fingerprinted.
+TEST(LadderPinTest, FlatJobLadderIsExact)
+{
+    CampaignSpec spec = smallSpec(0x1add, 3000, 1);
+    spec.base.maxBusRetries = 4;
+    spec.base.watchdogRounds = 2;
+    spec.base.quarantineOnIntegrity = true;
+    spec.base.reintegrateAfterCycles = 2000;
+    FaultConfig fc;
+    fc.seed = 0x1add;
+    fc.spuriousAbort.probability = 0.05;
+    fc.abortStormProb = 0.2;
+    fc.abortStormLength = 8;
+    fc.memoryDrop.probability = 1.0;
+    fc.memoryDrop.windowStart = 200;
+    fc.memoryDrop.windowEnd = 260;
+    fc.dataFlip.probability = 0.02;
+    spec.faults.push_back({"ladder", fc});
+
+    CampaignScratch scratch;
+    PerfettoTraceSink sink;
+    CampaignResult r = runCampaignJob(spec, expandCampaign(spec).front(),
+                                      scratch, nullptr, &sink);
+    EXPECT_GT(r.watchdogTrips, 0u);
+    EXPECT_GT(r.quarantines, 0u);
+    EXPECT_GT(r.reintegrations, 0u);
+    EXPECT_GT(r.faults.dataFlips, 0u);
+    EXPECT_EQ(test::ladderPin(r, sink.render()),
+              "events 123 f99a9e97aca40d51 | violations 515 "
+              "cab0ed61b5b90aeb | engine 45741 45539 96 17 27 25 0 "
+              "26ccd4ee37a3c37f | ladder 17 27 25 0 | report "
+              "f91c5db9000c4d63 | metrics 8db31d3182b30313 | trace "
+              "2bca7474acae31ba");
+}
+
 TEST(SupervisedRunnerTest, DefaultSupervisionReproducesBaselineBytes)
 {
     CampaignSpec spec = smallSpec(0x11, 300, 3);
@@ -414,11 +454,14 @@ TEST(SupervisedRunnerTest, RetryDrawsTheDerivedSubSeed)
     EXPECT_EQ(unretried.results[0].status, JobStatus::Failed);
 }
 
-TEST(SupervisedRunnerTest, DeadlineCancelsCooperativelyAsTimedOut)
+/** A job far too large to finish inside a 20 ms deadline, on a flat
+ *  bus or over `clusters` leaf buses: the engine must stop at a poll
+ *  point, not hang. */
+void
+expectDeadlineTimesOut(std::size_t clusters)
 {
-    // A job far too large to finish inside the deadline; the engine
-    // must stop at a poll point, not hang.
     CampaignSpec spec = smallSpec(0x44, 500000000ull, 1);
+    spec.clusters = clusters;
     SupervisorOptions sup;
     sup.timeoutMs = 20;
     CampaignReport report = CampaignRunner(1, sup).run(spec);
@@ -433,6 +476,16 @@ TEST(SupervisedRunnerTest, DeadlineCancelsCooperativelyAsTimedOut)
 
     std::string table = renderCampaignTable(report);
     EXPECT_NE(table.find("timeout"), std::string::npos);
+}
+
+TEST(SupervisedRunnerTest, DeadlineCancelsCooperativelyAsTimedOut)
+{
+    expectDeadlineTimesOut(1);
+}
+
+TEST(SupervisedRunnerTest, DeadlineCancelsAHierJobAsTimedOut)
+{
+    expectDeadlineTimesOut(2);
 }
 
 // ---------------------------------------------------------------- //

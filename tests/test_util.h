@@ -1,13 +1,19 @@
 /**
  * @file
- * Shared helpers for fbsim tests: compact System builders.
+ * Shared helpers for fbsim tests: compact System builders and exact
+ * fingerprints of campaign-job outcomes.
  */
 
 #ifndef FBSIM_TESTS_TEST_UTIL_H_
 #define FBSIM_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include "campaign/campaign_spec.h"
+#include "common/logging.h"
 #include "sim/system.h"
 
 namespace fbsim::test {
@@ -46,6 +52,65 @@ homogeneousSystem(std::size_t n,
         sys->addCache(spec);
     }
     return sys;
+}
+
+/** 64-bit FNV-1a over a byte string. */
+inline std::uint64_t
+fnv1a(std::string_view bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** FNV-1a of `lines` joined with newlines. */
+inline std::uint64_t
+fnv1a(const std::vector<std::string> &lines)
+{
+    std::string joined;
+    for (const std::string &l : lines)
+        joined += l + "\n";
+    return fnv1a(joined);
+}
+
+/**
+ * One line fingerprinting everything a campaign job reports about its
+ * fault ladder: the fault-event log and violations (count + hash), the
+ * EngineResult fields, the ladder counters, and hashes of the fault
+ * report, the metric snapshot's JSON and the job's rendered trace.
+ */
+inline std::string
+ladderPin(const CampaignResult &r, const std::string &trace)
+{
+    std::string procs;
+    for (const ProcTiming &p : r.engine.procs) {
+        procs += strprintf("%llu/%llu/%llu/%llu/%llu;",
+                           static_cast<unsigned long long>(p.refs),
+                           static_cast<unsigned long long>(p.finishTime),
+                           static_cast<unsigned long long>(p.execCycles),
+                           static_cast<unsigned long long>(p.busWaitCycles),
+                           static_cast<unsigned long long>(
+                               p.busServiceCycles));
+    }
+    auto u = [](std::uint64_t v) {
+        return static_cast<unsigned long long>(v);
+    };
+    return strprintf(
+        "events %zu %016llx | violations %zu %016llx | engine %llu %llu "
+        "%llu %llu %llu %llu %d %016llx | ladder %llu %llu %llu %llu | "
+        "report %016llx | metrics %016llx | trace %016llx",
+        r.faultEvents.size(), u(fnv1a(r.faultEvents)),
+        r.violations.size(), u(fnv1a(r.violations)),
+        u(r.engine.elapsed), u(r.engine.busBusy), u(r.engine.faultedRefs),
+        u(r.engine.watchdogTrips), u(r.engine.quarantines),
+        u(r.engine.reintegrations), r.engine.cancelled ? 1 : 0,
+        u(fnv1a(procs)), u(r.watchdogTrips), u(r.quarantines),
+        u(r.reintegrations), u(r.scrubDivergence),
+        u(fnv1a(r.faultReport)), u(fnv1a(renderMetricsJson(r.metrics))),
+        u(fnv1a(trace)));
 }
 
 } // namespace fbsim::test
