@@ -9,7 +9,7 @@
  *   protocol_explorer [protocol] [caches] [-v]
  *     protocol: moesi | berkeley | dragon | writeonce | illinois |
  *               firefly        (default moesi)
- *     caches:   2-8             (default 3)
+ *     caches:   2-8             (default 3; anything else exits 2)
  *     -v:       print the bus transaction log after each access
  *
  * Script lines are read from stdin, one access per line:
@@ -17,16 +17,22 @@
  *     w <cache> <hexaddr> <value>
  *     f <cache> <hexaddr>     flush (discard)
  *     p <cache> <hexaddr>     pass (push, keep copy)
- * With no stdin script, a built-in demonstration runs.
+ * With no stdin script, a built-in demonstration runs.  A line with a
+ * malformed cache, address or value prints "? bad line" and the script
+ * continues.
  */
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unistd.h>
 
 #include "bus/transaction_log.h"
+#include "cli_args.h"
 #include "sim/system.h"
 #include "text/report.h"
 #include "text/table_render.h"
@@ -68,6 +74,19 @@ showStates(System &system, Addr addr)
                 static_cast<unsigned long long>(b.aborts));
 }
 
+/** The whole token as a number in `base`; nullopt for anything else
+ *  (empty, junk, out of range). */
+std::optional<std::uint64_t>
+parseNumber(const std::string &tok, int base)
+{
+    const char *end = tok.data() + tok.size();
+    std::uint64_t v = 0;
+    auto [stop, ec] = std::from_chars(tok.data(), end, v, base);
+    if (tok.empty() || ec != std::errc() || stop != end)
+        return std::nullopt;
+    return v;
+}
+
 TransactionLog *g_log = nullptr;
 
 bool
@@ -81,36 +100,46 @@ runLine(System &system, const std::string &line)
         return true;
     unsigned cache = 0;
     std::string addr_tok;
-    if (!(ls >> cache >> addr_tok) || cache >= system.numClients()) {
+    std::optional<std::uint64_t> addr;
+    if (ls >> cache >> addr_tok) {
+        // An optional 0x prefix, then hex digits only.
+        if (addr_tok.size() > 2 && addr_tok[0] == '0' &&
+            (addr_tok[1] == 'x' || addr_tok[1] == 'X'))
+            addr_tok.erase(0, 2);
+        addr = parseNumber(addr_tok, 16);
+    }
+    std::string value_tok;
+    std::optional<std::uint64_t> value;
+    if (op == "w" && ls >> value_tok)
+        value = parseNumber(value_tok, 10);
+    if (!addr || cache >= system.numClients() || (op == "w" && !value)) {
         std::printf("  ? bad line: %s\n", line.c_str());
         return true;
     }
-    Addr addr = std::stoull(addr_tok, nullptr, 16);
     if (op == "r") {
-        AccessOutcome o = system.read(cache, addr);
+        AccessOutcome o = system.read(cache, *addr);
         std::printf("  cpu%u read  0x%llx -> %llu%s\n", cache,
-                    static_cast<unsigned long long>(addr),
+                    static_cast<unsigned long long>(*addr),
                     static_cast<unsigned long long>(o.value),
                     o.usedBus ? "  (bus)" : "  (hit)");
     } else if (op == "w") {
-        unsigned long long value = 0;
-        ls >> value;
-        AccessOutcome o = system.write(cache, addr, value);
+        AccessOutcome o = system.write(cache, *addr, *value);
         std::printf("  cpu%u write 0x%llx = %llu%s\n", cache,
-                    static_cast<unsigned long long>(addr), value,
+                    static_cast<unsigned long long>(*addr),
+                    static_cast<unsigned long long>(*value),
                     o.usedBus ? "  (bus)" : "  (silent)");
     } else if (op == "f" || op == "p") {
-        system.flush(cache, addr, op == "p");
+        system.flush(cache, *addr, op == "p");
         std::printf("  cpu%u %s 0x%llx\n", cache,
                     op == "p" ? "pass " : "flush",
-                    static_cast<unsigned long long>(addr));
+                    static_cast<unsigned long long>(*addr));
     } else if (op == "q") {
         return false;
     } else {
         std::printf("  ? unknown op %s\n", op.c_str());
         return true;
     }
-    showStates(system, addr);
+    showStates(system, *addr);
     if (g_log) {
         for (const std::string &entry : g_log->entries())
             std::printf("      %s\n", entry.c_str());
@@ -135,17 +164,14 @@ main(int argc, char **argv)
         }
         kind = *parsed;
     }
-    int caches = 3;
+    std::size_t caches = 3;
     bool verbose = false;
     for (int i = 2; i < argc; ++i) {
         if (std::string(argv[i]) == "-v")
             verbose = true;
         else
-            caches = std::atoi(argv[i]);
-    }
-    if (caches < 2 || caches > 8) {
-        std::fprintf(stderr, "cache count must be 2-8\n");
-        return 1;
+            caches = cli::parseCount("protocol_explorer", "caches",
+                                     argv[i], 2, 8);
     }
 
     std::printf("%s\n",
@@ -162,7 +188,7 @@ main(int argc, char **argv)
         system.bus().addTraceSink(&log);
         g_log = &log;
     }
-    for (int i = 0; i < caches; ++i) {
+    for (std::size_t i = 0; i < caches; ++i) {
         CacheSpec spec;
         spec.protocol = kind;
         spec.numSets = 16;

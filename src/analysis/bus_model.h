@@ -66,7 +66,7 @@ BusModelResult solveBusModel(const BusModelParams &params);
  * @param refs_per_request references per bus request (1 / request
  *        probability), e.g. 1/miss-ratio-ish.
  * @param cycles_per_ref processor cycles per reference when not
- *        waiting (the engine's hitCycles).
+ *        waiting (the engine's kHitCycles).
  * @param service_cycles bus cycles per request.
  */
 BusModelParams

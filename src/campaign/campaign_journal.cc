@@ -24,7 +24,13 @@ constexpr char kMagic[] = "fbsim-campaign-journal";
 // entries repaired by the audit-and-scrub pass) and the bridge-site
 // fault counters, and the fingerprint covers the cluster count (a
 // hier campaign must not resume from a flat campaign's journal).
-constexpr char kVersion[] = "v4";
+// v5: every record ends with the FNV-1a of its text, so a corrupted
+// record is dropped - its job re-runs - instead of merged as a
+// different result.  A journal of any other version fails with a
+// version diagnostic.
+constexpr char kVersion[] = "v5";
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 
 /** FNV-1a over a byte string. */
 std::uint64_t
@@ -210,14 +216,35 @@ headerLine(std::uint64_t fingerprint, std::size_t num_jobs)
                      static_cast<unsigned long long>(num_jobs));
 }
 
-/** Validate a header line against the expected fingerprint prefix. */
-bool
-headerMatches(const std::string &line, std::uint64_t fingerprint)
+/** Die unless `line` is this version's header for `fingerprint`. */
+void
+requireHeader(const std::string &path, const std::string &line,
+              std::uint64_t fingerprint)
 {
-    std::string want =
-        strprintf("%s %s fp=%016llx ", kMagic, kVersion,
+    const std::string magic = strprintf("%s ", kMagic);
+    if (line.compare(0, magic.size(), magic) == 0) {
+        const std::string version = line.substr(
+            magic.size(), line.find(' ', magic.size()) - magic.size());
+        if (version != kVersion)
+            fbsim_fatal("journal: %s is a %s journal; this build reads "
+                        "%s only (start the campaign afresh)",
+                        path.c_str(), version.c_str(), kVersion);
+    }
+    const std::string want =
+        strprintf("%s%s fp=%016llx ", magic.c_str(), kVersion,
                   static_cast<unsigned long long>(fingerprint));
-    return line.compare(0, want.size(), want) == 0;
+    if (line.compare(0, want.size(), want) != 0)
+        fbsim_fatal("journal: %s belongs to a different campaign "
+                    "(fingerprint mismatch)",
+                    path.c_str());
+}
+
+/** The token that closes a record: the FNV-1a of the text before it. */
+std::string
+checksumToken(const std::string &line, std::size_t len)
+{
+    return strprintf("%016llx", static_cast<unsigned long long>(
+                                    fnv1a(kFnvBasis, line.data(), len)));
 }
 
 } // namespace
@@ -225,7 +252,7 @@ headerMatches(const std::string &line, std::uint64_t fingerprint)
 std::uint64_t
 campaignFingerprint(const CampaignSpec &spec)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnvBasis;
     std::uint64_t scalars[] = {spec.campaignSeed, spec.refsPerProc,
                                spec.numJobs(), spec.clusters};
     h = fnv1a(h, scalars, sizeof scalars);
@@ -392,14 +419,23 @@ encodeJournalRecord(const CampaignResult &r)
             putU64(out, m.value);
         }
     }
-    out += " end";
+    out += " end ";
+    out += checksumToken(out, out.size() - 1);
     return out;
 }
 
 std::optional<CampaignResult>
 decodeJournalRecord(const std::string &line)
 {
-    TokenReader t(line);
+    // FNV-1a changes with any one changed byte, so a record that
+    // survived intact is the only one whose checksum matches.
+    const std::size_t cut = line.rfind(' ');
+    if (cut == std::string::npos ||
+        line.compare(cut + 1, std::string::npos,
+                     checksumToken(line, cut)) != 0)
+        return std::nullopt;
+    const std::string body = line.substr(0, cut);
+    TokenReader t(body);
     if (!t.expect("job"))
         return std::nullopt;
     CampaignResult r;
@@ -559,10 +595,8 @@ CampaignJournal::CampaignJournal(const std::string &path,
     // would be checkpointing one campaign into another's file.
     std::ifstream in(path);
     std::string first;
-    if (!std::getline(in, first) || !headerMatches(first, fingerprint))
-        fbsim_fatal("journal: %s belongs to a different campaign "
-                    "(fingerprint mismatch)",
-                    path.c_str());
+    std::getline(in, first);
+    requireHeader(path, first, fingerprint);
 }
 
 CampaignJournal::~CampaignJournal()
@@ -611,16 +645,14 @@ loadCampaignJournal(const std::string &path, std::uint64_t fingerprint)
     std::string line;
     if (!std::getline(in, line))
         return {};   // torn header: nothing checkpointed yet
-    if (!headerMatches(line, fingerprint))
-        fbsim_fatal("journal: %s belongs to a different campaign "
-                    "(fingerprint mismatch)",
-                    path.c_str());
+    requireHeader(path, line, fingerprint);
     std::vector<CampaignResult> out;
     while (std::getline(in, line)) {
         if (std::optional<CampaignResult> r = decodeJournalRecord(line))
             out.push_back(std::move(*r));
-        // Malformed lines (the torn tail of a killed run) are simply
-        // not checkpoints; the jobs they would have covered re-run.
+        // Malformed or corrupted lines (the torn tail of a killed run,
+        // a flipped digit) are simply not checkpoints; the jobs they
+        // would have covered re-run.
     }
     return out;
 }

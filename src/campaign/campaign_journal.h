@@ -14,15 +14,19 @@
  * record-per-line + fsync discipline can leave behind is a torn final
  * line.  The loader therefore accepts any prefix of well-formed
  * records and silently drops a malformed tail; the dropped job is
- * simply re-run on resume.  A fingerprint mismatch, by contrast, is a
- * hard error - resuming campaign A from campaign B's journal would
- * silently fabricate results.
+ * simply re-run on resume.  Each record ends with an FNV-1a checksum
+ * of its text, so a record corrupted at rest (one flipped digit) is
+ * dropped the same way instead of merging as a different result.  A
+ * fingerprint or version mismatch, by contrast, is a hard error -
+ * resuming campaign A from campaign B's journal would silently
+ * fabricate results.
  *
  * Record grammar (one line, space-separated tokens, strings lowercase
  * hex so embedded spaces and newlines cannot break framing):
  *
- *   fbsim-campaign-journal v1 fp=<hex16> jobs=<n>
+ *   fbsim-campaign-journal v5 fp=<hex16> jobs=<n>
  *   job <index> ... <all CampaignResult fields in fixed order> ... end
+ *       <hex16 FNV-1a of the record text before it>
  */
 
 #ifndef FBSIM_CAMPAIGN_CAMPAIGN_JOURNAL_H_
@@ -49,7 +53,8 @@ std::uint64_t campaignFingerprint(const CampaignSpec &spec);
 /** Serialize one result as a journal record line (no newline). */
 std::string encodeJournalRecord(const CampaignResult &result);
 
-/** Parse a record line; nullopt when malformed (torn tail). */
+/** Parse a record line; nullopt when malformed (torn tail) or when its
+ *  checksum does not match. */
 std::optional<CampaignResult> decodeJournalRecord(const std::string &line);
 
 /** Append-side of a journal: open, write header if new, append. */
@@ -58,9 +63,9 @@ class CampaignJournal
   public:
     /**
      * Open `path` for appending.  An empty or absent file gets the
-     * header; an existing one must carry a matching fingerprint.
-     * I/O or fingerprint failure is fatal (fbsim_fatal) - checkpoint
-     * corruption must never be silent.
+     * header; an existing one must carry this version and a matching
+     * fingerprint.  I/O, version or fingerprint failure is fatal
+     * (fbsim_fatal) - checkpoint corruption must never be silent.
      */
     CampaignJournal(const std::string &path, std::uint64_t fingerprint,
                     std::size_t num_jobs);
@@ -82,8 +87,9 @@ class CampaignJournal
 /**
  * Load the completed records of `path`.  Returns the results of every
  * well-formed record (later duplicates of a job index win, so a job
- * journaled twice across restarts stays harmless); a torn or garbage
- * tail is skipped.  Fatal on a fingerprint mismatch; an absent file
+ * journaled twice across restarts stays harmless); a torn, garbage or
+ * corrupted record is skipped.  Fatal on a version or fingerprint
+ * mismatch; an absent file
  * yields an empty vector (resume of a never-started campaign).
  */
 std::vector<CampaignResult> loadCampaignJournal(

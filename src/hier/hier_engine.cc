@@ -125,14 +125,14 @@ HierEngine::run(const std::vector<RefStream *> &streams,
         }
 
         timing.refs += 1;
-        timing.execCycles += config_.hitCycles;
+        timing.execCycles += kHitCycles;
         if (my_leaf_delta > 0 || root_delta > 0) {
             timing.busWaitCycles += start - p.readyAt;
             timing.busServiceCycles += my_leaf_delta;
             p.readyAt = start + std::max(my_leaf_delta, root_delta) +
-                        config_.hitCycles;
+                        kHitCycles;
         } else {
-            p.readyAt += config_.hitCycles;
+            p.readyAt += kHitCycles;
         }
         timing.finishTime = p.readyAt;
         p.hasRef = false;

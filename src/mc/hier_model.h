@@ -6,13 +6,16 @@
  * The model extends mc/model.h to the HierSystem topology: clusters of
  * MOESI-class caches on leaf buses, coupled to a root bus (hosting the
  * only memory) by bridges with conservative remoteShared/localHeld
- * filters.  It is a transition-faithful re-statement of the composite
- * engine path - leaf Bus::attempt, BusBridge::transact/snoop,
- * root Bus::attempt, MainMemorySlave::transact - with the bridges'
- * filter bits lifted into the model state, so the hierarchy's H1/H2
- * filter invariants are checked over the full reachable space and a
- * lockstep walk against a live HierSystem can compare filters
- * bit-for-bit.
+ * filters.  It runs the flat model's executor (mc/executor.h) over a
+ * two-level bus tree: each cluster's caches on a leaf bus whose slave
+ * is the cluster's bridge, and the bridges snooping the root.  The one
+ * Bus::attempt mirror serves every leg of the composite engine path -
+ * the leaf transaction, BusBridge::transact's forward, the root
+ * transaction with MainMemorySlave, BusBridge::snoop's down-forward -
+ * with the bridges' filter bits lifted into the model state, so the
+ * hierarchy's H1/H2 filter invariants are checked over the full
+ * reachable space and a lockstep walk against a live HierSystem can
+ * compare filters bit-for-bit.
  *
  * Choice-consultation order matches the engine exactly: the master's
  * local cell, then same-cluster snoopers in id order, then - when the

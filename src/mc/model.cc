@@ -1,163 +1,10 @@
 #include "mc/model.h"
 
-#include "mc/local_exec.h"
+#include "common/logging.h"
+#include "mc/executor.h"
 
 namespace fbsim {
 namespace mc {
-
-namespace {
-
-/** The flat model's executor: LocalExec's processor half over one bus
- *  with memory as its slave. */
-class FlatExec : public LocalExec<FlatExec>
-{
-  public:
-    static constexpr const char *kTag = "MC";
-
-    using LocalExec::LocalExec;
-
-  private:
-    friend class LocalExec<FlatExec>;
-
-    std::string render() const { return renderStateVector(cfg_, st_); }
-
-    /**
-     * Mirror of Bus::execute/attempt + MainMemorySlave::transact:
-     * address cycle with per-holder snoop choices in attach order, the
-     * BS abort-push-retry loop, the data phase with owner intervention
-     * and broadcast capture, and the commit phase resolving each
-     * snooper against the OR of the *other* modules' CH.
-     */
-    BusOutcome
-    transact(std::size_t master, std::size_t l, BusCmd cmd,
-             const MasterSignals &sig, Word wdata)
-    {
-        BusOutcome out;
-        std::optional<BusEvent> ev = classifyBusEvent(cmd, sig);
-        if (!ev) {
-            fail("table issued signals no class protocol emits");
-            return out;
-        }
-
-        const std::size_t n = cfg_.numCaches();
-        for (unsigned round = 0; round <= cfg_.maxBusRetries; ++round) {
-            // Phase 1: address cycle.  Only valid holders respond (an
-            // absent line is the engine's null cachedFind); choices
-            // are consumed in snooper attach (= id) order.
-            std::array<SnoopAction, kMaxCaches> latched;
-            std::array<std::uint8_t, kMaxCaches> part{};  // 0 none,
-                                                          // 1 action,
-                                                          // 2 push-CH
-            unsigned ch_count = 0;
-            int di = -1;
-            int bs = -1;
-            for (std::size_t d = 0; d < n; ++d) {
-                if (d == master)
-                    continue;
-                const ModelCopy &copy = cp(d, l);
-                if (copy.s == State::I)
-                    continue;
-                if (*ev == BusEvent::Push) {
-                    // Holders signal retention; no state change, no
-                    // chooser consultation.
-                    ++ch_count;
-                    part[d] = 2;
-                    continue;
-                }
-                const SnoopCell &cell =
-                    cfg_.tables[d]->snoop(copy.s, *ev);
-                if (cell.empty()) {
-                    fail("%s cache %zu: illegal bus event col %d on line "
-                         "%zu in state %s",
-                         cfg_.tables[d]->name().c_str(), d,
-                         busEventColumn(*ev), l,
-                         std::string(stateName(copy.s)).c_str());
-                    return out;
-                }
-                const SnoopAction &a = cell[pick(d, cell.size())];
-                if (a.di) {
-                    if (di >= 0) {
-                        fail("caches %d and %zu both intervened on line "
-                             "%zu",
-                             di, d, l);
-                        return out;
-                    }
-                    di = static_cast<int>(d);
-                }
-                if (a.bs) {
-                    if (bs >= 0) {
-                        fail("caches %d and %zu both asserted BS on line "
-                             "%zu",
-                             bs, d, l);
-                        return out;
-                    }
-                    bs = static_cast<int>(d);
-                }
-                if (a.ch == Tri::Assert)
-                    ++ch_count;
-                latched[d] = a;
-                part[d] = 1;
-            }
-
-            // Phase 2: abort-push-retry.  The nested WriteLine push
-            // raises only CH from the other holders (no choices, no
-            // state changes); memory captures the owned line.
-            if (bs >= 0) {
-                ModelCopy &owner = cp(static_cast<std::size_t>(bs), l);
-                st_.mem[l] = owner.value;
-                owner.s = latched[bs].pushState;
-                continue;
-            }
-
-            // Phase 3: data transfer.
-            if (cmd == BusCmd::Read) {
-                out.data = di >= 0
-                               ? cp(static_cast<std::size_t>(di), l)
-                                     .value
-                               : st_.mem[l];
-            }
-            switch (cmd) {
-              case BusCmd::Read:
-                break;   // intervention inhibits the (stale) memory
-              case BusCmd::WriteWord:
-                // Broadcasts update memory; otherwise the owner
-                // captures and memory stays stale.
-                if (sig.bc || di < 0)
-                    st_.mem[l] = wdata;
-                break;
-              case BusCmd::WriteLine:
-                st_.mem[l] = wdata;
-                break;
-              case BusCmd::AddrOnly:
-              case BusCmd::Sync:
-                break;
-            }
-
-            // Phase 4: commit.  Each snooper resolves CH-conditional
-            // results against the OR of the *other* modules' CH.
-            for (std::size_t d = 0; d < n; ++d) {
-                if (part[d] != 1)
-                    continue;
-                const SnoopAction &a = latched[d];
-                ModelCopy &copy = cp(d, l);
-                if (cmd == BusCmd::WriteWord && (a.di || a.sl))
-                    copy.value = wdata;
-                bool others_ch =
-                    ch_count >
-                    (a.ch == Tri::Assert ? 1u : 0u);
-                copy.s = a.next.resolve(others_ch);
-            }
-            out.ch = ch_count > 0;
-            return out;
-        }
-        fail("transaction on line %zu did not converge after %u retries",
-             l, cfg_.maxBusRetries);
-        return out;
-    }
-
-};
-
-} // namespace
 
 ModelState
 initialState(const ModelConfig &cfg)
@@ -167,13 +14,6 @@ initialState(const ModelConfig &cfg)
     for (const ProtocolTable *t : cfg.tables)
         fbsim_assert(t != nullptr);
     return ModelState{};
-}
-
-StepResult
-stepModel(const ModelConfig &cfg, ModelState &st, const ModelEvent &ev,
-          ChoiceFeed &feed, std::vector<ChoiceRecord> *log)
-{
-    return FlatExec(cfg, st, feed, log).run(ev);
 }
 
 std::vector<ModelEvent>
@@ -284,11 +124,21 @@ canonicalKey(const ModelConfig &cfg, const ModelState &st)
 }
 
 std::string
-renderStateVector(const ModelConfig &cfg, const ModelState &st)
+renderLines(const ModelConfig &cfg, const ModelState &st,
+            const std::uint8_t *cluster_of)
 {
     // Byte-identical to CoherenceChecker::describeLine over every
     // line: the lockstep and replay harnesses compare these renders
-    // against the live checker's.
+    // against the live checker's.  HierSystem's checker knows each
+    // cache by its leaf-local master id (its index within its
+    // cluster), a flat System's by its global id.
+    // (Clusters are contiguous, so a cluster index is below the cache
+    // count.)
+    std::array<std::size_t, kMaxCaches> id{};
+    std::array<std::size_t, kMaxCaches> next{};
+    for (std::size_t c = 0; c < cfg.numCaches(); ++c)
+        id[c] = cluster_of ? next[cluster_of[c]]++ : c;
+
     std::string out;
     for (std::size_t l = 0; l < cfg.lines; ++l) {
         out += strprintf(" | line 0x%llx:",
@@ -296,10 +146,10 @@ renderStateVector(const ModelConfig &cfg, const ModelState &st)
         for (std::size_t c = 0; c < cfg.numCaches(); ++c) {
             const ModelCopy &copy = copyAt(cfg, st, c, l);
             if (copy.s == State::I) {
-                out += strprintf(" c%zu:I", c);
+                out += strprintf(" c%zu:I", id[c]);
             } else {
                 out += strprintf(
-                    " c%zu:%s[0x%llx]", c,
+                    " c%zu:%s[0x%llx]", id[c],
                     std::string(stateName(copy.s)).c_str(),
                     static_cast<unsigned long long>(copy.value));
             }
@@ -310,6 +160,12 @@ renderStateVector(const ModelConfig &cfg, const ModelState &st)
             static_cast<unsigned long long>(st.image[l]));
     }
     return out;
+}
+
+std::string
+renderStateVector(const ModelConfig &cfg, const ModelState &st)
+{
+    return renderLines(cfg, st, nullptr);
 }
 
 } // namespace mc

@@ -6,7 +6,10 @@
  * The model is a transition-faithful re-statement of the functional
  * engine (SnoopingCache + Bus + MainMemorySlave) for the configuration
  * the enumerator explores: N copy-back caches (2-4) sharing one bus,
- * L single-word lines (1-2), one set, no evictions, no faults.  Every
+ * L single-word lines (1-2), one set, no evictions, no faults.  It is
+ * the one-bus tree of the model's single executor (mc/executor.h):
+ * every cache snoops the root bus, whose slave is memory.
+ * mc/hier_model.h runs the same executor over a two-level tree.  Every
  * place the engine consults its ActionChooser - every non-empty table
  * cell it walks, singleton cells included - the model consults its
  * ChoiceFeed at the same position, so a choice stream recorded here

@@ -181,12 +181,12 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
         const AccessOutcome outcome = access(result, i, p.ref, seq[i]);
         ProcTiming &timing = result.procs[i];
         timing.refs += 1;
-        timing.execCycles += config_.hitCycles;
+        timing.execCycles += kHitCycles;
         if (outcome.usedBus) {
             bus_free = billBus(result, i, p.ref, p.readyAt, start, outcome);
-            p.readyAt = bus_free + config_.hitCycles;
+            p.readyAt = bus_free + kHitCycles;
         } else {
-            p.readyAt += config_.hitCycles;
+            p.readyAt += kHitCycles;
         }
         p.hasRef = false;
         p.done += 1;
@@ -299,7 +299,7 @@ Engine::runWindowed(const std::vector<RefStream *> &streams,
     std::uint64_t sincePoll = 0;
 
     CoherenceChecker &ck = system_.checker();
-    const Cycles hit = config_.hitCycles;
+    constexpr Cycles hit = kHitCycles;
 
     /**
      * Run processor i's cache-local references to exhaustion (end of
@@ -454,7 +454,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
                        const RunControl *control)
 {
     const std::size_t n = streams.size();
-    const Cycles hit = config_.hitCycles;
+    constexpr Cycles hit = kHitCycles;
     constexpr Cycles kIdle = ~Cycles{0};
     constexpr std::uint64_t kFetchBatch = 64;
     // Committed prefix length at which a window's buffers compact.

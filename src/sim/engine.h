@@ -4,7 +4,7 @@
  * System, serializing bus transactions through an Arbiter and charging
  * cycles from the bus cost model.
  *
- * The model: each processor executes one reference per `hitCycles` of
+ * The model: each processor executes one reference per kHitCycles of
  * local work; a reference that needs the bus waits for the bus to be
  * free (and to win arbitration) and then occupies it for the
  * transaction cost.  Processor utilization and bus utilization are the
@@ -109,12 +109,14 @@ struct RunControl
     }
 };
 
+/** Processor cycles per reference when it completes locally (Engine
+ *  and HierEngine). */
+inline constexpr Cycles kHitCycles = 1;
+
 /** Timed-engine configuration. */
 struct EngineConfig
 {
     ArbitrationKind arbitration = ArbitrationKind::RoundRobin;
-    /** Processor cycles per reference when it completes locally. */
-    Cycles hitCycles = 1;
     /**
      * Optional per-master latency instrumentation (arbitration wait;
      * service time is recorded by the Bus itself when the recorder is

@@ -7,14 +7,7 @@ namespace fbsim {
 System::System(const SystemConfig &config)
     : Fabric(config, config.cost), config_(config)
 {
-    if (config_.transactionLogCapacity > 0) {
-        txnLog_ = std::make_unique<TransactionLog>(
-            config_.transactionLogCapacity);
-        bus().addTraceSink(txnLog_.get());
-    }
 }
-
-System::~System() = default;
 
 void
 System::checkProtocolMix(ProtocolKind kind)

@@ -11,12 +11,10 @@
 #ifndef FBSIM_SIM_SYSTEM_H_
 #define FBSIM_SIM_SYSTEM_H_
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "bus/transaction_log.h"
 #include "cache/sector_store.h"
 #include "protocols/non_caching.h"
 #include "sim/fabric.h"
@@ -34,12 +32,6 @@ struct SystemConfig : FabricConfig
      * integrity check, e.g. after an injected bit flip).
      */
     bool quarantineOnIntegrity = false;
-    /**
-     * Capacity of the built-in TransactionLog ring buffer (most
-     * recent bus transactions, formatted).  0 = no log (the default;
-     * the formatting work stays off the hot path entirely).
-     */
-    std::size_t transactionLogCapacity = 0;
     /**
      * Assembly-time compatibility guard override.  The paper's
      * compatibility claim (section 4) does not extend to mixing
@@ -63,7 +55,6 @@ class System : public Fabric
 {
   public:
     explicit System(const SystemConfig &config);
-    ~System() override;
 
     /** Add a snooping cache; returns its master id (= client index). */
     MasterId addCache(const CacheSpec &spec);
@@ -129,9 +120,6 @@ class System : public Fabric
     Bus &bus() { return rootBus(); }
     const Bus &bus() const { return rootBus(); }
 
-    /** The built-in transaction log, or null when capacity is 0. */
-    const TransactionLog *transactionLog() const { return txnLog_.get(); }
-
   private:
     /** Assembly-time compatibility guard (see allowIncompatibleMix):
      *  record a stock protocol joining the bus, fatal on a
@@ -146,7 +134,6 @@ class System : public Fabric
     void onReadMismatch(MasterId id, Addr addr) override;
 
     SystemConfig config_;
-    std::unique_ptr<TransactionLog> txnLog_;
     /** Stock protocols assembled so far (compatibility guard). */
     std::vector<ProtocolKind> stockKinds_;
 };

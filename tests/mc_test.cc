@@ -441,5 +441,167 @@ TEST(McHier, AbortProtocolRejectedUnderBridge)
               " | flt 0x0: b0:L- b1:-R");
 }
 
+// --- The model's bus half, pinned failure by failure ---
+//
+// Each corrupted table below drives the executor into one illegal-step
+// branch of its bus transaction.  The graph, the trace and the
+// violation string are pinned, so the wording and the point where the
+// step stops stay exact.
+
+// A counterexample's trace and its single violation, byte for byte.
+template <class Result>
+void
+expectFailure(const Result &res, const std::string &steps,
+              const std::string &violation)
+{
+    ASSERT_TRUE(res.counterexample.has_value());
+    EXPECT_EQ(renderSteps(res.counterexample->steps), steps);
+    EXPECT_EQ(res.counterexample->violations,
+              std::vector<std::string>{violation});
+}
+
+// MOESI whose S also intervenes on a plain read (column 5: S,CH,DI), so
+// two sharers answer one read with DI.
+ProtocolTable
+doubleInterventionMoesi()
+{
+    ProtocolTable t = moesiTable();
+    SnoopAction a;
+    a.next = toState(State::S);
+    a.ch = Tri::Assert;
+    a.di = true;
+    t.setSnoop(State::S, BusEvent::ReadByCache, {a});
+    return t;
+}
+
+TEST(McCounterexample, FlatDoubleInterventionPinned)
+{
+    const ProtocolTable bad = doubleInterventionMoesi();
+    mc::ExploreConfig cfg;
+    cfg.model.tables = {&bad, &bad, &bad};
+    cfg.model.lines = 1;
+    mc::ExploreResult res = mc::explore(cfg);
+    expectGraph(res, 27, 107, 2, 0x0d31f963ecc0c92cull,
+                0xc391c152666a65e9ull);
+    expectFailure(res,
+                  "0.0 Read c0:0/1\n"
+                  "1.0 Read c1:0/1 c0:0/1\n"
+                  "2.0 Read c2:0/1 c0:0/1 c1:0/1\n",
+                  "MC: caches 0 and 1 both intervened on line 0 | line "
+                  "0x0: c0:S[0x0] c1:S[0x0] c2:I mem[0x0] image[0x0]");
+}
+
+TEST(McCounterexample, FlatEmptySnoopCellPinned)
+{
+    ProtocolTable bad = moesiTable();
+    bad.setSnoop(State::M, BusEvent::ReadByCache, {});
+    mc::ExploreConfig cfg;
+    cfg.model.tables = {&bad, &bad};
+    cfg.model.lines = 1;
+    mc::ExploreResult res = mc::explore(cfg);
+    expectGraph(res, 8, 21, 1, 0xc58c05f851af1fa6ull,
+                0xdce3109adac11845ull);
+    expectFailure(res,
+                  "0.0 Write c0:0/2\n"
+                  "1.0 Read c1:0/1\n",
+                  "MC: MOESI cache 0: illegal bus event col 5 on line 0 "
+                  "in state M | line 0x0: c0:M[0x1] c1:I mem[0x0] "
+                  "image[0x1]");
+}
+
+// An Illinois M that aborts a read and "pushes" into M again: every
+// retry aborts, so the transaction never converges.
+TEST(McCounterexample, FlatNonConvergencePinned)
+{
+    ProtocolTable bad = illinoisTable();
+    SnoopAction abort;
+    abort.bs = true;
+    abort.pushState = State::M;
+    bad.setSnoop(State::M, BusEvent::ReadByCache, {abort});
+    mc::ExploreConfig cfg;
+    cfg.model.tables = {&bad, &bad};
+    cfg.model.lines = 1;
+    mc::ExploreResult res = mc::explore(cfg);
+    expectGraph(res, 6, 14, 1, 0x352d1119a7af1e38ull,
+                0x866e33087a3d7e16ull);
+    // The first round and all 16 retries consult the owner.
+    std::string read = "1.0 Read c1:0/1";
+    for (int round = 0; round <= 16; ++round)
+        read += " c0:0/1";
+    expectFailure(res, "0.0 Write c0:0/1\n" + read + "\n",
+                  "MC: transaction on line 0 did not converge after 16 "
+                  "retries | line 0x0: c0:M[0x1] c1:I mem[0x1] "
+                  "image[0x1]");
+}
+
+// A read from the other cluster reaches the M owner through a
+// down-forward, where its BS cannot be served.
+TEST(McCounterexample, BsUnderBridgePinned)
+{
+    mc::HierExploreConfig cfg;
+    cfg.model.base.tables.assign(4, &illinoisTable());
+    cfg.model.clusterOf = {0, 1, 0, 1};
+    cfg.model.base.lines = 1;
+    mc::HierExploreResult res = mc::exploreHier(cfg);
+    expectGraph(res, 13, 22, 1, 0xb3d320903d9001deull,
+                0x4c7b16ed543848a5ull);
+    expectFailure(res,
+                  "0.0 Write c0:0/1\n"
+                  "1.0 Read c1:0/1 c0:0/1\n",
+                  "MC-hier: Illinois cache 0 asserted BS under a bridge | "
+                  "line 0x0: c0:M[0x1] c1:I c2:I c3:I mem[0x0] "
+                  "image[0x1] | flt 0x0: b0:L- b1:-R");
+}
+
+// The double-intervening S across three one-cache clusters: the root
+// sees two bridges answer DI.
+TEST(McCounterexample, ClustersBothIntervenePinned)
+{
+    const ProtocolTable bad = doubleInterventionMoesi();
+    mc::HierExploreConfig cfg;
+    cfg.model.base.tables = {&bad, &bad, &bad};
+    cfg.model.clusterOf = {0, 1, 2};
+    cfg.model.base.lines = 1;
+    mc::HierExploreResult res = mc::exploreHier(cfg);
+    expectGraph(res, 37, 116, 2, 0x4acdfb363bc7e831ull,
+                0x24fbe350eb2c98f4ull);
+    expectFailure(res,
+                  "0.0 Read c0:0/1\n"
+                  "1.0 Read c1:0/1 c0:0/1\n"
+                  "2.0 Read c2:0/1 c0:0/1 c1:0/1\n",
+                  "MC-hier: clusters 0 and 1 both intervened on line 0 | "
+                  "line 0x0: c0:S[0x0] c1:S[0x0] c2:I mem[0x0] "
+                  "image[0x0] | flt 0x0: b0:LR b1:LR b2:-R");
+}
+
+// Beyond two clusters the down-forwards resolve CH conservatively.
+TEST(McHierGolden, ThreeClusterConservativeChFingerprint)
+{
+    mc::HierExploreConfig cfg;
+    cfg.model.base.tables = {&moesiTable(), &berkeleyTable(),
+                             &dragonTable()};
+    cfg.model.clusterOf = {0, 1, 2};
+    cfg.model.base.lines = 1;
+    mc::HierExploreResult res = mc::exploreHier(cfg);
+    EXPECT_TRUE(res.complete);
+    EXPECT_FALSE(res.counterexample);
+    expectGraph(res, 88, 978, 5, 0xbb5465c3c199d602ull,
+                0x81b68233dcb2d38dull);
+}
+
+// Two abort-push protocols beside an intervening one, on two lines: the
+// BS retry loop and the push run on every line.
+TEST(McGolden, AbortPushMixFingerprint)
+{
+    mc::ExploreConfig cfg;
+    cfg.model.tables = {&illinoisTable(), &fireflyTable(), &moesiTable()};
+    cfg.model.lines = 2;
+    mc::ExploreResult res = mc::explore(cfg);
+    EXPECT_TRUE(res.complete);
+    EXPECT_FALSE(res.counterexample);
+    expectGraph(res, 529, 12558, 6, 0x275a90a38dfcd2f1ull,
+                0x92eb1e5a7513fe86ull);
+}
+
 } // namespace
 } // namespace fbsim

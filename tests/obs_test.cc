@@ -19,6 +19,7 @@
 #include <string>
 #include <utility>
 
+#include "bus/transaction_log.h"
 #include "campaign/campaign_journal.h"
 #include "campaign/campaign_runner.h"
 #include "common/logging.h"
@@ -313,25 +314,20 @@ TEST(TransactionLogTest, GoldenFormatIsPinned)
               "<- memory (4294967299 aborts) [9 cyc]");
 }
 
-TEST(TransactionLogTest, SystemOwnsLogWhenCapacityConfigured)
+TEST(TransactionLogTest, AttachedLogKeepsTheNewestEntries)
 {
-    SystemConfig cfg = test::testConfig();
-    cfg.transactionLogCapacity = 2;
-    System sys(cfg);
+    System sys(test::testConfig());
     sys.addCache(test::smallCache());
-    ASSERT_NE(sys.transactionLog(), nullptr);
+    TransactionLog log(2);
+    sys.bus().addTraceSink(&log);
 
     // Three same-set RFO misses in a 2-way set: the third evicts a
     // dirty line, whose push is a fourth bus transaction.
     sys.write(0, 0x100, 1);
     sys.write(0, 0x200, 2);
     sys.write(0, 0x300, 3);
-    EXPECT_EQ(sys.transactionLog()->observed(), 4u);
-    EXPECT_EQ(sys.transactionLog()->entries().size(), 2u);  // capacity
-
-    SystemConfig off = test::testConfig();
-    System plain(off);
-    EXPECT_EQ(plain.transactionLog(), nullptr);
+    EXPECT_EQ(log.observed(), 4u);
+    EXPECT_EQ(log.entries().size(), 2u);  // capacity
 }
 
 // ---------------------------------------------------------------- //

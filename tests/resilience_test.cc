@@ -585,6 +585,100 @@ TEST(JournalTest, LoaderDropsGarbageAndTornRecords)
     std::remove(path.c_str());
 }
 
+// A record corrupted at rest must never decode: not as itself, and not
+// as a different valid result (a changed job index would even overwrite
+// another job on resume).  Every one-digit mutant of every record fails
+// its checksum.
+TEST(JournalTest, EveryOneDigitMutantFailsToDecode)
+{
+    CampaignSpec spec = smallSpec(0x5a, 200, 2);
+    CampaignReport report = CampaignRunner(1).run(spec);
+    for (const CampaignResult &r : report.results) {
+        const std::string line = encodeJournalRecord(r);
+        ASSERT_TRUE(decodeJournalRecord(line).has_value());
+        std::size_t mutants = 0;
+        for (std::size_t i = 0; i < line.size(); ++i) {
+            if (line[i] < '0' || line[i] > '9')
+                continue;
+            for (char d = '0'; d <= '9'; ++d) {
+                if (d == line[i])
+                    continue;
+                std::string bad = line;
+                bad[i] = d;
+                EXPECT_FALSE(decodeJournalRecord(bad).has_value())
+                    << "digit " << i << " -> " << d;
+                ++mutants;
+            }
+        }
+        EXPECT_GT(mutants, 900u);
+    }
+}
+
+// A complete journal with one corrupted record: the record is dropped,
+// its job re-runs, and the resumed table is the uninterrupted one.
+TEST(JournalTest, CorruptedRecordReRunsOnResume)
+{
+    const std::string path =
+        testing::TempDir() + "fbsim_corrupt_test.journal";
+    std::remove(path.c_str());
+
+    CampaignSpec spec = smallSpec(0x67, 250, 4);
+    SupervisorOptions sup;
+    sup.journalPath = path;
+    const std::string baseline =
+        renderCampaignTable(CampaignRunner(2, sup).run(spec));
+
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line))
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 1 + spec.numJobs());
+    // Change the first digit of the first record's ninth token (the
+    // job's elapsed cycles): unchecked, it would merge as a different
+    // table row.
+    std::size_t at = 0;
+    for (int token = 0; token < 8; ++token)
+        at = lines[1].find(' ', at) + 1;
+    char &digit = lines[1][at];
+    ASSERT_TRUE(digit >= '0' && digit <= '9');
+    digit = static_cast<char>('0' + (digit - '0' + 1) % 10);
+    {
+        std::ofstream out(path, std::ios::trunc);
+        for (const std::string &line : lines)
+            out << line << '\n';
+    }
+    EXPECT_EQ(loadCampaignJournal(path, campaignFingerprint(spec)).size(),
+              spec.numJobs() - 1);
+
+    sup.resume = true;
+    EXPECT_EQ(baseline,
+              renderCampaignTable(CampaignRunner(4, sup).run(spec)));
+    std::remove(path.c_str());
+}
+
+// A journal written by another format version is named as such, not
+// mistaken for another campaign's file.
+TEST(JournalTest, OtherVersionIsRejectedByVersion)
+{
+    const std::string path =
+        testing::TempDir() + "fbsim_version_test.journal";
+    CampaignSpec spec = smallSpec(0x8a, 200, 2);
+    const std::uint64_t fp = campaignFingerprint(spec);
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << strprintf("fbsim-campaign-journal v4 fp=%016llx jobs=2\n",
+                         static_cast<unsigned long long>(fp));
+    }
+    EXPECT_EXIT(loadCampaignJournal(path, fp),
+                ::testing::ExitedWithCode(1), "is a v4 journal");
+    auto reopen = [&] { CampaignJournal journal(path, fp, 2); };
+    EXPECT_EXIT(reopen(), ::testing::ExitedWithCode(1), "is a v4 journal");
+    std::remove(path.c_str());
+}
+
 TEST(JournalTest, ForeignJournalIsRejected)
 {
     const std::string path =
