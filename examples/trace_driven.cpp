@@ -50,7 +50,9 @@
  *
  * Every numeric argument must be a whole decimal number in range; any
  * other value exits 2 with "trace_driven: invalid value '<v>' for
- * <flag>" (positional counts are named procs and refs).
+ * <flag>" (positional counts are named procs and refs).  A trace whose
+ * processor ids need more processors than the explicit count, or than
+ * the 1024 supported, exits 1 with a one-line diagnostic.
  */
 
 #include <cstdint>
@@ -248,19 +250,33 @@ main(int argc, char **argv)
         args.size() > 2 ? count("procs", args[2], 1, kMaxProcs) : 0;
     auto trace = std::make_shared<std::vector<TraceRef>>(
         readTraceFile(args[0]));
-    MasterId max_proc = 0;
+    // Every id the trace names needs a processor; counted in size_t so
+    // the widest MasterId cannot wrap.
+    std::size_t needed = 0;
     for (const TraceRef &r : *trace)
-        max_proc = std::max(max_proc, r.proc);
+        needed = std::max<std::size_t>(needed, std::size_t{r.proc} + 1);
+    if (procs == 0 && needed > kMaxProcs) {
+        std::fprintf(stderr,
+                     "trace_driven: %s: processor id %zu needs %zu "
+                     "processors, more than the %zu supported\n",
+                     args[0], needed - 1, needed, kMaxProcs);
+        return 1;
+    }
+    if (procs != 0 && needed > procs) {
+        std::fprintf(stderr,
+                     "trace_driven: %s: processor id %zu is out of range "
+                     "for %zu processors\n",
+                     args[0], needed - 1, procs);
+        return 1;
+    }
     if (procs == 0)
-        procs = max_proc + 1;
+        procs = std::max<std::size_t>(needed, 1);
 
     // Each processor replays its own sub-trace; run every stream for
     // the shortest shard so no processor wraps around.
     std::vector<std::uint64_t> per_proc(procs, 0);
-    for (const TraceRef &r : *trace) {
-        if (r.proc < procs)
-            ++per_proc[r.proc];
-    }
+    for (const TraceRef &r : *trace)
+        ++per_proc[r.proc];
     std::uint64_t shortest = ~std::uint64_t{0};
     for (std::uint64_t n : per_proc)
         shortest = std::min(shortest, n ? n : 1);

@@ -636,7 +636,7 @@ CampaignJournal::append(const CampaignResult &result)
     writeLine(encodeJournalRecord(result));
 }
 
-std::vector<CampaignResult>
+JournalContents
 loadCampaignJournal(const std::string &path, std::uint64_t fingerprint)
 {
     std::ifstream in(path);
@@ -646,13 +646,16 @@ loadCampaignJournal(const std::string &path, std::uint64_t fingerprint)
     if (!std::getline(in, line))
         return {};   // torn header: nothing checkpointed yet
     requireHeader(path, line, fingerprint);
-    std::vector<CampaignResult> out;
+    JournalContents out;
     while (std::getline(in, line)) {
         if (std::optional<CampaignResult> r = decodeJournalRecord(line))
-            out.push_back(std::move(*r));
+            out.results.push_back(std::move(*r));
+        else if (!in.eof())
+            ++out.dropped;
         // Malformed or corrupted lines (the torn tail of a killed run,
         // a flipped digit) are simply not checkpoints; the jobs they
-        // would have covered re-run.
+        // would have covered re-run.  Only a line that getline found
+        // terminated is corruption: a kill tears the last line alone.
     }
     return out;
 }

@@ -16,7 +16,8 @@
  * records and silently drops a malformed tail; the dropped job is
  * simply re-run on resume.  Each record ends with an FNV-1a checksum
  * of its text, so a record corrupted at rest (one flipped digit) is
- * dropped the same way instead of merging as a different result.  A
+ * dropped the same way instead of merging as a different result, and
+ * counted: a resumed campaign warns how many records it dropped.  A
  * fingerprint or version mismatch, by contrast, is a hard error -
  * resuming campaign A from campaign B's journal would silently
  * fabricate results.
@@ -84,16 +85,28 @@ class CampaignJournal
     std::string path_;
 };
 
+/** What a journal holds: its completed records and a count of the
+ *  ones it had to drop. */
+struct JournalContents
+{
+    /** Every well-formed record, in file order. */
+    std::vector<CampaignResult> results;
+    /** Complete (newline-terminated) lines that failed to decode or to
+     *  match their checksum.  A final unterminated line, the torn tail
+     *  of a killed run, is expected and not counted. */
+    std::size_t dropped = 0;
+};
+
 /**
  * Load the completed records of `path`.  Returns the results of every
  * well-formed record (later duplicates of a job index win, so a job
  * journaled twice across restarts stays harmless); a torn, garbage or
- * corrupted record is skipped.  Fatal on a version or fingerprint
- * mismatch; an absent file
- * yields an empty vector (resume of a never-started campaign).
+ * corrupted record is skipped, and counted unless it is the torn tail.
+ * Fatal on a version or fingerprint mismatch; an absent file yields no
+ * records (resume of a never-started campaign).
  */
-std::vector<CampaignResult> loadCampaignJournal(
-    const std::string &path, std::uint64_t fingerprint);
+JournalContents loadCampaignJournal(const std::string &path,
+                                    std::uint64_t fingerprint);
 
 } // namespace fbsim
 

@@ -387,8 +387,14 @@ CampaignRunner::run(const CampaignSpec &spec) const
     const std::uint64_t fingerprint = campaignFingerprint(spec);
     std::vector<char> have(jobs.size(), 0);
     if (sup_.resume && !sup_.journalPath.empty()) {
-        for (CampaignResult &r :
-             loadCampaignJournal(sup_.journalPath, fingerprint)) {
+        JournalContents journaled =
+            loadCampaignJournal(sup_.journalPath, fingerprint);
+        if (journaled.dropped > 0) {
+            fbsim_warn("journal %s: dropped %zu corrupted record(s); their "
+                       "jobs re-run",
+                       sup_.journalPath.c_str(), journaled.dropped);
+        }
+        for (CampaignResult &r : journaled.results) {
             if (r.job.index >= jobs.size())
                 continue;
             have[r.job.index] = 1;

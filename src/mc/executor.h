@@ -32,15 +32,18 @@
  * transition, so the clean path allocates nothing: table cells are read
  * in place and violation text is only formatted on failure.
  *
- * This header holds what the executor shares with the model files.
+ * This header holds what the executor, the model files, the search and
+ * the replay share.
  */
 
 #ifndef FBSIM_MC_EXECUTOR_H_
 #define FBSIM_MC_EXECUTOR_H_
 
 #include <algorithm>
+#include <span>
 #include <string>
 
+#include "common/logging.h"
 #include "mc/model.h"
 
 namespace fbsim {
@@ -62,6 +65,32 @@ copyBackAlternatives(const LocalCell &cell)
         std::count_if(cell.begin(), cell.end(), copyBackMayPick));
 }
 
+/** Feed that re-issues one step's recorded choices in order. */
+class RecordedFeed : public ChoiceFeed
+{
+  public:
+    explicit RecordedFeed(std::span<const ChoiceRecord> records)
+        : records_(records)
+    {
+    }
+
+    std::size_t
+    pick(std::size_t cache, std::size_t n_alts) override
+    {
+        fbsim_assert(pos_ < records_.size());
+        const ChoiceRecord &r = records_[pos_++];
+        fbsim_assert(r.cache == cache);
+        fbsim_assert(r.nAlts == n_alts);
+        return r.idx;
+    }
+
+    bool fullyConsumed() const { return pos_ == records_.size(); }
+
+  private:
+    std::span<const ChoiceRecord> records_;
+    std::size_t pos_ = 0;
+};
+
 /**
  * The per-line state render behind renderStateVector and
  * renderHierStateVector: each cache is labelled by its global id, or,
@@ -69,6 +98,44 @@ copyBackAlternatives(const LocalCell &cell)
  */
 std::string renderLines(const ModelConfig &cfg, const ModelState &st,
                         const std::uint8_t *cluster_of);
+
+/**
+ * What the invariants judge of one line, gathered in one pass over its
+ * copies.  checkInvariants and checkHierInvariants decide on these
+ * facts alone and format text only for a fact that fails.
+ */
+struct LineFacts
+{
+    std::uint32_t valid = 0;    ///< caches holding the line
+    std::uint32_t stale = 0;    ///< holders whose copy is not the image
+    std::uint32_t eStale = 0;   ///< E holders whose copy is not memory
+    int holders = 0;            ///< how many caches hold the line
+    int exclusive = 0;          ///< holders in an exclusive state
+    int owners = 0;             ///< holders in an owned state
+    bool memCurrent = true;     ///< memory holds the image
+
+    /** U1: an exclusive holder is the sole holder. */
+    bool
+    breaksU1() const
+    {
+        return exclusive > 1 || (exclusive == 1 && holders > 1);
+    }
+    /** U2: at most one owner. */
+    bool breaksU2() const { return owners > 1; }
+    /** V2: an unowned line has current memory. */
+    bool breaksV2() const { return owners == 0 && !memCurrent; }
+
+    bool
+    clean() const
+    {
+        return (stale | eStale) == 0 && !breaksU1() && !breaksU2() &&
+               !breaksV2();
+    }
+};
+
+/** The facts of one line of `st`. */
+LineFacts lineFacts(const ModelConfig &cfg, const ModelState &st,
+                    std::size_t line);
 
 } // namespace mc
 } // namespace fbsim

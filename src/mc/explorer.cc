@@ -1,9 +1,14 @@
 #include "mc/explorer.h"
 
 #include <algorithm>
+#include <atomic>
+#include <deque>
+#include <exception>
 
 #include "common/flat_map.h"
-#include "mc/hier_model.h"
+#include "common/thread_pool.h"
+#include "mc/executor.h"
+#include "mc/search.h"
 
 namespace fbsim {
 namespace mc {
@@ -29,6 +34,13 @@ eventCode(const ModelEvent &ev)
            static_cast<std::uint64_t>(ev.ev);
 }
 
+/** One transition's term of the edge fingerprint. */
+std::uint64_t
+edgeTerm(std::uint64_t from, std::uint64_t to, const ModelEvent &ev)
+{
+    return mix64(from ^ mix64(to ^ eventCode(ev)));
+}
+
 /** The flat model as the search sees it. */
 struct FlatOps
 {
@@ -39,8 +51,8 @@ struct FlatOps
     std::vector<ModelEvent> events(const State &st) const
     { return legalEvents(cfg, st); }
     StepResult step(State &st, const ModelEvent &ev, ChoiceFeed &feed,
-                    std::vector<ChoiceRecord> &log) const
-    { return stepModel(cfg, st, ev, feed, &log); }
+                    std::vector<ChoiceRecord> *log) const
+    { return stepModel(cfg, st, ev, feed, log); }
     std::vector<std::string> invariants(const State &st) const
     { return checkInvariants(cfg, st); }
     std::uint64_t key(const State &st) const
@@ -57,45 +69,160 @@ struct HierOps
     std::vector<ModelEvent> events(const State &st) const
     { return legalHierEvents(cfg, st); }
     StepResult step(State &st, const ModelEvent &ev, ChoiceFeed &feed,
-                    std::vector<ChoiceRecord> &log) const
-    { return stepHierModel(cfg, st, ev, feed, &log); }
+                    std::vector<ChoiceRecord> *log) const
+    { return stepHierModel(cfg, st, ev, feed, log); }
     std::vector<std::string> invariants(const State &st) const
     { return checkHierInvariants(cfg, st); }
     std::uint64_t key(const State &st) const
     { return canonicalHierKey(cfg, st); }
 };
 
-/** The search behind explore() and exploreHier() (see explorer.h). */
+constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
+
+/** Nodes a worker claims at a time. */
+constexpr std::size_t kChunk = 8;
+
+/** A smaller batch is expanded by the calling thread alone. */
+constexpr std::size_t kMinParallelBatch = 64;
+
+/** One discovered state, with enough breadcrumbs to rebuild the path
+ *  that first reached it. */
+template <class S>
+struct Node
+{
+    S state;
+    std::uint64_t key;
+    std::size_t depth;
+    /** Index of the BFS predecessor; kNoParent for the initial state. */
+    std::size_t parent;
+    /** The step that produced this node from its parent. */
+    TraceStep via;
+};
+
+/** An edge a worker kept for the merge: its successor was unvisited
+ *  when the batch began, or the step violated. */
+struct Candidate
+{
+    std::uint64_t key;        ///< the successor's; unused when violating
+    /** The node's edge-fingerprint terms before this edge, summed. */
+    std::uint64_t fpBefore;
+    /** The node's edges enumerated before this one. */
+    std::uint32_t edgesBefore;
+    /** The step's draws: [choicesAt, choicesEnd) of the worker's arena. */
+    std::uint32_t choicesAt;
+    std::uint32_t choicesEnd;
+    ModelEvent event;
+    bool violating;
+};
+
+/** One thread's buffers for the whole search, on cache lines of their
+ *  own: adjacent workers' feeds and logs would false-share. */
+struct alignas(64) Worker
+{
+    OdoFeed odo;
+    std::vector<ChoiceRecord> choices;   ///< the current step's draws
+    std::vector<Candidate> candidates;   ///< this batch's, in edge order
+    std::vector<ChoiceRecord> arena;     ///< the candidates' draws
+
+    Worker() { choices.reserve(64); }
+};
+
+/** What expanding one node leaves for the merge. */
+struct Expansion
+{
+    std::size_t worker;
+    /** The node's candidates: [first, last) of that worker's. */
+    std::size_t first;
+    std::size_t last;
+    /** Every edge of the node, and their fingerprint terms summed (up
+     *  to a violating edge, past which the merge never looks). */
+    std::size_t edges;
+    std::uint64_t fp;
+};
+
+/**
+ * Enumerate the edges of `node`, keeping the successors `visited` does
+ * not hold as candidates, and stop at the first violating edge.
+ */
+template <class Ops>
+Expansion
+expandNode(const Ops &ops, const Node<typename Ops::State> &node,
+           const FlatMap64<std::uint32_t> &visited, Worker &w)
+{
+    Expansion x{0, w.candidates.size(), 0, 0, 0};
+    for (const ModelEvent &ev : ops.events(node.state)) {
+        do {
+            w.odo.rewind();
+            w.choices.clear();
+            typename Ops::State succ = node.state;
+            const StepResult r = ops.step(succ, ev, w.odo, &w.choices);
+            // Invariant-check BEFORE dedup: the canonical key only
+            // abstracts clean states.
+            const bool violating = !r.ok || !ops.invariants(succ).empty();
+            const std::uint64_t key = violating ? 0 : ops.key(succ);
+            if (violating || !visited.find(key)) {
+                const auto at = static_cast<std::uint32_t>(w.arena.size());
+                w.arena.insert(w.arena.end(), w.choices.begin(),
+                               w.choices.end());
+                w.candidates.push_back(
+                    {key, x.fp, static_cast<std::uint32_t>(x.edges), at,
+                     static_cast<std::uint32_t>(w.arena.size()), ev,
+                     violating});
+            }
+            if (violating) {
+                w.odo.reset();
+                x.last = w.candidates.size();
+                return x;
+            }
+            ++x.edges;
+            x.fp += edgeTerm(node.key, key, ev);
+        } while (w.odo.advance());
+    }
+    x.last = w.candidates.size();
+    return x;
+}
+
+/** Re-run a recorded step on `st`. */
+template <class Ops>
+StepResult
+replayStep(const Ops &ops, typename Ops::State &st, const ModelEvent &ev,
+           std::span<const ChoiceRecord> choices)
+{
+    RecordedFeed feed(choices);
+    StepResult r = ops.step(st, ev, feed, nullptr);
+    fbsim_assert(feed.fullyConsumed());
+    return r;
+}
+
+/**
+ * The search behind explore() and exploreHier() (see explorer.h).
+ *
+ * Each batch is expanded against a visited set no thread writes, so a
+ * node's candidates are a superset of the successors the serial search
+ * would discover from it: a successor first reached earlier in the
+ * same batch is filtered at the merge instead.  The merge visits nodes
+ * in index order and candidates in edge order, so every insertion, node
+ * index and cut happens exactly where the serial search makes it; the
+ * per-node edge counts and fingerprint prefixes make the cut's partial
+ * sums exact too.
+ */
 template <class Ops>
 BasicExploreResult<typename Ops::State>
-bfs(const Ops &ops, std::size_t max_nodes)
+bfs(const Ops &ops, std::size_t max_nodes, const SearchTuning &tuning)
 {
     using S = typename Ops::State;
-    constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
-
-    /** One discovered state, with enough breadcrumbs to rebuild the
-     *  path that first reached it. */
-    struct Node
-    {
-        S state;
-        std::uint64_t key;
-        std::size_t depth;
-        /** Index of the BFS predecessor; kNoParent for the initial
-         *  state. */
-        std::size_t parent;
-        /** The step that produced this node from its parent. */
-        TraceStep via;
-    };
+    fbsim_assert(tuning.batch >= 1);
 
     BasicExploreResult<S> res;
-    // Nodes are appended in BFS order, so the ones past the node being
-    // expanded are the frontier.
-    std::vector<Node> nodes;
+    // Appended in BFS order, so the ones past the batch being expanded
+    // are the frontier.  A deque never moves a node: workers read the
+    // batch in place, and growth copies nothing.
+    std::deque<Node<S>> nodes;
     FlatMap64<std::uint32_t> visited;   // canonical key -> node index
-    // One odometer for every event (its tape is empty whenever
-    // advance() returns false) and one log for every step's choices.
-    OdoFeed odo;
-    std::vector<ChoiceRecord> choices;
+    std::vector<Worker> workers(
+        tuning.workers ? tuning.workers : ThreadPool::hardwareJobs());
+    std::vector<Expansion> expansions;
+    alignas(64) std::atomic<std::size_t> next_chunk{0};
 
     const S init = ops.initial();
     const std::uint64_t init_key = ops.key(init);
@@ -103,57 +230,110 @@ bfs(const Ops &ops, std::size_t max_nodes)
     visited[init_key] = 0;
     res.nodeFingerprint += mix64(init_key);
 
-    for (std::size_t cur = 0; cur < nodes.size(); ++cur) {
-        // nodes[] may reallocate as successors are appended; copy the
-        // expansion state out first.
-        const S cur_state = nodes[cur].state;
-        const std::uint64_t cur_key = nodes[cur].key;
-        const std::size_t cur_depth = nodes[cur].depth;
-        res.depth = std::max(res.depth, cur_depth);
+    // Worker w claims chunks of [begin, end) until none is left.
+    auto expandBatch = [&](std::size_t w, std::size_t begin,
+                           std::size_t end) {
+        const std::size_t chunks = (end - begin + kChunk - 1) / kChunk;
+        for (;;) {
+            const std::size_t c =
+                next_chunk.fetch_add(1, std::memory_order_relaxed);
+            if (c >= chunks)
+                return;
+            const std::size_t lo = begin + c * kChunk;
+            for (std::size_t i = lo; i < std::min(end, lo + kChunk); ++i) {
+                Expansion &x = expansions[i - begin];
+                x = expandNode(ops, nodes[i], visited, workers[w]);
+                x.worker = w;
+            }
+        }
+    };
 
-        for (const ModelEvent &ev : ops.events(cur_state)) {
-            do {
-                odo.rewind();
-                choices.clear();
-                S succ = cur_state;
-                StepResult r = ops.step(succ, ev, odo, choices);
-                ++res.edges;
+    // Declared after everything its tasks touch, so an exception
+    // unwinding this frame joins the workers before their data goes.
+    std::optional<ThreadPool> pool;
+    for (std::size_t begin = 0; begin < nodes.size();) {
+        const std::size_t end = std::min(nodes.size(), begin + tuning.batch);
 
-                // Invariant-check BEFORE dedup: the canonical key only
-                // abstracts clean states.
-                if (r.ok)
-                    r.violations = ops.invariants(succ);
-                if (!r.ok || !r.violations.empty()) {
+        // Expand: the calling thread is worker 0.
+        const std::size_t chunks = (end - begin + kChunk - 1) / kChunk;
+        const std::size_t threads =
+            end - begin < kMinParallelBatch
+                ? 1
+                : std::min(workers.size(), chunks);
+        for (Worker &w : workers) {
+            w.candidates.clear();
+            w.arena.clear();
+        }
+        expansions.resize(end - begin);
+        next_chunk.store(0, std::memory_order_relaxed);
+        if (threads > 1 && !pool)
+            pool.emplace(static_cast<unsigned>(workers.size() - 1));
+        for (std::size_t t = 1; t < threads; ++t)
+            pool->submit([&expandBatch, t, begin, end] {
+                expandBatch(t, begin, end);
+            });
+        expandBatch(0, begin, end);
+        if (threads > 1) {
+            pool->wait();
+            for (std::exception_ptr &e : pool->drainExceptions())
+                std::rethrow_exception(e);
+        }
+
+        // Merge in node order, each node's candidates in edge order.
+        for (std::size_t i = begin; i < end; ++i) {
+            const Node<S> &node = nodes[i];
+            res.depth = std::max(res.depth, node.depth);
+            const Expansion &x = expansions[i - begin];
+            const Worker &w = workers[x.worker];
+            for (std::size_t k = x.first; k < x.last; ++k) {
+                const Candidate &c = w.candidates[k];
+                const std::span<const ChoiceRecord> choices(
+                    w.arena.data() + c.choicesAt,
+                    c.choicesEnd - c.choicesAt);
+                if (c.violating) {
                     // Rebuild the parent chain into a counterexample
                     // ending with this step.
                     res.nodes = nodes.size();
+                    res.edges += c.edgesBefore + 1u;
+                    res.edgeFingerprint += c.fpBefore;
                     BasicCounterexample<S> &cex =
                         res.counterexample.emplace();
-                    for (std::size_t i = cur; nodes[i].parent != kNoParent;
-                         i = nodes[i].parent)
-                        cex.steps.push_back(nodes[i].via);
+                    for (std::size_t j = i; nodes[j].parent != kNoParent;
+                         j = nodes[j].parent)
+                        cex.steps.push_back(nodes[j].via);
                     std::reverse(cex.steps.begin(), cex.steps.end());
-                    cex.steps.push_back({ev, choices});
+                    cex.steps.push_back(
+                        {c.event, {choices.begin(), choices.end()}});
+                    cex.finalState = node.state;
+                    StepResult r =
+                        replayStep(ops, cex.finalState, c.event, choices);
+                    if (r.ok)
+                        r.violations = ops.invariants(cex.finalState);
+                    fbsim_assert(!r.violations.empty());
                     cex.violations = std::move(r.violations);
-                    cex.finalState = succ;
                     return res;
                 }
-
-                const std::uint64_t key = ops.key(succ);
-                res.edgeFingerprint +=
-                    mix64(cur_key ^ mix64(key ^ eventCode(ev)));
-                if (!visited.find(key)) {
-                    if (nodes.size() >= max_nodes) {
-                        res.nodes = nodes.size();
-                        return res;   // capped: complete stays false
-                    }
-                    visited[key] = static_cast<std::uint32_t>(nodes.size());
-                    res.nodeFingerprint += mix64(key);
-                    nodes.push_back(
-                        {succ, key, cur_depth + 1, cur, {ev, choices}});
+                if (visited.find(c.key))
+                    continue;   // reached earlier in this batch
+                if (nodes.size() >= max_nodes) {
+                    res.nodes = nodes.size();
+                    res.edges += c.edgesBefore + 1u;
+                    res.edgeFingerprint +=
+                        c.fpBefore + edgeTerm(node.key, c.key, c.event);
+                    return res;   // capped: complete stays false
                 }
-            } while (odo.advance());
+                visited[c.key] = static_cast<std::uint32_t>(nodes.size());
+                res.nodeFingerprint += mix64(c.key);
+                S succ = node.state;
+                replayStep(ops, succ, c.event, choices);
+                fbsim_assert(ops.key(succ) == c.key);
+                nodes.push_back({succ, c.key, node.depth + 1, i,
+                                 {c.event, {choices.begin(), choices.end()}}});
+            }
+            res.edges += x.edges;
+            res.edgeFingerprint += x.fp;
         }
+        begin = end;
     }
 
     res.nodes = nodes.size();
@@ -164,15 +344,27 @@ bfs(const Ops &ops, std::size_t max_nodes)
 } // namespace
 
 ExploreResult
+exploreTuned(const ExploreConfig &cfg, const SearchTuning &tuning)
+{
+    return bfs(FlatOps{cfg.model}, cfg.maxNodes, tuning);
+}
+
+HierExploreResult
+exploreHierTuned(const HierExploreConfig &cfg, const SearchTuning &tuning)
+{
+    return bfs(HierOps{cfg.model}, cfg.maxNodes, tuning);
+}
+
+ExploreResult
 explore(const ExploreConfig &cfg)
 {
-    return bfs(FlatOps{cfg.model}, cfg.maxNodes);
+    return exploreTuned(cfg, {});
 }
 
 HierExploreResult
 exploreHier(const HierExploreConfig &cfg)
 {
-    return bfs(HierOps{cfg.model}, cfg.maxNodes);
+    return exploreHierTuned(cfg, {});
 }
 
 } // namespace mc

@@ -19,10 +19,20 @@
  * recorded choice stream replays through the real engine (replay.h).
  *
  * explore() and the hierarchical exploreHier() (hier_model.h) run the
- * same search.  It allocates per discovered node, never per enumerated
- * transition: one odometer and one choice log serve every transition,
- * and a step's choices are copied out only into a node or a
- * counterexample.
+ * same search, and it runs on every hardware thread.  It walks the
+ * node array in batches of already-discovered nodes.  Worker threads
+ * expand a batch's nodes against a visited set that stays read-only
+ * meanwhile, keeping each successor that was unvisited when the batch
+ * began as a candidate: its key, the event and the recorded choices.
+ * The calling thread then merges the batch in node order, and each
+ * node's candidates in edge order, exactly as a serial search would
+ * meet them, and rebuilds each new node's state by replaying its
+ * choices from the parent.  Node indices, parents, depths, both
+ * fingerprints, the node cap and the counterexample are therefore the
+ * serial search's, at any thread count.  The search allocates per node
+ * or per batch, never per enumerated transition: each worker keeps one
+ * odometer, one choice log and its candidate buffers for the whole
+ * search.
  */
 
 #ifndef FBSIM_MC_EXPLORER_H_
@@ -47,6 +57,10 @@ namespace mc {
 class OdoFeed : public ChoiceFeed
 {
   public:
+    /** Room for a deep choice tree up front: a search's tape then
+     *  never moves. */
+    OdoFeed() { tape_.reserve(64); }
+
     std::size_t
     pick(std::size_t, std::size_t n_alts) override
     {
@@ -75,6 +89,14 @@ class OdoFeed : public ChoiceFeed
 
     /** Restart the tape for the next run of the current combination. */
     void rewind() { pos_ = 0; }
+
+    /** Drop the tape: the next run starts a fresh enumeration. */
+    void
+    reset()
+    {
+        tape_.clear();
+        pos_ = 0;
+    }
 
   private:
     struct Cell

@@ -29,29 +29,50 @@ legalHierEvents(const HierModelConfig &cfg, const HierModelState &st)
 std::vector<std::string>
 checkHierInvariants(const HierModelConfig &cfg, const HierModelState &st)
 {
-    std::vector<std::string> violations =
-        checkInvariants(cfg.base, st.flat);
     // H1/H2: the filters' conservative direction, mirroring the
     // hierarchical CoherenceChecker's probes - a stale entry is legal
     // (it costs forwards), a missing entry would skip a required
-    // forward and is a violation.
+    // forward and is a violation.  Bit k * kMaxLines + l of `h1`
+    // (`h2`) marks cluster k's missing localHeld (remoteShared) bit
+    // for line l.
     const std::size_t clusters = cfg.numClusters();
+    std::array<std::uint32_t, kMaxClusters> members{};
+    for (std::size_t c = 0; c < cfg.base.numCaches(); ++c)
+        members[cfg.clusterOf[c]] |= std::uint32_t{1} << c;
+    bool flat_clean = true;
+    std::uint32_t h1 = 0;
+    std::uint32_t h2 = 0;
+    for (std::size_t l = 0; l < cfg.base.lines; ++l) {
+        const LineFacts f = lineFacts(cfg.base, st.flat, l);
+        flat_clean = flat_clean && f.clean();
+        for (std::size_t k = 0; k < clusters; ++k) {
+            const std::uint32_t bit = std::uint32_t{1}
+                                      << (k * kMaxLines + l);
+            if ((f.valid & members[k]) &&
+                !st.localHeld[k * cfg.base.lines + l])
+                h1 |= bit;
+            if ((f.valid & ~members[k]) &&
+                !st.remoteShared[k * cfg.base.lines + l])
+                h2 |= bit;
+        }
+    }
+    if (flat_clean && (h1 | h2) == 0)
+        return {};
+
+    std::vector<std::string> violations =
+        flat_clean ? std::vector<std::string>{}
+                   : checkInvariants(cfg.base, st.flat);
     for (std::size_t l = 0; l < cfg.base.lines; ++l) {
         for (std::size_t k = 0; k < clusters; ++k) {
-            bool inside = false;
-            bool outside = false;
-            for (std::size_t c = 0; c < cfg.base.numCaches(); ++c) {
-                if (copyAt(cfg.base, st.flat, c, l).s == State::I)
-                    continue;
-                (cfg.clusterOf[c] == k ? inside : outside) = true;
-            }
-            if (inside && !st.localHeld[k * cfg.base.lines + l]) {
+            const std::uint32_t bit = std::uint32_t{1}
+                                      << (k * kMaxLines + l);
+            if (h1 & bit) {
                 violations.push_back(strprintf(
                     "H1: line 0x%llx is valid inside cluster %zu but "
                     "absent from its localHeld filter",
                     static_cast<unsigned long long>(l), k));
             }
-            if (outside && !st.remoteShared[k * cfg.base.lines + l]) {
+            if (h2 & bit) {
                 violations.push_back(strprintf(
                     "H2: line 0x%llx is valid outside cluster %zu but "
                     "absent from its remoteShared filter",
@@ -59,13 +80,9 @@ checkHierInvariants(const HierModelConfig &cfg, const HierModelState &st)
             }
         }
     }
-    if (!violations.empty()) {
-        std::string suffix = renderHierFilters(cfg, st);
-        for (std::string &v : violations) {
-            if (v.find(" | flt ") == std::string::npos)
-                v += suffix;
-        }
-    }
+    std::string suffix = renderHierFilters(cfg, st);
+    for (std::string &v : violations)
+        v += suffix;
     return violations;
 }
 

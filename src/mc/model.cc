@@ -37,68 +37,84 @@ legalEvents(const ModelConfig &cfg, const ModelState &st)
     return out;
 }
 
+LineFacts
+lineFacts(const ModelConfig &cfg, const ModelState &st, std::size_t line)
+{
+    LineFacts f;
+    f.memCurrent = st.mem[line] == st.image[line];
+    for (std::size_t c = 0; c < cfg.numCaches(); ++c) {
+        const ModelCopy &copy = copyAt(cfg, st, c, line);
+        if (copy.s == State::I)
+            continue;
+        const std::uint32_t bit = std::uint32_t{1} << c;
+        f.valid |= bit;
+        ++f.holders;
+        f.exclusive += isExclusive(copy.s);
+        f.owners += isOwned(copy.s);
+        if (copy.value != st.image[line])
+            f.stale |= bit;
+        if (copy.s == State::E && copy.value != st.mem[line])
+            f.eStale |= bit;
+    }
+    return f;
+}
+
 std::vector<std::string>
 checkInvariants(const ModelConfig &cfg, const ModelState &st)
 {
+    std::array<LineFacts, kMaxLines> facts;
+    bool clean = true;
+    for (std::size_t l = 0; l < cfg.lines; ++l) {
+        facts[l] = lineFacts(cfg, st, l);
+        clean = clean && facts[l].clean();
+    }
+    if (clean)
+        return {};
+
     std::vector<std::string> violations;
     for (std::size_t l = 0; l < cfg.lines; ++l) {
-        int exclusive_holders = 0;
-        int owners = 0;
-        int valid_holders = 0;
+        const LineFacts &f = facts[l];
+        const auto line = static_cast<unsigned long long>(l);
         for (std::size_t c = 0; c < cfg.numCaches(); ++c) {
             const ModelCopy &copy = copyAt(cfg, st, c, l);
-            if (copy.s == State::I)
-                continue;
-            ++valid_holders;
-            if (isExclusive(copy.s))
-                ++exclusive_holders;
-            if (isOwned(copy.s))
-                ++owners;
-            if (copy.value != st.image[l]) {
+            const std::uint32_t bit = std::uint32_t{1} << c;
+            if (f.stale & bit) {
                 violations.push_back(strprintf(
                     "V1: cache %zu holds line 0x%llx = 0x%llx in "
                     "state %s, shared image is 0x%llx",
-                    c, static_cast<unsigned long long>(l),
-                    static_cast<unsigned long long>(copy.value),
+                    c, line, static_cast<unsigned long long>(copy.value),
                     std::string(stateName(copy.s)).c_str(),
                     static_cast<unsigned long long>(st.image[l])));
             }
-            if (copy.s == State::E && copy.value != st.mem[l]) {
+            if (f.eStale & bit) {
                 violations.push_back(strprintf(
                     "V3: cache %zu line 0x%llx in E = 0x%llx but "
                     "memory = 0x%llx",
-                    c, static_cast<unsigned long long>(l),
-                    static_cast<unsigned long long>(copy.value),
+                    c, line, static_cast<unsigned long long>(copy.value),
                     static_cast<unsigned long long>(st.mem[l])));
             }
         }
-        if (exclusive_holders > 1 ||
-            (exclusive_holders == 1 && valid_holders > 1)) {
+        if (f.breaksU1()) {
             violations.push_back(strprintf(
                 "U1: line 0x%llx has %d exclusive holder(s) among %d "
                 "valid holder(s)",
-                static_cast<unsigned long long>(l), exclusive_holders,
-                valid_holders));
+                line, f.exclusive, f.holders));
         }
-        if (owners > 1) {
+        if (f.breaksU2()) {
             violations.push_back(strprintf(
-                "U2: line 0x%llx is owned by %d caches",
-                static_cast<unsigned long long>(l), owners));
+                "U2: line 0x%llx is owned by %d caches", line, f.owners));
         }
-        if (owners == 0 && st.mem[l] != st.image[l]) {
+        if (f.breaksV2()) {
             violations.push_back(strprintf(
                 "V2: line 0x%llx unowned; memory = 0x%llx, shared "
                 "image is 0x%llx",
-                static_cast<unsigned long long>(l),
-                static_cast<unsigned long long>(st.mem[l]),
+                line, static_cast<unsigned long long>(st.mem[l]),
                 static_cast<unsigned long long>(st.image[l])));
         }
     }
-    if (!violations.empty()) {
-        std::string suffix = renderStateVector(cfg, st);
-        for (std::string &v : violations)
-            v += suffix;
-    }
+    std::string suffix = renderStateVector(cfg, st);
+    for (std::string &v : violations)
+        v += suffix;
     return violations;
 }
 

@@ -5,40 +5,11 @@
 
 #include "common/logging.h"
 #include "core/policy.h"
+#include "mc/executor.h"
 #include "sim/system.h"
 
 namespace fbsim {
 namespace mc {
-
-namespace {
-
-/** Feed that re-issues one step's recorded choices in order. */
-class RecordedFeed : public ChoiceFeed
-{
-  public:
-    explicit RecordedFeed(const std::vector<ChoiceRecord> &records)
-        : records_(records)
-    {
-    }
-
-    std::size_t
-    pick(std::size_t cache, std::size_t n_alts) override
-    {
-        fbsim_assert(pos_ < records_.size());
-        const ChoiceRecord &r = records_[pos_++];
-        fbsim_assert(r.cache == cache);
-        fbsim_assert(r.nAlts == n_alts);
-        return r.idx;
-    }
-
-    bool fullyConsumed() const { return pos_ == records_.size(); }
-
-  private:
-    const std::vector<ChoiceRecord> &records_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
 
 ReplayResult
 replayTrace(const ModelConfig &cfg,

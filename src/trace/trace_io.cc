@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
@@ -9,6 +10,8 @@
 namespace fbsim {
 
 namespace {
+
+constexpr std::uint64_t kMaxMasterId = std::numeric_limits<MasterId>::max();
 
 bool
 isBlank(char c)
@@ -101,14 +104,23 @@ readTrace(std::istream &in, std::string *error_out)
             return {};
         }
         TraceRef ref;
+        unsigned long proc = 0;
         try {
-            ref.proc = static_cast<MasterId>(std::stoul(proc_tok));
+            proc = std::stoul(proc_tok);
             ref.addr = std::stoull(addr_tok, nullptr, 16);
         } catch (const std::exception &) {
             if (error_out)
                 *error_out = strprintf("line %zu: bad number", lineno);
             return {};
         }
+        if (proc > kMaxMasterId) {
+            if (error_out) {
+                *error_out = strprintf("line %zu: processor id out of "
+                                       "range", lineno);
+            }
+            return {};
+        }
+        ref.proc = static_cast<MasterId>(proc);
         if (op_tok == "R" || op_tok == "r") {
             ref.write = false;
         } else if (op_tok == "W" || op_tok == "w") {
@@ -177,6 +189,8 @@ parseTrace(std::string_view text, std::string *error_out)
         std::uint64_t proc = 0, addr = 0;
         if (!parseDecimal(tok[0], &proc) || !parseHex(tok[2], &addr))
             return fail("bad number");
+        if (proc > kMaxMasterId)
+            return fail("processor id out of range");
         TraceRef ref;
         ref.proc = static_cast<MasterId>(proc);
         ref.addr = addr;

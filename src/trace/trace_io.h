@@ -6,7 +6,8 @@
  *
  * with '#' comments and blank lines ignored.  Traces interleave
  * processors globally (the order is the bus order in the functional
- * layer).
+ * layer).  A processor id must fit a MasterId; a larger one is a parse
+ * error ("line N: processor id out of range"), never a wrapped id.
  */
 
 #ifndef FBSIM_TRACE_TRACE_IO_H_

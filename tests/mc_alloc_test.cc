@@ -6,30 +6,32 @@
  * The exhaustive explorer's successor generation must not touch the
  * heap: each search may allocate a bounded amount per discovered node
  * (the node's state and first-reaching step, the visited set and the
- * event list it expands) but nothing per enumerated transition - a
- * search walks ~25-60 edges per node, so a per-edge allocation blows
- * the bound immediately.
+ * event list it expands) or per batch (the worker threads' tasks and
+ * candidate buffers) but nothing per enumerated transition - a search
+ * walks ~25-60 edges per node, so a per-edge allocation blows the
+ * bound immediately.
  *
  * The hierarchical timed engine must not allocate per reference: its
  * allocations are bounded by set-up and the caches' working set,
  * independent of how many references run.
  */
 
+#include <atomic>
 #include <cstdlib>
 #include <new>
 
 #include <gtest/gtest.h>
 
 #include "hier/hier_engine.h"
-#include "mc/explorer.h"
-#include "mc/hier_model.h"
+#include "mc/search.h"
 #include "protocols/factory.h"
 #include "trace/workloads.h"
 
 namespace {
 
-/** Global allocations so far (the tests are single-threaded). */
-std::size_t g_allocations = 0;
+/** Global allocations so far, by every thread (the explorer's
+ *  workers allocate too). */
+std::atomic<std::size_t> g_allocations{0};
 
 } // namespace
 
@@ -76,6 +78,25 @@ TEST(McAlloc, FlatExploreAllocatesPerNodeNotPerEdge)
 
     ASSERT_TRUE(res.complete);
     EXPECT_EQ(res.nodes, 1681u);
+    EXPECT_LE(allocs, allocationBudget(res.nodes))
+        << allocs << " allocations for " << res.nodes << " nodes and "
+        << res.edges << " edges";
+}
+
+// The same bound with four threads expanding every batch of 64 nodes
+// or more.
+TEST(McAlloc, ParallelExploreAllocatesPerNodeNotPerEdge)
+{
+    mc::ExploreConfig cfg;
+    cfg.model.tables.assign(4, &moesiTable());
+    cfg.model.lines = 2;
+
+    const std::size_t before = g_allocations;
+    mc::ExploreResult res = mc::exploreTuned(cfg, {4, mc::kSearchBatch});
+    const std::size_t allocs = g_allocations - before;
+
+    ASSERT_TRUE(res.complete);
+    EXPECT_EQ(res.nodes, 8464u);
     EXPECT_LE(allocs, allocationBudget(res.nodes))
         << allocs << " allocations for " << res.nodes << " nodes and "
         << res.edges << " edges";

@@ -14,9 +14,13 @@
 #include "mc/hier_model.h"
 #include "mc/replay.h"
 #include "protocols/factory.h"
+#include "test_util.h"
 
 namespace fbsim {
 namespace {
+
+using test::doubleInterventionMoesi;
+using test::renderSteps;
 
 mc::ExploreResult
 exploreHomogeneous(ProtocolKind kind, std::size_t caches,
@@ -39,22 +43,6 @@ expectGraph(const Result &res, std::size_t nodes, std::size_t edges,
     EXPECT_EQ(res.depth, depth);
     EXPECT_EQ(res.nodeFingerprint, node_fp);
     EXPECT_EQ(res.edgeFingerprint, edge_fp);
-}
-
-// One line per step: "cache.line Event" then every choice the step drew
-// as cCACHE:IDX/ALTS (mc_explore's trace format).
-std::string
-renderSteps(const std::vector<mc::TraceStep> &steps)
-{
-    std::string out;
-    for (const mc::TraceStep &s : steps) {
-        out += strprintf("%u.%u %s", s.event.cache, s.event.line,
-                         std::string(localEventName(s.event.ev)).c_str());
-        for (const mc::ChoiceRecord &r : s.choices)
-            out += strprintf(" c%u:%u/%u", r.cache, r.idx, r.nAlts);
-        out += '\n';
-    }
-    return out;
 }
 
 // The theorem's base case: every protocol of Tables 1-7, alone, keeps
@@ -458,20 +446,6 @@ expectFailure(const Result &res, const std::string &steps,
     EXPECT_EQ(renderSteps(res.counterexample->steps), steps);
     EXPECT_EQ(res.counterexample->violations,
               std::vector<std::string>{violation});
-}
-
-// MOESI whose S also intervenes on a plain read (column 5: S,CH,DI), so
-// two sharers answer one read with DI.
-ProtocolTable
-doubleInterventionMoesi()
-{
-    ProtocolTable t = moesiTable();
-    SnoopAction a;
-    a.next = toState(State::S);
-    a.ch = Tri::Assert;
-    a.di = true;
-    t.setSnoop(State::S, BusEvent::ReadByCache, {a});
-    return t;
 }
 
 TEST(McCounterexample, FlatDoubleInterventionPinned)

@@ -548,11 +548,19 @@ TEST(JournalTest, KillAndResumeMergesByteIdentically)
         out << lines[3].substr(0, lines[3].size() / 2);   // torn
     }
 
+    // A torn tail is what a kill leaves: not counted as dropped, so no
+    // warning.
+    EXPECT_EQ(loadCampaignJournal(path, campaignFingerprint(spec)).dropped,
+              0u);
+
     // Resume: the two surviving jobs merge verbatim, the rest re-run,
     // and the merged table is byte-identical at any worker count.
     sup.resume = true;
+    testing::internal::CaptureStderr();
     EXPECT_EQ(baseline,
               renderCampaignTable(CampaignRunner(3, sup).run(spec)));
+    EXPECT_EQ(testing::internal::GetCapturedStderr().find("dropped"),
+              std::string::npos);
     // A second resume finds everything done and still agrees.
     EXPECT_EQ(baseline,
               renderCampaignTable(CampaignRunner(1, sup).run(spec)));
@@ -577,8 +585,12 @@ TEST(JournalTest, LoaderDropsGarbageAndTornRecords)
         out << "job 1 this is not a record end\n";
         out << encodeJournalRecord(report.results[1]).substr(0, 40);
     }
-    std::vector<CampaignResult> loaded = loadCampaignJournal(path, fp);
+    JournalContents journal = loadCampaignJournal(path, fp);
+    const std::vector<CampaignResult> &loaded = journal.results;
     ASSERT_EQ(loaded.size(), 1u);
+    // The garbage line was complete, so it counts; the torn tail does
+    // not.
+    EXPECT_EQ(journal.dropped, 1u);
     EXPECT_EQ(loaded[0].job.index, 0u);
     EXPECT_EQ(encodeJournalRecord(loaded[0]),
               encodeJournalRecord(report.results[0]));
@@ -650,12 +662,19 @@ TEST(JournalTest, CorruptedRecordReRunsOnResume)
         for (const std::string &line : lines)
             out << line << '\n';
     }
-    EXPECT_EQ(loadCampaignJournal(path, campaignFingerprint(spec)).size(),
-              spec.numJobs() - 1);
+    JournalContents journal =
+        loadCampaignJournal(path, campaignFingerprint(spec));
+    EXPECT_EQ(journal.results.size(), spec.numJobs() - 1);
+    EXPECT_EQ(journal.dropped, 1u);
 
+    // The resume says what it dropped, once.
     sup.resume = true;
+    testing::internal::CaptureStderr();
     EXPECT_EQ(baseline,
               renderCampaignTable(CampaignRunner(4, sup).run(spec)));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "warn: journal " + path +
+                  ": dropped 1 corrupted record(s); their jobs re-run\n");
     std::remove(path.c_str());
 }
 

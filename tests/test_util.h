@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared helpers for fbsim tests: compact System builders and exact
- * fingerprints of campaign-job outcomes.
+ * Shared helpers for fbsim tests: compact System builders, exact
+ * fingerprints of campaign-job outcomes, and model-checker traces and
+ * corrupted tables.
  */
 
 #ifndef FBSIM_TESTS_TEST_UTIL_H_
@@ -14,6 +15,8 @@
 
 #include "campaign/campaign_spec.h"
 #include "common/logging.h"
+#include "mc/explorer.h"
+#include "protocols/factory.h"
 #include "sim/system.h"
 
 namespace fbsim::test {
@@ -111,6 +114,39 @@ ladderPin(const CampaignResult &r, const std::string &trace)
         u(r.reintegrations), u(r.scrubDivergence),
         u(fnv1a(r.faultReport)), u(fnv1a(renderMetricsJson(r.metrics))),
         u(fnv1a(trace)));
+}
+
+/**
+ * A model-checker trace, one line per step: "cache.line Event" then
+ * every choice the step drew as cCACHE:IDX/ALTS (mc_explore's trace
+ * format).
+ */
+inline std::string
+renderSteps(const std::vector<mc::TraceStep> &steps)
+{
+    std::string out;
+    for (const mc::TraceStep &s : steps) {
+        out += strprintf("%u.%u %s", s.event.cache, s.event.line,
+                         std::string(localEventName(s.event.ev)).c_str());
+        for (const mc::ChoiceRecord &r : s.choices)
+            out += strprintf(" c%u:%u/%u", r.cache, r.idx, r.nAlts);
+        out += '\n';
+    }
+    return out;
+}
+
+/** MOESI whose S also intervenes on a plain read (column 5: S,CH,DI),
+ *  so two sharers answer one read with DI. */
+inline ProtocolTable
+doubleInterventionMoesi()
+{
+    ProtocolTable t = moesiTable();
+    SnoopAction a;
+    a.next = toState(State::S);
+    a.ch = Tri::Assert;
+    a.di = true;
+    t.setSnoop(State::S, BusEvent::ReadByCache, {a});
+    return t;
 }
 
 } // namespace fbsim::test

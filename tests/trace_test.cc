@@ -110,6 +110,36 @@ TEST(TraceIoTest, BufferedParserRejectsLikeStreamParser)
     }
 }
 
+// A processor id must fit a MasterId: both parsers reject a wider one
+// by line instead of wrapping it onto another processor.
+TEST(TraceIoTest, ProcessorIdOutOfRangeRejected)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"0 R 0\n1 W 20\n4294967296 R 40\n", "line 3"},
+        {"0 R 0\n18446744073709551615 W 20\n", "line 2"},
+    };
+    for (const auto &[text, line] : cases) {
+        std::istringstream in(text);
+        std::string stream_err, buffer_err;
+        EXPECT_TRUE(readTrace(in, &stream_err).empty()) << text;
+        EXPECT_TRUE(parseTrace(text, &buffer_err).empty()) << text;
+        const std::string want =
+            std::string(line) + ": processor id out of range";
+        EXPECT_EQ(stream_err, want) << text;
+        EXPECT_EQ(buffer_err, want) << text;
+    }
+
+    // The widest id still parses, unchanged.
+    const char *widest = "4294967295 W 20\n";
+    std::istringstream in(widest);
+    std::string stream_err, buffer_err;
+    const std::vector<TraceRef> want = {{4294967295u, true, 0x20}};
+    EXPECT_EQ(readTrace(in, &stream_err), want);
+    EXPECT_EQ(parseTrace(widest, &buffer_err), want);
+    EXPECT_TRUE(stream_err.empty());
+    EXPECT_TRUE(buffer_err.empty());
+}
+
 TEST(TraceIoTest, BufferedParserRoundTripsGeneratedTraces)
 {
     Arch85Params params;
