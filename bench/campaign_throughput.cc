@@ -5,9 +5,9 @@
  *
  * Two measurements:
  *
- *  1. Trace parsing: the buffered in-place scanner (parseTrace) vs the
- *     istream fallback (readTrace) on a synthetic trace, in ns per
- *     reference.
+ *  1. Trace parsing: the in-place scanner (parseTrace) on a synthetic
+ *     trace, in ns per reference, checked to return the references
+ *     it was written from.
  *
  *  2. Campaign scaling: the mixed Berkeley/Illinois/Firefly fault
  *     campaign (the PR-3 acceptance study) as a CampaignSpec of
@@ -60,10 +60,10 @@ secondsSince(std::chrono::steady_clock::time_point start)
 }
 
 // ---------------------------------------------------------------- //
-// Trace parsing: buffered scanner vs istream fallback.
+// Trace parsing.
 
-std::string
-syntheticTraceText(std::size_t refs, std::size_t procs)
+std::vector<TraceRef>
+syntheticTrace(std::size_t refs, std::size_t procs)
 {
     std::vector<TraceRef> trace;
     trace.reserve(refs);
@@ -75,51 +75,35 @@ syntheticTraceText(std::size_t refs, std::size_t procs)
         r.addr = rng.below(1 << 20) * kWordBytes;
         trace.push_back(r);
     }
-    std::ostringstream out;
-    writeTrace(out, trace);
-    return out.str();
+    return trace;
 }
 
 struct ParseTiming
 {
-    double bufferedNsPerRef = 0;
-    double streamNsPerRef = 0;
+    double nsPerRef = 0;
     std::size_t refs = 0;
-    bool identical = false;
+    bool identical = false;   ///< parsed back exactly what was written
 };
 
 ParseTiming
 measureTraceParse(std::size_t refs, int reps)
 {
-    std::string text = syntheticTraceText(refs, 8);
+    const std::vector<TraceRef> trace = syntheticTrace(refs, 8);
+    std::ostringstream out;
+    writeTrace(out, trace);
+    const std::string text = out.str();
     ParseTiming t;
 
-    std::vector<TraceRef> buffered;
+    std::vector<TraceRef> parsed;
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < reps; ++i) {
         std::string err;
-        buffered = parseTrace(text, &err);
+        parsed = parseTrace(text, &err);
     }
-    t.bufferedNsPerRef = secondsSince(start) * 1e9 /
-                         (static_cast<double>(refs) * reps);
-
-    std::vector<TraceRef> streamed;
-    start = std::chrono::steady_clock::now();
-    for (int i = 0; i < reps; ++i) {
-        std::istringstream in(text);
-        std::string err;
-        streamed = readTrace(in, &err);
-    }
-    t.streamNsPerRef = secondsSince(start) * 1e9 /
-                       (static_cast<double>(refs) * reps);
-
-    t.refs = buffered.size();
-    t.identical = buffered.size() == streamed.size();
-    for (std::size_t i = 0; t.identical && i < buffered.size(); ++i) {
-        t.identical = buffered[i].proc == streamed[i].proc &&
-                      buffered[i].write == streamed[i].write &&
-                      buffered[i].addr == streamed[i].addr;
-    }
+    t.nsPerRef = secondsSince(start) * 1e9 /
+                 (static_cast<double>(refs) * reps);
+    t.refs = parsed.size();
+    t.identical = parsed == trace;
     return t;
 }
 
@@ -258,11 +242,9 @@ main(int argc, char **argv)
     // 1. Trace parse.
     const std::size_t kParseRefs = quick ? 20000 : 200000;
     ParseTiming parse = measureTraceParse(kParseRefs, quick ? 2 : 5);
-    std::printf("trace parse (%zu refs): buffered %.1f ns/ref, "
-                "istream %.1f ns/ref (%.2fx), identical: %s\n",
-                parse.refs, parse.bufferedNsPerRef,
-                parse.streamNsPerRef,
-                parse.streamNsPerRef / parse.bufferedNsPerRef,
+    std::printf("trace parse (%zu refs): %.1f ns/ref, round trip "
+                "identical: %s\n",
+                parse.refs, parse.nsPerRef,
                 parse.identical ? "yes" : "NO");
 
     // 2. Campaign scaling.
@@ -309,21 +291,20 @@ main(int argc, char **argv)
             "Berkeley/Illinois/Firefly fault campaign (%zu "
             "shared-nothing jobs) at --jobs 1/2/4/8; 'identical' "
             "means the merged report was byte-identical to the "
-            "--jobs 1 run. 'trace_parse' compares the buffered "
-            "in-place scanner against the istream fallback. Speedup "
-            "scales with physical cores; see machine.cpus.\",\n",
+            "--jobs 1 run. 'trace_parse' times the in-place "
+            "scanner (parseTrace), checked to return the references "
+            "the text was written from. Speedup scales with physical "
+            "cores; see machine.cpus.\",\n",
             spec.numJobs());
         std::fprintf(out, "  \"machine\": {\n    \"cpus\": %u\n  },\n",
                      ThreadPool::hardwareJobs());
         std::fprintf(out,
                      "  \"trace_parse\": {\n"
                      "    \"refs\": %zu,\n"
-                     "    \"buffered_ns_per_ref\": %.1f,\n"
-                     "    \"istream_ns_per_ref\": %.1f,\n"
-                     "    \"speedup\": %.2f\n  },\n",
-                     parse.refs, parse.bufferedNsPerRef,
-                     parse.streamNsPerRef,
-                     parse.streamNsPerRef / parse.bufferedNsPerRef);
+                     "    \"ns_per_ref\": %.1f,\n"
+                     "    \"identical\": %s\n  },\n",
+                     parse.refs, parse.nsPerRef,
+                     parse.identical ? "true" : "false");
         std::fprintf(out, "  \"scaling\": {\n");
         for (std::size_t i = 0; i < points.size(); ++i) {
             const ScalePoint &p = points[i];

@@ -3,9 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <type_traits>
 
 #include "common/logging.h"
 
@@ -53,37 +55,15 @@ fnvString(std::uint64_t h, const std::string &s)
     return fnv1a(h, s.data(), s.size());
 }
 
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    out += ' ';
-    out += strprintf("%llu", static_cast<unsigned long long>(v));
-}
-
-/** Strings travel as hex tokens; "-" encodes the empty string. */
-void
-putString(std::string &out, const std::string &s)
-{
-    out += ' ';
-    if (s.empty()) {
-        out += '-';
-        return;
-    }
-    static const char digits[] = "0123456789abcdef";
-    for (unsigned char c : s) {
-        out += digits[c >> 4];
-        out += digits[c & 0xf];
-    }
-}
-
 /** Sequential token parser; every getter fails sticky on bad input. */
 class TokenReader
 {
   public:
     explicit TokenReader(const std::string &line) : line_(line) {}
 
+    /** A decimal token no larger than `max`. */
     bool
-    u64(std::uint64_t &out)
+    u64(std::uint64_t &out, std::uint64_t max = ~0ull)
     {
         std::string tok;
         if (!next(tok) || tok.empty())
@@ -97,6 +77,8 @@ class TokenReader
                 return fail();
             v = v * 10 + d;
         }
+        if (v > max)
+            return fail();
         out = v;
         return true;
     }
@@ -183,29 +165,226 @@ class TokenReader
     bool ok_ = true;
 };
 
-void
-putStringVec(std::string &out, const std::vector<std::string> &v)
+/** walkRecord's encoding side: appends each field as one token. */
+class RecordWriter
 {
-    putU64(out, v.size());
-    for (const std::string &s : v)
-        putString(out, s);
-}
+  public:
+    std::string line;
 
-bool
-getStringVec(TokenReader &r, std::vector<std::string> &out)
-{
-    std::uint64_t n = 0;
-    if (!r.u64(n) || n > 1u << 20)
-        return false;
-    out.clear();
-    out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::string s;
-        if (!r.str(s))
-            return false;
-        out.push_back(std::move(s));
+    /** Unsigned numbers and bools, in decimal. */
+    template <class... T>
+    void
+    operator()(const T &...v)
+    {
+        (number(static_cast<std::uint64_t>(v)), ...);
     }
-    return true;
+
+    template <class E>
+    void choice(const E &v, E) { (*this)(static_cast<std::uint64_t>(v)); }
+
+    /** Strings travel as lowercase hex; "-" encodes the empty string. */
+    void
+    str(const std::string &s)
+    {
+        std::string hex = s.empty() ? "-" : "";
+        static const char digits[] = "0123456789abcdef";
+        for (unsigned char c : s) {
+            hex += digits[c >> 4];
+            hex += digits[c & 0xf];
+        }
+        put(hex);
+    }
+
+    /** count/sum/min/max, then sparse (bucket index, count) pairs. */
+    void
+    hist(const HistogramData &h)
+    {
+        std::uint64_t nonzero = 0;
+        for (std::uint64_t b : h.buckets)
+            nonzero += (b != 0);
+        (*this)(h.count, h.sum, h.min, h.max, nonzero);
+        for (std::size_t i = 0; i < HistogramData::kBuckets; ++i) {
+            if (h.buckets[i] != 0)
+                (*this)(i, h.buckets[i]);
+        }
+    }
+
+    void hist(const Histogram &h) { hist(h.data()); }
+
+    /** The element count, then each element. */
+    template <class T, class Fn>
+    void
+    list(const std::vector<T> &v, std::uint64_t, Fn each)
+    {
+        (*this)(v.size());
+        for (const T &x : v)
+            each(x);
+    }
+
+    void tag(const char *word) { put(word); }
+
+    bool ok() const { return true; }
+
+  private:
+    void number(std::uint64_t v) { put(std::to_string(v)); }
+
+    void
+    put(const std::string &tok)
+    {
+        if (!line.empty())
+            line += ' ';
+        line += tok;
+    }
+};
+
+/** walkRecord's decoding side: parses each field, range-checked;
+ *  the first malformed token fails the rest of the walk. */
+class RecordReader
+{
+  public:
+    explicit RecordReader(const std::string &body) : t_(body) {}
+
+    /** Unsigned numbers, and bools (0 or 1). */
+    template <class... T>
+    void
+    operator()(T &...v)
+    {
+        (number(v), ...);
+    }
+
+    /** An enumerator no larger than `last`. */
+    template <class E>
+    void
+    choice(E &v, E last)
+    {
+        std::uint64_t x = 0;
+        if (t_.u64(x, static_cast<std::uint64_t>(last)))
+            v = static_cast<E>(x);
+    }
+
+    void str(std::string &s) { t_.str(s); }
+
+    void
+    hist(HistogramData &h)
+    {
+        std::uint64_t nonzero = 0, idx = 0;
+        (*this)(h.count, h.sum, h.min, h.max);
+        t_.u64(nonzero, HistogramData::kBuckets);
+        for (std::uint64_t i = 0; i < nonzero && t_.ok(); ++i) {
+            if (t_.u64(idx, HistogramData::kBuckets - 1))
+                (*this)(h.buckets[idx]);
+        }
+    }
+
+    /** A fresh Histogram is empty, so merging the decoded data
+     *  restores it exactly (min/max widen from the empty extremes). */
+    void
+    hist(Histogram &h)
+    {
+        HistogramData d;
+        hist(d);
+        if (t_.ok())
+            h.merge(d);
+    }
+
+    /** At most `max` elements, each walked as it is appended. */
+    template <class T, class Fn>
+    void
+    list(std::vector<T> &v, std::uint64_t max, Fn each)
+    {
+        std::uint64_t n = 0;
+        t_.u64(n, max);
+        v.clear();
+        for (std::uint64_t i = 0; i < n && t_.ok(); ++i)
+            each(v.emplace_back());
+    }
+
+    void tag(const char *word) { t_.expect(word); }
+
+    bool ok() const { return t_.ok(); }
+    bool atEnd() { return t_.atEnd(); }
+
+  private:
+    template <class T>
+    void
+    number(T &v)
+    {
+        std::uint64_t x = 0;
+        if (t_.u64(x, std::is_same_v<T, bool> ? 1 : ~0ull))
+            v = static_cast<T>(x);
+    }
+
+    TokenReader t_;
+};
+
+/**
+ * The one description of a journal record: every CampaignResult field,
+ * once, in token order.  With a RecordWriter (R = const
+ * CampaignResult) it encodes; with a RecordReader it decodes and
+ * range-checks.  False when the reader met a malformed token.
+ */
+template <class Io, class R>
+bool
+walkRecord(Io &io, R &r)
+{
+    io.tag("job");
+    auto &j = r.job;
+    io(j.index, j.mixIdx, j.geometryIdx, j.costIdx, j.workloadIdx,
+       j.faultIdx, j.seed);
+
+    auto &e = r.engine;
+    io(e.elapsed, e.busBusy, e.faultedRefs, e.watchdogTrips,
+       e.quarantines, e.reintegrations, e.cancelled);
+    io.list(e.procs, 4096, [&io](auto &p) {
+        io(p.refs, p.finishTime, p.execCycles, p.busWaitCycles,
+           p.busServiceCycles);
+    });
+
+    auto &b = r.bus;
+    io(b.transactions, b.reads, b.readsForModify, b.wordWrites,
+       b.broadcastWrites, b.linePushes, b.invalidates, b.syncs,
+       b.interventions, b.writeCaptures, b.aborts, b.spuriousAborts,
+       b.droppedResponses, b.retryExhausted, b.responseConflicts,
+       b.addressCycles, b.dataWords, b.busyCycles, b.backoffCycles);
+
+    auto &c = r.cacheTotals;
+    io(c.reads, c.writes, c.readHits, c.writeHits, c.readMisses,
+       c.writeMisses, c.writeSharedBus, c.evictions, c.writebacks,
+       c.invalidationsRecv, c.updatesRecv, c.interventions,
+       c.writeCaptures, c.abortPushes, c.dirtyFills, c.faultedAccesses,
+       c.illegalSnoops);
+
+    auto &f = r.faults;
+    io(f.spuriousAborts, f.stormAborts, f.memoryDelays, f.memoryDrops,
+       f.dataFlips, f.responseFlips, f.snooperMutes, f.bridgeDrops,
+       f.bridgeDelays, f.bridgeDups, f.filterStales, f.leafStalls);
+
+    auto &sp = r.speculation;
+    io(sp.batches, sp.specRefs, sp.rollbacks, sp.rolledBackRefs);
+    io.hist(sp.batchLen);
+    io.hist(sp.rollbackDepth);
+
+    io(r.watchdogTrips, r.quarantines, r.reintegrations,
+       r.scrubDivergence, r.consistent);
+    io.choice(r.status, JobStatus::Failed);
+    io(r.attempts);
+
+    auto text = [&io](auto &s) { io.str(s); };
+    io.list(r.violations, 1u << 20, text);
+    io.list(r.faultEvents, 1u << 20, text);
+    io.str(r.faultReport);
+    io.str(r.failureReason);
+
+    io.list(r.metrics.entries, 4096, [&io](auto &m) {
+        io.str(m.name);
+        io.choice(m.kind, MetricKind::Histogram);
+        if (m.kind == MetricKind::Histogram)
+            io.hist(m.hist);
+        else
+            io(m.value);
+    });
+    io.tag("end");
+    return io.ok();
 }
 
 std::string
@@ -237,6 +416,30 @@ requireHeader(const std::string &path, const std::string &line,
         fbsim_fatal("journal: %s belongs to a different campaign "
                     "(fingerprint mismatch)",
                     path.c_str());
+}
+
+/** Cut an unterminated final line off the `size`-byte file `fd`. */
+void
+cutTornTail(int fd, off_t size, const std::string &path)
+{
+    char buf[4096];
+    for (off_t end = size; end > 0;) {
+        const off_t start =
+            std::max<off_t>(0, end - static_cast<off_t>(sizeof buf));
+        if (::pread(fd, buf, static_cast<std::size_t>(end - start),
+                    start) != end - start)
+            fbsim_fatal("journal: cannot read %s: %s", path.c_str(),
+                        std::strerror(errno));
+        for (off_t i = end - start; i > 0; --i) {
+            if (buf[i - 1] != '\n')
+                continue;
+            if (start + i != size && ::ftruncate(fd, start + i) != 0)
+                fbsim_fatal("journal: cannot truncate %s: %s",
+                            path.c_str(), std::strerror(errno));
+            return;
+        }
+        end = start;
+    }
 }
 
 /** The token that closes a record: the FNV-1a of the text before it. */
@@ -275,153 +478,9 @@ campaignFingerprint(const CampaignSpec &spec)
 std::string
 encodeJournalRecord(const CampaignResult &r)
 {
-    std::string out = "job";
-    putU64(out, r.job.index);
-    putU64(out, r.job.mixIdx);
-    putU64(out, r.job.geometryIdx);
-    putU64(out, r.job.costIdx);
-    putU64(out, r.job.workloadIdx);
-    putU64(out, r.job.faultIdx);
-    putU64(out, r.job.seed);
-
-    const EngineResult &e = r.engine;
-    putU64(out, e.elapsed);
-    putU64(out, e.busBusy);
-    putU64(out, e.faultedRefs);
-    putU64(out, e.watchdogTrips);
-    putU64(out, e.quarantines);
-    putU64(out, e.reintegrations);
-    putU64(out, e.cancelled ? 1 : 0);
-    putU64(out, e.procs.size());
-    for (const ProcTiming &p : e.procs) {
-        putU64(out, p.refs);
-        putU64(out, p.finishTime);
-        putU64(out, p.execCycles);
-        putU64(out, p.busWaitCycles);
-        putU64(out, p.busServiceCycles);
-    }
-
-    const BusStats &b = r.bus;
-    putU64(out, b.transactions);
-    putU64(out, b.reads);
-    putU64(out, b.readsForModify);
-    putU64(out, b.wordWrites);
-    putU64(out, b.broadcastWrites);
-    putU64(out, b.linePushes);
-    putU64(out, b.invalidates);
-    putU64(out, b.syncs);
-    putU64(out, b.interventions);
-    putU64(out, b.writeCaptures);
-    putU64(out, b.aborts);
-    putU64(out, b.spuriousAborts);
-    putU64(out, b.droppedResponses);
-    putU64(out, b.retryExhausted);
-    putU64(out, b.responseConflicts);
-    putU64(out, b.addressCycles);
-    putU64(out, b.dataWords);
-    putU64(out, b.busyCycles);
-    putU64(out, b.backoffCycles);
-
-    const CacheStats &c = r.cacheTotals;
-    putU64(out, c.reads);
-    putU64(out, c.writes);
-    putU64(out, c.readHits);
-    putU64(out, c.writeHits);
-    putU64(out, c.readMisses);
-    putU64(out, c.writeMisses);
-    putU64(out, c.writeSharedBus);
-    putU64(out, c.evictions);
-    putU64(out, c.writebacks);
-    putU64(out, c.invalidationsRecv);
-    putU64(out, c.updatesRecv);
-    putU64(out, c.interventions);
-    putU64(out, c.writeCaptures);
-    putU64(out, c.abortPushes);
-    putU64(out, c.dirtyFills);
-    putU64(out, c.faultedAccesses);
-    putU64(out, c.illegalSnoops);
-
-    const FaultStats &f = r.faults;
-    putU64(out, f.spuriousAborts);
-    putU64(out, f.stormAborts);
-    putU64(out, f.memoryDelays);
-    putU64(out, f.memoryDrops);
-    putU64(out, f.dataFlips);
-    putU64(out, f.responseFlips);
-    putU64(out, f.snooperMutes);
-    putU64(out, f.bridgeDrops);
-    putU64(out, f.bridgeDelays);
-    putU64(out, f.bridgeDups);
-    putU64(out, f.filterStales);
-    putU64(out, f.leafStalls);
-
-    // Speculation counters + log2 histograms, same sparse bucket
-    // encoding as the metric snapshot below.
-    auto putHist = [&out](const HistogramData &h) {
-        putU64(out, h.count);
-        putU64(out, h.sum);
-        putU64(out, h.min);
-        putU64(out, h.max);
-        std::uint64_t nonzero = 0;
-        for (std::uint64_t b : h.buckets)
-            nonzero += (b != 0);
-        putU64(out, nonzero);
-        for (std::size_t i = 0; i < HistogramData::kBuckets; ++i) {
-            if (h.buckets[i] != 0) {
-                putU64(out, i);
-                putU64(out, h.buckets[i]);
-            }
-        }
-    };
-    const SpecStats &sp = r.speculation;
-    putU64(out, sp.batches);
-    putU64(out, sp.specRefs);
-    putU64(out, sp.rollbacks);
-    putU64(out, sp.rolledBackRefs);
-    putHist(sp.batchLen.data());
-    putHist(sp.rollbackDepth.data());
-
-    putU64(out, r.watchdogTrips);
-    putU64(out, r.quarantines);
-    putU64(out, r.reintegrations);
-    putU64(out, r.scrubDivergence);
-    putU64(out, r.consistent ? 1 : 0);
-    putU64(out, static_cast<std::uint64_t>(r.status));
-    putU64(out, r.attempts);
-
-    putStringVec(out, r.violations);
-    putStringVec(out, r.faultEvents);
-    putString(out, r.faultReport);
-    putString(out, r.failureReason);
-
-    // Metric snapshot: name + kind + value per entry; histograms add
-    // count/sum/min/max plus sparse (bucket index, count) pairs.
-    putU64(out, r.metrics.entries.size());
-    for (const MetricEntry &m : r.metrics.entries) {
-        putString(out, m.name);
-        putU64(out, static_cast<std::uint64_t>(m.kind));
-        if (m.kind == MetricKind::Histogram) {
-            putU64(out, m.hist.count);
-            putU64(out, m.hist.sum);
-            putU64(out, m.hist.min);
-            putU64(out, m.hist.max);
-            std::uint64_t nonzero = 0;
-            for (std::uint64_t b : m.hist.buckets)
-                nonzero += (b != 0);
-            putU64(out, nonzero);
-            for (std::size_t i = 0; i < HistogramData::kBuckets; ++i) {
-                if (m.hist.buckets[i] != 0) {
-                    putU64(out, i);
-                    putU64(out, m.hist.buckets[i]);
-                }
-            }
-        } else {
-            putU64(out, m.value);
-        }
-    }
-    out += " end ";
-    out += checksumToken(out, out.size() - 1);
-    return out;
+    RecordWriter out;
+    walkRecord(out, r);
+    return out.line + ' ' + checksumToken(out.line, out.line.size());
 }
 
 std::optional<CampaignResult>
@@ -435,144 +494,9 @@ decodeJournalRecord(const std::string &line)
                      checksumToken(line, cut)) != 0)
         return std::nullopt;
     const std::string body = line.substr(0, cut);
-    TokenReader t(body);
-    if (!t.expect("job"))
-        return std::nullopt;
+    RecordReader in(body);
     CampaignResult r;
-    std::uint64_t v = 0;
-    auto u64 = [&](std::uint64_t &out) { return t.u64(out); };
-    auto size = [&](std::size_t &out) {
-        if (!t.u64(v))
-            return false;
-        out = static_cast<std::size_t>(v);
-        return true;
-    };
-    auto boolean = [&](bool &out) {
-        if (!t.u64(v) || v > 1)
-            return false;
-        out = v != 0;
-        return true;
-    };
-
-    if (!size(r.job.index) || !size(r.job.mixIdx) ||
-        !size(r.job.geometryIdx) || !size(r.job.costIdx) ||
-        !size(r.job.workloadIdx) || !size(r.job.faultIdx) ||
-        !u64(r.job.seed))
-        return std::nullopt;
-
-    EngineResult &e = r.engine;
-    std::uint64_t nprocs = 0;
-    if (!u64(e.elapsed) || !u64(e.busBusy) || !u64(e.faultedRefs) ||
-        !u64(e.watchdogTrips) || !u64(e.quarantines) ||
-        !u64(e.reintegrations) || !boolean(e.cancelled) ||
-        !t.u64(nprocs) || nprocs > 4096)
-        return std::nullopt;
-    e.procs.resize(nprocs);
-    for (ProcTiming &p : e.procs) {
-        if (!u64(p.refs) || !u64(p.finishTime) || !u64(p.execCycles) ||
-            !u64(p.busWaitCycles) || !u64(p.busServiceCycles))
-            return std::nullopt;
-    }
-
-    BusStats &b = r.bus;
-    if (!u64(b.transactions) || !u64(b.reads) ||
-        !u64(b.readsForModify) || !u64(b.wordWrites) ||
-        !u64(b.broadcastWrites) || !u64(b.linePushes) ||
-        !u64(b.invalidates) || !u64(b.syncs) || !u64(b.interventions) ||
-        !u64(b.writeCaptures) || !u64(b.aborts) ||
-        !u64(b.spuriousAborts) || !u64(b.droppedResponses) ||
-        !u64(b.retryExhausted) || !u64(b.responseConflicts) ||
-        !u64(b.addressCycles) || !u64(b.dataWords) ||
-        !u64(b.busyCycles) || !u64(b.backoffCycles))
-        return std::nullopt;
-
-    CacheStats &c = r.cacheTotals;
-    if (!u64(c.reads) || !u64(c.writes) || !u64(c.readHits) ||
-        !u64(c.writeHits) || !u64(c.readMisses) ||
-        !u64(c.writeMisses) || !u64(c.writeSharedBus) ||
-        !u64(c.evictions) || !u64(c.writebacks) ||
-        !u64(c.invalidationsRecv) || !u64(c.updatesRecv) ||
-        !u64(c.interventions) || !u64(c.writeCaptures) ||
-        !u64(c.abortPushes) || !u64(c.dirtyFills) ||
-        !u64(c.faultedAccesses) || !u64(c.illegalSnoops))
-        return std::nullopt;
-
-    FaultStats &f = r.faults;
-    if (!u64(f.spuriousAborts) || !u64(f.stormAborts) ||
-        !u64(f.memoryDelays) || !u64(f.memoryDrops) ||
-        !u64(f.dataFlips) || !u64(f.responseFlips) ||
-        !u64(f.snooperMutes) || !u64(f.bridgeDrops) ||
-        !u64(f.bridgeDelays) || !u64(f.bridgeDups) ||
-        !u64(f.filterStales) || !u64(f.leafStalls))
-        return std::nullopt;
-
-    auto hist = [&](Histogram &out) {
-        HistogramData h;
-        std::uint64_t nonzero = 0;
-        if (!u64(h.count) || !u64(h.sum) || !u64(h.min) ||
-            !u64(h.max) || !t.u64(nonzero) ||
-            nonzero > HistogramData::kBuckets)
-            return false;
-        for (std::uint64_t i = 0; i < nonzero; ++i) {
-            std::uint64_t idx = 0, count = 0;
-            if (!t.u64(idx) || idx >= HistogramData::kBuckets ||
-                !t.u64(count))
-                return false;
-            h.buckets[idx] = count;
-        }
-        // A fresh Histogram is empty, so merging the decoded data
-        // restores it exactly (min/max widen from the empty extremes).
-        out.merge(h);
-        return true;
-    };
-    SpecStats &sp = r.speculation;
-    if (!u64(sp.batches) || !u64(sp.specRefs) || !u64(sp.rollbacks) ||
-        !u64(sp.rolledBackRefs) || !hist(sp.batchLen) ||
-        !hist(sp.rollbackDepth))
-        return std::nullopt;
-
-    std::uint64_t status = 0, attempts = 0;
-    if (!u64(r.watchdogTrips) || !u64(r.quarantines) ||
-        !u64(r.reintegrations) || !u64(r.scrubDivergence) ||
-        !boolean(r.consistent) ||
-        !t.u64(status) || status > 2 || !t.u64(attempts))
-        return std::nullopt;
-    r.status = static_cast<JobStatus>(status);
-    r.attempts = static_cast<unsigned>(attempts);
-
-    if (!getStringVec(t, r.violations) ||
-        !getStringVec(t, r.faultEvents) || !t.str(r.faultReport) ||
-        !t.str(r.failureReason))
-        return std::nullopt;
-
-    std::uint64_t nmetrics = 0;
-    if (!t.u64(nmetrics) || nmetrics > 4096)
-        return std::nullopt;
-    r.metrics.entries.resize(nmetrics);
-    for (MetricEntry &m : r.metrics.entries) {
-        std::uint64_t kind = 0;
-        if (!t.str(m.name) || !t.u64(kind) || kind > 2)
-            return std::nullopt;
-        m.kind = static_cast<MetricKind>(kind);
-        if (m.kind == MetricKind::Histogram) {
-            std::uint64_t nonzero = 0;
-            if (!u64(m.hist.count) || !u64(m.hist.sum) ||
-                !u64(m.hist.min) || !u64(m.hist.max) ||
-                !t.u64(nonzero) || nonzero > HistogramData::kBuckets)
-                return std::nullopt;
-            for (std::uint64_t i = 0; i < nonzero; ++i) {
-                std::uint64_t idx = 0, count = 0;
-                if (!t.u64(idx) || idx >= HistogramData::kBuckets ||
-                    !t.u64(count))
-                    return std::nullopt;
-                m.hist.buckets[idx] = count;
-            }
-        } else {
-            if (!u64(m.value))
-                return std::nullopt;
-        }
-    }
-    if (!t.expect("end") || !t.atEnd())
+    if (!walkRecord(in, r) || !in.atEnd())
         return std::nullopt;
     return r;
 }
@@ -597,6 +521,9 @@ CampaignJournal::CampaignJournal(const std::string &path,
     std::string first;
     std::getline(in, first);
     requireHeader(path, first, fingerprint);
+    // A torn final record (a kill mid-write) is no checkpoint; cut it,
+    // or the next record would be appended onto it and lost with it.
+    cutTornTail(fd_, size, path);
 }
 
 CampaignJournal::~CampaignJournal()

@@ -14,7 +14,8 @@
  * record-per-line + fsync discipline can leave behind is a torn final
  * line.  The loader therefore accepts any prefix of well-formed
  * records and silently drops a malformed tail; the dropped job is
- * simply re-run on resume.  Each record ends with an FNV-1a checksum
+ * simply re-run on resume, and the appender cuts the torn line before
+ * writing the next record.  Each record ends with an FNV-1a checksum
  * of its text, so a record corrupted at rest (one flipped digit) is
  * dropped the same way instead of merging as a different result, and
  * counted: a resumed campaign warns how many records it dropped.  A
@@ -28,6 +29,10 @@
  *   fbsim-campaign-journal v5 fp=<hex16> jobs=<n>
  *   job <index> ... <all CampaignResult fields in fixed order> ... end
  *       <hex16 FNV-1a of the record text before it>
+ *
+ * One field walk in campaign_journal.cc names every field once, in
+ * token order; the encoder runs it with a token writer and the decoder
+ * with a range-checking token reader, so the two cannot drift apart.
  */
 
 #ifndef FBSIM_CAMPAIGN_CAMPAIGN_JOURNAL_H_
@@ -65,7 +70,8 @@ class CampaignJournal
     /**
      * Open `path` for appending.  An empty or absent file gets the
      * header; an existing one must carry this version and a matching
-     * fingerprint.  I/O, version or fingerprint failure is fatal
+     * fingerprint, and loses its torn final line, if it has one.
+     * I/O, version or fingerprint failure is fatal
      * (fbsim_fatal) - checkpoint corruption must never be silent.
      */
     CampaignJournal(const std::string &path, std::uint64_t fingerprint,

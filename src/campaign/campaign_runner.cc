@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <tuple>
 
 #include "campaign/campaign_journal.h"
 #include "common/bounded_queue.h"
@@ -20,22 +21,11 @@ const std::vector<std::vector<ProcRef>> &
 CampaignScratch::shards(const std::vector<TraceRef> &trace,
                         std::size_t procs)
 {
-    if (traceKey_ == &trace && shardProcs_ == procs)
-        return shards_;
-    if (shards_.size() < procs)
-        shards_.resize(procs);
-    for (std::size_t p = 0; p < procs; ++p)
-        shards_[p].clear();
-    for (const TraceRef &r : trace) {
-        fbsim_assert(r.proc < procs);
-        shards_[r.proc].push_back({r.write, r.addr});
+    if (traceKey_ != &trace || shardProcs_ != procs) {
+        shards_ = splitTraceByProc(trace, procs);
+        traceKey_ = &trace;
+        shardProcs_ = procs;
     }
-    for (std::size_t p = 0; p < procs; ++p) {
-        if (shards_[p].empty())
-            shards_[p].push_back({false, 0});
-    }
-    traceKey_ = &trace;
-    shardProcs_ = procs;
     return shards_;
 }
 
@@ -75,16 +65,13 @@ namespace {
 
 /** What every job reports from its system's shared core. */
 void
-harvestCore(CampaignResult &result, const Fabric &system,
-            const CampaignSpec &spec)
+harvestCore(CampaignResult &result, const Fabric &system)
 {
     result.bus = system.rootBus().stats();
     result.cacheTotals = system.cacheTotals();
     result.violations = system.violations();
-    if (spec.terminalCheck) {
-        for (std::string &v : system.checkNow())
-            result.violations.push_back(std::move(v));
-    }
+    for (std::string &v : system.checkNow())
+        result.violations.push_back(std::move(v));
     result.consistent = result.violations.empty();
     result.faultEvents = system.faultEvents();
     result.watchdogTrips = system.watchdogTrips();
@@ -182,10 +169,8 @@ runCampaignJob(const CampaignSpec &spec, const CampaignJob &job,
         HierConfig hc = spec.hier;
         hc.lineBytes = spec.base.lineBytes;
         applyAxes(hc);
-        if (!spec.costs.empty()) {
-            hc.rootCost = spec.costs[job.costIdx].cost;
-            hc.leafCost = hc.rootCost;
-        }
+        if (!spec.costs.empty())
+            hc.cost = spec.costs[job.costIdx].cost;
         HierSystem system(hc, spec.clusters);
         if (trace)
             system.attachTrace(trace);
@@ -200,7 +185,7 @@ runCampaignJob(const CampaignSpec &spec, const CampaignJob &job,
 
         result.engine =
             HierEngine(system, ecfg).run(scratch.raw, refs, control);
-        harvestCore(result, system, spec);
+        harvestCore(result, system);
         result.scrubDivergence = system.scrubDivergence();
         result.faultReport = renderFaultReport(system);
         exportEngineMetrics(reg, result.engine);
@@ -229,7 +214,7 @@ runCampaignJob(const CampaignSpec &spec, const CampaignJob &job,
 
     ecfg.latency = &latency;
     result.engine = Engine(system, ecfg).run(scratch.raw, refs, control);
-    harvestCore(result, system, spec);
+    harvestCore(result, system);
     result.faultReport = renderFaultReport(system);
 
     // Metric snapshot: a pure function of this job's System/Engine
@@ -394,11 +379,18 @@ CampaignRunner::run(const CampaignSpec &spec) const
                        "jobs re-run",
                        sup_.journalPath.c_str(), journaled.dropped);
         }
+        // A record merges only into the job it describes: the report
+        // indexes its axis names by the record's axes.
+        auto axes = [](const CampaignJob &j) {
+            return std::tie(j.mixIdx, j.geometryIdx, j.costIdx,
+                            j.workloadIdx, j.faultIdx);
+        };
         for (CampaignResult &r : journaled.results) {
-            if (r.job.index >= jobs.size())
+            const std::size_t i = r.job.index;
+            if (i >= jobs.size() || axes(r.job) != axes(jobs[i]))
                 continue;
-            have[r.job.index] = 1;
-            report.results[r.job.index] = std::move(r);
+            have[i] = 1;
+            report.results[i] = std::move(r);
         }
     }
     std::unique_ptr<CampaignJournal> journal;

@@ -45,10 +45,8 @@ class CampaignScratch
 {
   public:
     /**
-     * Per-processor shards of `trace`, rebuilt only when (trace,
-     * procs) differs from the previous job's; the shard vectors'
-     * capacity is recycled.  Shards mirror splitTraceByProc(): a
-     * processor with no references gets one idle read of address 0.
+     * splitTraceByProc(trace, procs), rebuilt only when (trace, procs)
+     * differs from the previous job's.
      */
     const std::vector<std::vector<ProcRef>> &
     shards(const std::vector<TraceRef> &trace, std::size_t procs);

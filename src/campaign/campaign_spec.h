@@ -183,18 +183,14 @@ struct CampaignSpec
      * MOESI-class caches only (HierSystem rejects abort protocols on
      * leaves).  The geometry/cost/fault axes override `hier` exactly
      * as they override `base`: geometry line size -> hier.lineBytes,
-     * the cost point -> both rootCost and leafCost, the fault axis or
-     * factory -> hier.faults.
+     * the cost point -> hier.cost (root and leaf buses), the fault
+     * axis or factory -> hier.faults.
      */
     std::size_t clusters = 1;
 
-    /** Hierarchy base configuration (used when clusters > 1); carries
-     *  the recovery-ladder knobs the flat SystemConfig has no slot
-     *  for (bridge retry policy, quarantine ladder, scrub cadence). */
+    /** Hierarchy base configuration (used when clusters > 1): its
+     *  own ladder settings and the filter scrub cadence. */
     HierConfig hier;
-
-    /** Run the terminal full-universe check at the end of each job. */
-    bool terminalCheck = true;
 
     // The axes.  Empty geometry/cost/fault axes behave as a single
     // pass-through point; mixes and workloads must be non-empty.

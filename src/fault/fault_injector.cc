@@ -1,5 +1,7 @@
 #include "fault/fault_injector.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace fbsim {
@@ -37,13 +39,6 @@ appendSite(std::string &out, const char *name, const FaultSchedule &s,
         out += (first ? "" : ",") + extra;
     out += ')';
 }
-
-/** Fixed stable names for the flat fault sites.  These are part of
- *  the reproducibility contract: schedules derive from them, so they
- *  may never be renamed without invalidating recorded seeds. */
-const char *const kFlatSiteName[] = {
-    "abort", "mem-delay", "mem-drop", "data-flip", "resp-flip", "mute",
-};
 
 /** FNV-1a over the site name; folded into deriveSeed so the stream is
  *  a pure function of (seed, name) - no registration order anywhere. */
@@ -95,7 +90,17 @@ FaultInjector::siteSeed(std::uint64_t seed, std::string_view name)
     return Rng::deriveSeed(seed, fnv1a(name));
 }
 
-FaultInjector::FaultInjector(const FaultConfig &config) : config_(config)
+// The flat sites' names are part of the reproducibility contract:
+// schedules derive from them, so they may never be renamed without
+// invalidating recorded seeds.
+FaultInjector::FaultInjector(const FaultConfig &config)
+    : config_(config),
+      abort_("abort", siteSeed(config.seed, "abort")),
+      memoryDelay_("mem-delay", siteSeed(config.seed, "mem-delay")),
+      memoryDrop_("mem-drop", siteSeed(config.seed, "mem-drop")),
+      dataFlip_("data-flip", siteSeed(config.seed, "data-flip")),
+      responseFlip_("resp-flip", siteSeed(config.seed, "resp-flip")),
+      mute_("mute", siteSeed(config.seed, "mute"))
 {
     // One independent stream per site, seeded from the site's stable
     // name: enabling, re-ordering or *adding* sites (hier assembly
@@ -103,32 +108,12 @@ FaultInjector::FaultInjector(const FaultConfig &config) : config_(config)
     // another site's schedule, which keeps ablation campaigns (one
     // site at a time) comparable and flat schedules immune to
     // hierarchy assembly.
-    static_assert(sizeof(kFlatSiteName) / sizeof(kFlatSiteName[0]) ==
-                  kNumSites);
-    for (int i = 0; i < kNumSites; ++i)
-        rng_[i] = Rng(siteSeed(config_.seed, kFlatSiteName[i]));
-    for (int i = 0; i < kNumSites; ++i) {
-        const FaultSchedule *s = nullptr;
-        switch (static_cast<Site>(i)) {
-          case kSpuriousAbort: s = &config_.spuriousAbort; break;
-          case kMemoryDelay:   s = &config_.memoryDelay; break;
-          case kMemoryDrop:    s = &config_.memoryDrop; break;
-          case kDataFlip:      s = &config_.dataFlip; break;
-          case kResponseFlip:  s = &config_.responseFlip; break;
-          case kSnooperMute:   s = &config_.snooperMute; break;
-          case kNumSites:      break;
-        }
-        if (s) {
-            for (std::size_t k = 1; k < s->scriptAt.size(); ++k)
-                fbsim_assert(s->scriptAt[k - 1] <= s->scriptAt[k]);
-        }
-    }
     for (const FaultSchedule *s :
-         {&config_.bridgeDrop, &config_.bridgeDelay, &config_.bridgeDup,
-          &config_.filterStale, &config_.leafStall}) {
-        for (std::size_t k = 1; k < s->scriptAt.size(); ++k)
-            fbsim_assert(s->scriptAt[k - 1] <= s->scriptAt[k]);
-    }
+         {&config_.spuriousAbort, &config_.memoryDelay,
+          &config_.memoryDrop, &config_.dataFlip, &config_.responseFlip,
+          &config_.snooperMute, &config_.bridgeDrop, &config_.bridgeDelay,
+          &config_.bridgeDup, &config_.filterStale, &config_.leafStall})
+        fbsim_assert(std::is_sorted(s->scriptAt.begin(), s->scriptAt.end()));
     siteSummary_ = summarizeFaultSites(config_);
 }
 
@@ -147,8 +132,8 @@ FaultInjector::site(std::string_view name)
 bool
 FaultInjector::fireAt(FaultSite &site, const FaultSchedule &sched)
 {
-    // Same schedule semantics as fire(), over the site's own stream
-    // and script cursor.
+    // Scripted entries fire once each, at the site's first opportunity
+    // in (or after) their transaction.
     if (quiesced_)
         return false;
     if (site.cursor_ < sched.scriptAt.size() &&
@@ -164,67 +149,45 @@ FaultInjector::fireAt(FaultSite &site, const FaultSchedule &sched)
 }
 
 bool
+FaultInjector::counted(FaultSite &site, const FaultSchedule &sched,
+                       std::uint64_t &counter)
+{
+    if (!fireAt(site, sched))
+        return false;
+    ++counter;
+    return true;
+}
+
+bool
 FaultInjector::fireBridgeDrop(FaultSite &site)
 {
-    if (!fireAt(site, config_.bridgeDrop))
-        return false;
-    ++stats_.bridgeDrops;
-    return true;
+    return counted(site, config_.bridgeDrop, stats_.bridgeDrops);
 }
 
 Cycles
 FaultInjector::fireBridgeDelay(FaultSite &site)
 {
-    if (!fireAt(site, config_.bridgeDelay))
-        return 0;
-    ++stats_.bridgeDelays;
-    return config_.bridgeDelayCycles;
+    return counted(site, config_.bridgeDelay, stats_.bridgeDelays)
+               ? config_.bridgeDelayCycles
+               : 0;
 }
 
 bool
 FaultInjector::fireBridgeDup(FaultSite &site)
 {
-    if (!fireAt(site, config_.bridgeDup))
-        return false;
-    ++stats_.bridgeDups;
-    return true;
+    return counted(site, config_.bridgeDup, stats_.bridgeDups);
 }
 
 bool
 FaultInjector::fireFilterStale(FaultSite &site)
 {
-    if (!fireAt(site, config_.filterStale))
-        return false;
-    ++stats_.filterStales;
-    return true;
+    return counted(site, config_.filterStale, stats_.filterStales);
 }
 
 bool
 FaultInjector::fireLeafStall(FaultSite &site)
 {
-    if (!fireAt(site, config_.leafStall))
-        return false;
-    ++stats_.leafStalls;
-    return true;
-}
-
-bool
-FaultInjector::fire(Site site, const FaultSchedule &sched)
-{
-    // Scripted entries fire once each, at the site's first opportunity
-    // in (or after) their transaction.
-    if (quiesced_)
-        return false;
-    std::size_t &cur = scriptCursor_[site];
-    if (cur < sched.scriptAt.size() && sched.scriptAt[cur] <= txn_) {
-        ++cur;
-        return true;
-    }
-    if (sched.probability <= 0.0)
-        return false;
-    if (txn_ < sched.windowStart || txn_ >= sched.windowEnd)
-        return false;
-    return rng_[site].chance(sched.probability);
+    return counted(site, config_.leafStall, stats_.leafStalls);
 }
 
 bool
@@ -237,11 +200,10 @@ FaultInjector::fireSpuriousAbort(LineAddr line)
         ++stats_.stormAborts;
         return true;
     }
-    if (!fire(kSpuriousAbort, config_.spuriousAbort))
+    if (!counted(abort_, config_.spuriousAbort, stats_.spuriousAborts))
         return false;
-    ++stats_.spuriousAborts;
     if (config_.abortStormProb > 0.0 && config_.abortStormLength > 0 &&
-        rng_[kSpuriousAbort].chance(config_.abortStormProb)) {
+        abort_.rng_.chance(config_.abortStormProb)) {
         stormLine_ = line;
         stormRemaining_ = config_.abortStormLength;
     }
@@ -251,24 +213,21 @@ FaultInjector::fireSpuriousAbort(LineAddr line)
 bool
 FaultInjector::fireMute(MasterId /* id */)
 {
-    if (!fire(kSnooperMute, config_.snooperMute))
-        return false;
-    ++stats_.snooperMutes;
-    return true;
+    return counted(mute_, config_.snooperMute, stats_.snooperMutes);
 }
 
 ResponseSignals
 FaultInjector::corruptResponse(ResponseSignals resp)
 {
-    if (!fire(kResponseFlip, config_.responseFlip))
+    if (!counted(responseFlip_, config_.responseFlip,
+                 stats_.responseFlips))
         return resp;
-    ++stats_.responseFlips;
     // BS glitches are the spurious-abort site; here only the
     // informational lines flip.  A CH flip can send a master to a
     // wrongly exclusive state (a detectable U1/V3 violation) or to a
     // needlessly shared one (harmless); DI/SL flips are visible only
     // in statistics, since data routing follows the latched owner.
-    switch (rng_[kResponseFlip].below(3)) {
+    switch (responseFlip_.rng_.below(3)) {
       case 0: resp.ch = !resp.ch; break;
       case 1: resp.di = !resp.di; break;
       case 2: resp.sl = !resp.sl; break;
@@ -279,25 +238,21 @@ FaultInjector::corruptResponse(ResponseSignals resp)
 Cycles
 FaultInjector::fireMemoryDelay()
 {
-    if (!fire(kMemoryDelay, config_.memoryDelay))
-        return 0;
-    ++stats_.memoryDelays;
-    return config_.memoryDelayCycles;
+    return counted(memoryDelay_, config_.memoryDelay, stats_.memoryDelays)
+               ? config_.memoryDelayCycles
+               : 0;
 }
 
 bool
 FaultInjector::fireMemoryDrop()
 {
-    if (!fire(kMemoryDrop, config_.memoryDrop))
-        return false;
-    ++stats_.memoryDrops;
-    return true;
+    return counted(memoryDrop_, config_.memoryDrop, stats_.memoryDrops);
 }
 
 bool
 FaultInjector::shouldFlipData()
 {
-    return fire(kDataFlip, config_.dataFlip);
+    return fireAt(dataFlip_, config_.dataFlip);
 }
 
 std::string

@@ -204,10 +204,12 @@ struct FaultStats
 
 /**
  * One named fault site's private draw state: an xoshiro stream seeded
- * from (campaign seed, site name) plus the site's script cursor.
- * Handles are created on demand by FaultInjector::site() and stay
- * valid for the injector's lifetime; callers (bridges) resolve their
- * sites once at arming time and draw through the handle afterwards.
+ * from (campaign seed, site name) plus the site's script cursor.  The
+ * injector holds the six flat sites; bridge sites are created on
+ * demand by FaultInjector::site() and stay valid for the injector's
+ * lifetime, so bridges resolve theirs once at arming time and draw
+ * through the handle afterwards.  Every site fires through
+ * FaultInjector::fireAt().
  */
 class FaultSite
 {
@@ -271,7 +273,7 @@ class FaultInjector
     bool shouldFlipData();
 
     /** Stream for victim cache/line/bit selection. */
-    Rng &dataFlipRng() { return rng_[kDataFlip]; }
+    Rng &dataFlipRng() { return dataFlip_.rng_; }
 
     /** Count one applied data flip. */
     void noteDataFlip() { ++stats_.dataFlips; }
@@ -334,22 +336,14 @@ class FaultInjector
     std::string describe() const;
 
   private:
-    enum Site : int {
-        kSpuriousAbort = 0,
-        kMemoryDelay,
-        kMemoryDrop,
-        kDataFlip,
-        kResponseFlip,
-        kSnooperMute,
-        kNumSites,
-    };
-
-    /** Schedule test for one site (consumes at most one draw). */
-    bool fire(Site site, const FaultSchedule &sched);
+    /** fireAt(), counting a hit in `counter`. */
+    bool counted(FaultSite &site, const FaultSchedule &sched,
+                 std::uint64_t &counter);
 
     FaultConfig config_;
-    Rng rng_[kNumSites];
-    std::size_t scriptCursor_[kNumSites] = {};
+    /** The flat sites, on the streams of their stable names. */
+    FaultSite abort_, memoryDelay_, memoryDrop_, dataFlip_,
+        responseFlip_, mute_;
     std::uint64_t txn_ = 0;
     bool quiesced_ = false;
     LineAddr stormLine_ = 0;

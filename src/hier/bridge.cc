@@ -146,13 +146,12 @@ BusBridge::forwardUp(const BusRequest &req, BusCmd cmd,
     // feed the per-bridge livelock watchdog.
     auto exhausted = [&]() {
         ++stats_.forwardExhausted;
-        if (watchdogThreshold_ != 0 &&
-            ++exhaustStreak_ >= watchdogThreshold_) {
+        if (++exhaustStreak_ >= kWatchdogThreshold) {
             ++stats_.watchdogTrips;
             exhaustStreak_ = 0;
             fbsim_warn("bridge %zu: forward watchdog tripped after %u "
                        "consecutive exhausted forwards %s",
-                       cluster_, watchdogThreshold_,
+                       cluster_, kWatchdogThreshold,
                        faults_ ? faults_->describe().c_str() : "");
         }
         SlaveResult out;
@@ -163,13 +162,12 @@ BusBridge::forwardUp(const BusRequest &req, BusCmd cmd,
 
     for (unsigned attempt = 0;; ++attempt) {
         if (forwardLost()) {
-            if (attempt >= maxForwardRetries_)
+            if (attempt >= kForwardRetries)
                 return exhausted();
             // Exponential backoff before the re-send; the cycles are
             // charged to the leaf transaction via extraDelay.
             ++stats_.forwardRetries;
-            const Cycles b = backoffBase_
-                             << std::min(attempt, 6u);
+            const Cycles b = kBackoffBase << std::min(attempt, 6u);
             stats_.forwardBackoffCycles += b;
             extra += b;
             continue;

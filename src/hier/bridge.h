@@ -168,21 +168,17 @@ class BusBridge : public MemorySlave, public Snooper
 
     /**
      * Cross-bus forward retry policy: a dropped/stalled forward is
-     * re-sent up to `retries` times, charging `backoff_base << k`
+     * re-sent up to kForwardRetries times, charging kBackoffBase << k
      * cycles before retry k; after that the forward is reported
      * dropped and the leaf bus's own retry machinery re-drives the
      * whole transaction.
      */
-    void setForwardRetryPolicy(unsigned retries, Cycles backoff_base)
-    {
-        maxForwardRetries_ = retries;
-        backoffBase_ = backoff_base;
-    }
+    static constexpr unsigned kForwardRetries = 4;
+    static constexpr Cycles kBackoffBase = 2;
 
     /** Consecutive forward exhaustions before the per-bridge livelock
      *  watchdog trips (stats().watchdogTrips). */
-    void setWatchdogThreshold(unsigned exhausts)
-    { watchdogThreshold_ = exhausts; }
+    static constexpr unsigned kWatchdogThreshold = 4;
 
     /**
      * Maintenance bypass: while set, forwards draw no faults and any
@@ -239,9 +235,6 @@ class BusBridge : public MemorySlave, public Snooper
     FaultSite *staleSite_ = nullptr;
     FaultSite *stallSite_ = nullptr;
     std::size_t cluster_ = 0;
-    unsigned maxForwardRetries_ = 4;
-    Cycles backoffBase_ = 2;
-    unsigned watchdogThreshold_ = 4;
     unsigned stallRemaining_ = 0;   ///< forwards left in the window
     unsigned exhaustStreak_ = 0;    ///< consecutive exhausted forwards
     bool maintenance_ = false;

@@ -13,7 +13,7 @@ constexpr MasterId kBridgeLeafId = 0xfffe;
 } // namespace
 
 HierSystem::HierSystem(const HierConfig &config, std::size_t clusters)
-    : Fabric(config, config.rootCost), config_(config)
+    : Fabric(config), config_(config)
 {
     fbsim_assert(clusters >= 1);
     std::size_t words = config_.lineBytes / kWordBytes;
@@ -34,7 +34,7 @@ HierSystem::HierSystem(const HierConfig &config, std::size_t clusters)
         cluster.bridge = std::make_unique<BusBridge>(
             static_cast<MasterId>(i), kBridgeLeafId, rootBus(), words);
         cluster.bus = std::make_unique<Bus>(
-            *cluster.bridge, config_.leafCost, config_.maxBusRetries);
+            *cluster.bridge, config_.cost, config_.maxBusRetries);
         cluster.bus->setSnoopFilterEnabled(config_.snoopFilter);
         cluster.bus->setSnoopCrossCheck(config_.snoopFilterCrossCheck);
         cluster.bus->addTraceSink(&checker());
@@ -47,10 +47,6 @@ HierSystem::HierSystem(const HierConfig &config, std::size_t clusters)
         if (faults) {
             cluster.bus->setFaultInjector(faults);
             cluster.bridge->setFaultInjector(faults, i);
-            cluster.bridge->setForwardRetryPolicy(
-                config_.bridgeForwardRetries, config_.bridgeBackoffBase);
-            cluster.bridge->setWatchdogThreshold(
-                config_.bridgeWatchdogThreshold);
         }
         // H1/H2: the checker verifies the bridge's conservative
         // filters never unsafely exclude a holder.

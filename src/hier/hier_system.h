@@ -27,21 +27,12 @@
 namespace fbsim {
 
 /** Configuration of a hierarchical system: the shared settings plus
- *  the bus tree's own.  One injector serves the whole fabric: root
- *  bus, root memory slave, every leaf bus, and the bridges' own fault
- *  sites ("bridge<k>.drop" etc., keyed by cluster index so assembly
- *  order never shifts a schedule). */
+ *  the bridge filters' scrub cadence.  One injector serves the whole
+ *  fabric: root bus, root memory slave, every leaf bus, and the
+ *  bridges' own fault sites ("bridge<k>.drop" etc., keyed by cluster
+ *  index so assembly order never shifts a schedule). */
 struct HierConfig : FabricConfig
 {
-    BusCostModel rootCost;   ///< root bus timing
-    BusCostModel leafCost;   ///< leaf bus timing
-    /** Bridge cross-bus forward retry policy (see
-     *  BusBridge::setForwardRetryPolicy). */
-    unsigned bridgeForwardRetries = 4;
-    Cycles bridgeBackoffBase = 2;
-    /** Consecutive exhausted forwards before a bridge's livelock
-     *  watchdog trips (charged to its cluster's ladder). */
-    unsigned bridgeWatchdogThreshold = 4;
     /**
      * Audit-and-scrub cadence: every N accesses, recompute the exact
      * per-cluster presence sets from the leaf TagStores and repair

@@ -14,27 +14,57 @@ NonCachingMaster::NonCachingMaster(MasterId id, Bus &bus,
 }
 
 AccessOutcome
-NonCachingMaster::read(Addr addr)
+uncachedRead(Bus &bus, MasterId id, LineAddr line, std::size_t word)
 {
-    ++stats_.reads;
-    ++stats_.readMisses;
     BusRequest req;
-    req.master = id_;
+    req.master = id;
     req.cmd = BusCmd::Read;
     req.sig = {false, false, false};   // "I,R**": no CA asserted
-    req.line = addr / lineBytes_;
-    BusResult r = bus_.execute(req);
+    req.line = line;
+    BusResult r = bus.execute(req);
     AccessOutcome outcome;
     outcome.usedBus = true;
     outcome.busTransactions = 1;
     outcome.busCycles = r.cost;
     if (!r.converged) {
         outcome.faulted = true;
-        ++stats_.faultedAccesses;
         return outcome;
     }
-    outcome.value = r.line[(addr % lineBytes_) / kWordBytes];
-    bus_.recycleLineBuffer(std::move(r.line));
+    outcome.value = r.line[word];
+    bus.recycleLineBuffer(std::move(r.line));
+    return outcome;
+}
+
+AccessOutcome
+uncachedWrite(Bus &bus, MasterId id, LineAddr line, std::size_t word,
+              Word value, bool broadcast)
+{
+    BusRequest req;
+    req.master = id;
+    req.cmd = BusCmd::WriteWord;
+    req.sig = {false, true, broadcast};   // "I,IM,[BC],W**"
+    req.line = line;
+    req.wordIdx = word;
+    req.wdata = value;
+    BusResult r = bus.execute(req);
+    AccessOutcome outcome;
+    outcome.usedBus = true;
+    outcome.busTransactions = 1;
+    outcome.busCycles = r.cost;
+    outcome.value = value;
+    outcome.faulted = !r.converged;
+    return outcome;
+}
+
+AccessOutcome
+NonCachingMaster::read(Addr addr)
+{
+    ++stats_.reads;
+    ++stats_.readMisses;
+    AccessOutcome outcome = uncachedRead(bus_, id_, addr / lineBytes_,
+                                         (addr % lineBytes_) / kWordBytes);
+    if (outcome.faulted)
+        ++stats_.faultedAccesses;
     return outcome;
 }
 
@@ -43,23 +73,12 @@ NonCachingMaster::write(Addr addr, Word value)
 {
     ++stats_.writes;
     ++stats_.writeMisses;
-    BusRequest req;
-    req.master = id_;
-    req.cmd = BusCmd::WriteWord;
-    req.sig = {false, true, broadcastWrites_};   // "I,IM,[BC],W**"
-    req.line = addr / lineBytes_;
-    req.wordIdx = (addr % lineBytes_) / kWordBytes;
-    req.wdata = value;
-    BusResult r = bus_.execute(req);
-    AccessOutcome outcome;
-    outcome.usedBus = true;
-    outcome.busTransactions = 1;
-    outcome.busCycles = r.cost;
-    outcome.value = value;
-    if (!r.converged) {
-        outcome.faulted = true;
+    AccessOutcome outcome =
+        uncachedWrite(bus_, id_, addr / lineBytes_,
+                      (addr % lineBytes_) / kWordBytes, value,
+                      broadcastWrites_);
+    if (outcome.faulted)
         ++stats_.faultedAccesses;
-    }
     return outcome;
 }
 

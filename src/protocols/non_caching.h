@@ -14,6 +14,19 @@
 
 namespace fbsim {
 
+/**
+ * The uncached read of the "**" rows: "I,R**", no CA asserted, so no
+ * cache changes state on its behalf.  Shared by NonCachingMaster and a
+ * quarantined SnoopingCache; a bus give-up comes back `faulted` for
+ * the caller to count.
+ */
+AccessOutcome uncachedRead(Bus &bus, MasterId id, LineAddr line,
+                           std::size_t word);
+
+/** The uncached word write: "I,IM,[BC],W**" (BC when `broadcast`). */
+AccessOutcome uncachedWrite(Bus &bus, MasterId id, LineAddr line,
+                            std::size_t word, Word value, bool broadcast);
+
 /** A cache-less master: every access is a bus transaction. */
 class NonCachingMaster : public BusClient
 {

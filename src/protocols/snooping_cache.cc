@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "common/logging.h"
+#include "protocols/non_caching.h"
 
 namespace fbsim {
 
@@ -220,13 +221,13 @@ SnoopingCache::read(Addr addr)
             return o;
     }
     ++stats_.reads;
-    if (quarantined_) {
-        ++stats_.readMisses;
-        return bypassRead(addr);
-    }
     // Every protocol table serves a read on a valid line locally, so a
     // read used the bus iff it missed; no separate state probe needed.
-    AccessOutcome outcome = dispatchLocal(LocalEvent::Read, addr, 0, 0);
+    // A quarantined cache reads uncached, always a miss.
+    AccessOutcome outcome =
+        quarantined_
+            ? uncachedRead(bus_, id_, lineOf(addr), wordIndexOf(addr))
+            : dispatchLocal(LocalEvent::Read, addr, 0, 0);
     if (outcome.faulted)
         ++stats_.faultedAccesses;
     if (outcome.usedBus)
@@ -248,12 +249,12 @@ SnoopingCache::write(Addr addr, Word value)
         }
     }
     ++stats_.writes;
-    if (quarantined_) {
-        ++stats_.writeMisses;
-        return bypassWrite(addr, value);
-    }
-    bool present = isValid(lineState(addr));
-    AccessOutcome outcome = dispatchLocal(LocalEvent::Write, addr, value, 0);
+    // A quarantined cache writes uncached (never BC), always a miss.
+    const bool present = !quarantined_ && isValid(lineState(addr));
+    AccessOutcome outcome =
+        quarantined_ ? uncachedWrite(bus_, id_, lineOf(addr),
+                                     wordIndexOf(addr), value, false)
+                     : dispatchLocal(LocalEvent::Write, addr, value, 0);
     if (outcome.faulted)
         ++stats_.faultedAccesses;
     if (!present)
@@ -275,52 +276,6 @@ SnoopingCache::flush(Addr addr, bool keep_copy)
                       addr, 0, 0);
     if (outcome.faulted)
         ++stats_.faultedAccesses;
-    return outcome;
-}
-
-AccessOutcome
-SnoopingCache::bypassRead(Addr addr)
-{
-    BusRequest req;
-    req.master = id_;
-    req.cmd = BusCmd::Read;
-    req.sig = {false, false, false};   // "I,R**": no CA asserted
-    req.line = lineOf(addr);
-    BusResult r = bus_.execute(req);
-    AccessOutcome outcome;
-    outcome.usedBus = true;
-    outcome.busTransactions = 1;
-    outcome.busCycles = r.cost;
-    if (!r.converged) {
-        outcome.faulted = true;
-        ++stats_.faultedAccesses;
-        return outcome;
-    }
-    outcome.value = r.line[wordIndexOf(addr)];
-    bus_.recycleLineBuffer(std::move(r.line));
-    return outcome;
-}
-
-AccessOutcome
-SnoopingCache::bypassWrite(Addr addr, Word value)
-{
-    BusRequest req;
-    req.master = id_;
-    req.cmd = BusCmd::WriteWord;
-    req.sig = {false, true, false};    // "I,IM,W**"
-    req.line = lineOf(addr);
-    req.wordIdx = wordIndexOf(addr);
-    req.wdata = value;
-    BusResult r = bus_.execute(req);
-    AccessOutcome outcome;
-    outcome.usedBus = true;
-    outcome.busTransactions = 1;
-    outcome.busCycles = r.cost;
-    outcome.value = value;
-    if (!r.converged) {
-        outcome.faulted = true;
-        ++stats_.faultedAccesses;
-    }
     return outcome;
 }
 

@@ -368,11 +368,6 @@ class SnoopingCache : public BusClient, public Snooper
      *  missed (empty reply, no latched action). */
     SnoopReply ignoredIllegalSnoop(State s, BusEvent ev, LineAddr la);
 
-    /** Cache-bypass accesses used while quarantined (the non-caching
-     *  master's transaction shapes). */
-    AccessOutcome bypassRead(Addr addr);
-    AccessOutcome bypassWrite(Addr addr, Word value);
-
     /**
      * Every consistency-state change funnels through here so the
      * bus's snoop-filter presence bitmask tracks valid<->invalid

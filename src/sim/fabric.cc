@@ -13,14 +13,14 @@ constexpr std::size_t kMaxRecorded = 1000;
 
 } // namespace
 
-Fabric::Fabric(const FabricConfig &config, const BusCostModel &root_cost)
+Fabric::Fabric(const FabricConfig &config)
     : config_(config)
 {
     std::size_t words = config_.lineBytes / kWordBytes;
     fbsim_assert(words > 0);
     memory_ = std::make_unique<MainMemory>(words);
     slave_ = std::make_unique<MainMemorySlave>(*memory_);
-    bus_ = std::make_unique<Bus>(*slave_, root_cost, config_.maxBusRetries);
+    bus_ = std::make_unique<Bus>(*slave_, config_.cost, config_.maxBusRetries);
     bus_->setSnoopFilterEnabled(config_.snoopFilter);
     bus_->setSnoopCrossCheck(config_.snoopFilterCrossCheck);
     checker_ =

@@ -38,6 +38,8 @@ struct FabricConfig
 {
     /** The standard line size (section 5.1) every cache must use. */
     std::size_t lineBytes = 32;
+    /** Bus timing of the root bus and of every leaf bus. */
+    BusCostModel cost;
     unsigned maxBusRetries = 16;
     /** Run the invariant check after every access (slow; tests). */
     bool checkEveryAccess = false;
@@ -208,7 +210,7 @@ class Fabric
 
   protected:
     /** Builds the root memory, root bus, checker and injector. */
-    Fabric(const FabricConfig &config, const BusCostModel &root_cost);
+    explicit Fabric(const FabricConfig &config);
 
     /**
      * Register a board on the root bus; returns its index.  `name`

@@ -5,7 +5,7 @@
 namespace fbsim {
 
 System::System(const SystemConfig &config)
-    : Fabric(config, config.cost), config_(config)
+    : Fabric(config), config_(config)
 {
 }
 

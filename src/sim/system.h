@@ -22,10 +22,9 @@
 namespace fbsim {
 
 /** System-wide configuration: the shared settings plus the flat
- *  bus's own. */
+ *  system's integrity quarantine and compatibility-guard override. */
 struct SystemConfig : FabricConfig
 {
-    BusCostModel cost;
     /**
      * Quarantine a cache whose read returns a value that differs from
      * the oracle while it holds the line valid (a failed data

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -81,65 +80,6 @@ parseHex(std::string_view tok, std::uint64_t *out)
 } // namespace
 
 std::vector<TraceRef>
-readTrace(std::istream &in, std::string *error_out)
-{
-    std::vector<TraceRef> refs;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
-        std::istringstream ls(line);
-        std::string proc_tok, op_tok, addr_tok;
-        if (!(ls >> proc_tok))
-            continue;   // blank / comment-only line
-        if (!(ls >> op_tok >> addr_tok)) {
-            if (error_out) {
-                *error_out = strprintf("line %zu: expected "
-                                       "'<proc> <R|W> <hexaddr>'",
-                                       lineno);
-            }
-            return {};
-        }
-        TraceRef ref;
-        unsigned long proc = 0;
-        try {
-            proc = std::stoul(proc_tok);
-            ref.addr = std::stoull(addr_tok, nullptr, 16);
-        } catch (const std::exception &) {
-            if (error_out)
-                *error_out = strprintf("line %zu: bad number", lineno);
-            return {};
-        }
-        if (proc > kMaxMasterId) {
-            if (error_out) {
-                *error_out = strprintf("line %zu: processor id out of "
-                                       "range", lineno);
-            }
-            return {};
-        }
-        ref.proc = static_cast<MasterId>(proc);
-        if (op_tok == "R" || op_tok == "r") {
-            ref.write = false;
-        } else if (op_tok == "W" || op_tok == "w") {
-            ref.write = true;
-        } else {
-            if (error_out) {
-                *error_out = strprintf("line %zu: op must be R or W",
-                                       lineno);
-            }
-            return {};
-        }
-        refs.push_back(ref);
-    }
-    if (error_out)
-        error_out->clear();
-    return refs;
-}
-
-std::vector<TraceRef>
 parseTrace(std::string_view text, std::string *error_out)
 {
     std::vector<TraceRef> refs;
@@ -213,22 +153,17 @@ readTraceFile(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         fbsim_fatal("cannot open trace file %s", path.c_str());
-    in.seekg(0, std::ios::end);
-    std::streamoff size = in.tellg();
+    // Read the whole stream, then scan it: a pipe or a FIFO is read
+    // exactly like a regular file, and a read error (a directory, say)
+    // is fatal rather than an empty trace.
+    std::string text;
+    char chunk[1 << 16];
+    while (in.read(chunk, sizeof chunk), in.gcount() > 0)
+        text.append(chunk, static_cast<std::size_t>(in.gcount()));
+    if (in.bad())
+        fbsim_fatal("cannot read trace file %s", path.c_str());
     std::string err;
-    std::vector<TraceRef> refs;
-    if (size < 0) {
-        // Not seekable - fall back to the stream parser.
-        in.seekg(0);
-        refs = readTrace(in, &err);
-    } else {
-        std::string text(static_cast<std::size_t>(size), '\0');
-        in.seekg(0);
-        in.read(text.data(), size);
-        if (!in)
-            fbsim_fatal("cannot read trace file %s", path.c_str());
-        refs = parseTrace(text, &err);
-    }
+    std::vector<TraceRef> refs = parseTrace(text, &err);
     if (!err.empty())
         fbsim_fatal("%s: %s", path.c_str(), err.c_str());
     return refs;

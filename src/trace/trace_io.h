@@ -8,6 +8,9 @@
  * processors globally (the order is the bus order in the functional
  * layer).  A processor id must fit a MasterId; a larger one is a parse
  * error ("line N: processor id out of range"), never a wrapped id.
+ *
+ * One scanner, parseTrace(), reads this format; readTraceFile() feeds
+ * it a whole file, pipe or FIFO alike.
  */
 
 #ifndef FBSIM_TRACE_TRACE_IO_H_
@@ -34,29 +37,21 @@ struct TraceRef
 };
 
 /**
- * Parse a trace from a stream (line-at-a-time; the fallback for
- * non-seekable input).  For in-memory text prefer parseTrace(), which
- * scans in place without per-line stream/string work.
- * @param in input text.
- * @param error_out set to a description on failure.
- * @return the references, empty (with error_out set) on parse error.
- */
-std::vector<TraceRef> readTrace(std::istream &in, std::string *error_out);
-
-/**
  * Parse a trace from an in-memory buffer with one in-place scan: no
- * per-line istringstream, no token strings, no number-parse
- * exceptions.  Accepts exactly the readTrace() grammar and produces
- * identical references and equivalent line-numbered errors.  This is
- * the hot path for trace-sharded campaign jobs (see
- * bench/campaign_throughput.cc for the measured delta).
+ * per-line stream or string work, no number-parse exceptions.  The
+ * processor id is decimal and the address hex (optional 0x), each
+ * with an optional '+' and no '-'; trailing junk after a number's
+ * digits is ignored ("1 W 0x" is address 0).
+ * @param text the trace text.
+ * @param error_out set to "line N: <what>" on failure, else cleared.
+ * @return the references, empty (with error_out set) on parse error.
  */
 std::vector<TraceRef> parseTrace(std::string_view text,
                                  std::string *error_out);
 
 /**
- * Parse a trace file from disk; fatal() on I/O or parse errors.
- * Reads the file in a single I/O call and scans it with parseTrace().
+ * Read a trace file, pipe or FIFO whole and scan it with parseTrace();
+ * fatal() on I/O or parse errors.
  */
 std::vector<TraceRef> readTraceFile(const std::string &path);
 

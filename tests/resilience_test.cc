@@ -516,6 +516,103 @@ TEST(JournalTest, RecordsRoundTripBitExact)
               renderCampaignTable(rebuilt));
 }
 
+/** FNV-1a of every job's encoded record, in job order. */
+std::string
+recordPins(const CampaignSpec &spec)
+{
+    std::string pins;
+    for (const CampaignResult &r : CampaignRunner(1).run(spec).results) {
+        const std::string line = encodeJournalRecord(r);
+        std::optional<CampaignResult> back = decodeJournalRecord(line);
+        EXPECT_TRUE(back.has_value()) << line;
+        if (back) {
+            EXPECT_EQ(encodeJournalRecord(*back), line);
+        }
+        pins += strprintf("%s%016llx", pins.empty() ? "" : " ",
+                          static_cast<unsigned long long>(
+                              test::fnv1a(line)));
+    }
+    return pins;
+}
+
+// The v5 record bytes themselves, pinned for every job of a faulted
+// flat campaign and a faulted 2-cluster campaign.  The flat one mixes
+// a Random chooser and a non-caching master into its second lineup,
+// and its fault-free jobs speculate, so records carry speculation
+// histograms, violation and fault-event strings and metric snapshots.
+TEST(JournalTest, RecordBytesArePinned)
+{
+    CampaignSpec flat = smallSpec(0x9e1, 400, 1);
+    flat.base.checkEveryAccess = false;
+    flat.base.maxBusRetries = 4;
+    flat.base.watchdogRounds = 2;
+    flat.base.quarantineOnIntegrity = true;
+    flat.base.reintegrateAfterCycles = 1500;
+    ProtocolMix mixed;
+    mixed.name = "Moesi+Random+io";
+    MixSlot moesi;
+    moesi.cache = test::smallCache(ProtocolKind::Moesi);
+    MixSlot random;
+    random.cache = test::smallCache(ProtocolKind::Dragon);
+    random.cache.chooser = ChooserKind::Random;
+    random.cache.seed = 7;
+    MixSlot io;
+    io.nonCaching = true;
+    io.broadcastWrites = true;
+    mixed.slots = {moesi, random, io};
+    flat.mixes.push_back(std::move(mixed));
+    FaultConfig fc;
+    fc.seed = 0x9e1;
+    fc.spuriousAbort.probability = 0.05;
+    fc.abortStormProb = 0.2;
+    fc.abortStormLength = 6;
+    fc.memoryDrop.probability = 1.0;
+    fc.memoryDrop.windowStart = 100;
+    fc.memoryDrop.windowEnd = 140;
+    fc.dataFlip.probability = 0.02;
+    fc.responseFlip.probability = 0.01;
+    fc.snooperMute.probability = 0.01;
+    flat.faults = {FaultPoint{}, FaultPoint{"faulted", fc}};
+
+    CampaignSpec hier = smallSpec(0x9e2, 400, 1);
+    hier.clusters = 2;
+    hier.mixes[0].slots.push_back(hier.mixes[0].slots[0]);
+    hier.mixes[0].slots.push_back(hier.mixes[0].slots[1]);
+    hier.hier.maxBusRetries = 64;
+    hier.hier.watchdogRounds = 4;
+    hier.hier.reintegrateAfterCycles = 3000;
+    hier.hier.scrubEveryAccesses = 256;
+    FaultConfig hc;
+    hc.seed = 0x9e2;
+    hc.spuriousAbort.probability = 0.03;
+    hc.memoryDelay.probability = 0.02;
+    hc.bridgeDrop.probability = 0.02;
+    hc.bridgeDelay.probability = 0.02;
+    hc.bridgeDup.probability = 0.01;
+    hc.filterStale.probability = 0.05;
+    hc.leafStall.probability = 1.0;
+    hc.leafStall.windowStart = 200;
+    hc.leafStall.windowEnd = 260;
+    FaultConfig flips = hc;
+    flips.dataFlip.probability = 0.03;
+    hier.faults = {FaultPoint{"timing", hc}, FaultPoint{"flips", flips}};
+
+    // The shapes the pin relies on actually occur.
+    CampaignReport flatRun = CampaignRunner(1).run(flat);
+    std::uint64_t batches = 0, events = 0;
+    for (const CampaignResult &r : flatRun.results) {
+        batches += r.speculation.batchLen.data().count;
+        events += r.faultEvents.size();
+        EXPECT_FALSE(r.metrics.empty());
+    }
+    EXPECT_GT(batches, 0u);
+    EXPECT_GT(events, 0u);
+
+    EXPECT_EQ(recordPins(flat), "c28e7ed9c4737b6c df58bf12ccb79281 "
+                                "ff4a912ecb90f881 95736116c2ba94ba");
+    EXPECT_EQ(recordPins(hier), "34da72fa82e3d946 5c4dfde1b061ce08");
+}
+
 TEST(JournalTest, KillAndResumeMergesByteIdentically)
 {
     const std::string path =
@@ -564,6 +661,41 @@ TEST(JournalTest, KillAndResumeMergesByteIdentically)
     // A second resume finds everything done and still agrees.
     EXPECT_EQ(baseline,
               renderCampaignTable(CampaignRunner(1, sup).run(spec)));
+    std::remove(path.c_str());
+}
+
+// A resume after a kill appends behind the torn tail, not onto it: a
+// second resume finds every record intact and warns of nothing.
+TEST(JournalTest, ResumeCutsTheTornTailBeforeAppending)
+{
+    const std::string path =
+        testing::TempDir() + "fbsim_torn_append_test.journal";
+    std::remove(path.c_str());
+    CampaignSpec spec = smallSpec(0x69, 200, 4);
+    SupervisorOptions sup;
+    sup.journalPath = path;
+    const std::string baseline =
+        renderCampaignTable(CampaignRunner(1, sup).run(spec));
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line))
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 1 + spec.numJobs());
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << lines[0] << '\n' << lines[1] << '\n';
+        out << lines[2].substr(0, lines[2].size() / 2);   // torn
+    }
+    sup.resume = true;
+    EXPECT_EQ(baseline,
+              renderCampaignTable(CampaignRunner(1, sup).run(spec)));
+    JournalContents journal =
+        loadCampaignJournal(path, campaignFingerprint(spec));
+    EXPECT_EQ(journal.dropped, 0u);
+    EXPECT_EQ(journal.results.size(), spec.numJobs());
     std::remove(path.c_str());
 }
 

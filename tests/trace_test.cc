@@ -20,19 +20,19 @@ TEST(TraceIoTest, RoundTrip)
     };
     std::ostringstream out;
     writeTrace(out, refs);
-    std::istringstream in(out.str());
     std::string err;
-    std::vector<TraceRef> back = readTrace(in, &err);
+    std::vector<TraceRef> back = parseTrace(out.str(), &err);
     EXPECT_TRUE(err.empty());
     EXPECT_EQ(back, refs);
 }
 
 TEST(TraceIoTest, CommentsAndBlanksIgnored)
 {
-    std::istringstream in("# header\n\n0 R 100\n  # indented comment\n"
-                          "1 W 2a8  # trailing comment\n");
     std::string err;
-    std::vector<TraceRef> refs = readTrace(in, &err);
+    std::vector<TraceRef> refs =
+        parseTrace("# header\n\n0 R 100\n  # indented comment\n"
+                   "1 W 2a8  # trailing comment\n",
+                   &err);
     EXPECT_TRUE(err.empty());
     ASSERT_EQ(refs.size(), 2u);
     EXPECT_EQ(refs[0], (TraceRef{0, false, 0x100}));
@@ -41,77 +41,68 @@ TEST(TraceIoTest, CommentsAndBlanksIgnored)
 
 TEST(TraceIoTest, MalformedLinesReported)
 {
-    {
-        std::istringstream in("0 R\n");
-        std::string err;
-        EXPECT_TRUE(readTrace(in, &err).empty());
-        EXPECT_NE(err.find("line 1"), std::string::npos);
-    }
-    {
-        std::istringstream in("0 X 100\n");
-        std::string err;
-        readTrace(in, &err);
-        EXPECT_NE(err.find("R or W"), std::string::npos);
-    }
-    {
-        std::istringstream in("zed R 100\n");
-        std::string err;
-        readTrace(in, &err);
-        EXPECT_FALSE(err.empty());
-    }
+    std::string err;
+    EXPECT_TRUE(parseTrace("0 R\n", &err).empty());
+    EXPECT_NE(err.find("line 1"), std::string::npos);
+    parseTrace("0 X 100\n", &err);
+    EXPECT_NE(err.find("R or W"), std::string::npos);
+    parseTrace("zed R 100\n", &err);
+    EXPECT_FALSE(err.empty());
 }
 
 // ---------------------------------------------------------------- //
-// The buffered in-place scanner (parseTrace) must accept and reject
-// exactly what the istream parser accepts and rejects - readTraceFile
-// uses it for the single-read fast path with readTrace as fallback.
+// The one grammar, as explicit tables of what parseTrace returns.
 
-TEST(TraceIoTest, BufferedParserMatchesStreamParser)
+TEST(TraceIoTest, AcceptedTextsYieldTheseRefs)
 {
-    const char *cases[] = {
-        "",
-        "# only a comment\n",
-        "0 R 100\n1 W 2a8\n",
-        "# header\n\n0 R 100\n  # indented comment\n"
-        "1 W 2a8  # trailing comment\n",
-        "3 r 0x40\n2 w 0XFF8\n",          // lowercase ops, 0x prefixes
-        "0 R deadbeef",                   // no trailing newline
-        "0\tR\t100\r\n",                  // tabs and CRLF
-        "12 W 0\n",
-        "1 W 0x\n",   // stoull-style: "0" parsed, 'x' is trailing junk
+    const std::pair<const char *, std::vector<TraceRef>> cases[] = {
+        {"", {}},
+        {"# only a comment\n", {}},
+        {"0 R 100\n1 W 2a8\n", {{0, false, 0x100}, {1, true, 0x2a8}}},
+        {"# header\n\n0 R 100\n  # indented comment\n"
+         "1 W 2a8  # trailing comment\n",
+         {{0, false, 0x100}, {1, true, 0x2a8}}},
+        // Lowercase ops, 0x prefixes.
+        {"3 r 0x40\n2 w 0XFF8\n", {{3, false, 0x40}, {2, true, 0xff8}}},
+        // No trailing newline.
+        {"0 R deadbeef", {{0, false, 0xdeadbeef}}},
+        // Tabs and CRLF.
+        {"0\tR\t100\r\n", {{0, false, 0x100}}},
+        {"12 W 0\n", {{12, true, 0}}},
+        // "0" parsed, 'x' is trailing junk.
+        {"1 W 0x\n", {{1, true, 0}}},
     };
-    for (const char *text : cases) {
-        std::istringstream in(text);
-        std::string stream_err, buffer_err;
-        std::vector<TraceRef> streamed = readTrace(in, &stream_err);
-        std::vector<TraceRef> buffered = parseTrace(text, &buffer_err);
-        EXPECT_EQ(streamed, buffered) << "text: " << text;
-        EXPECT_EQ(stream_err.empty(), buffer_err.empty())
-            << "text: " << text;
+    for (const auto &[text, want] : cases) {
+        std::string err = "stale";
+        EXPECT_EQ(parseTrace(text, &err), want) << "text: " << text;
+        EXPECT_EQ(err, "") << "text: " << text;
     }
 }
 
-TEST(TraceIoTest, BufferedParserRejectsLikeStreamParser)
+TEST(TraceIoTest, RejectedTextsYieldTheseErrors)
 {
-    const char *bad[] = {
-        "0 R\n",            // missing address
-        "0 X 100\n",        // bad op
-        "zed R 100\n",      // bad processor id
-        "0 R zog\n",        // bad address
+    const std::pair<const char *, const char *> cases[] = {
+        // Missing address.
+        {"0 R\n", "line 1: expected '<proc> <R|W> <hexaddr>'"},
+        {"0 X 100\n", "line 1: op must be R or W"},
+        // Bad processor id.
+        {"zed R 100\n", "line 1: bad number"},
+        // Bad address.
+        {"0 R zog\n", "line 1: bad number"},
+        // A sign other than '+' is no number, in either field.
+        {"0 R -10\n", "line 1: bad number"},
+        {"0 R -0\n", "line 1: bad number"},
+        {"-1 R 10\n", "line 1: bad number"},
     };
-    for (const char *text : bad) {
-        std::istringstream in(text);
-        std::string stream_err, buffer_err;
-        EXPECT_TRUE(readTrace(in, &stream_err).empty());
-        EXPECT_TRUE(parseTrace(text, &buffer_err).empty());
-        EXPECT_FALSE(stream_err.empty()) << "text: " << text;
-        EXPECT_FALSE(buffer_err.empty()) << "text: " << text;
-        EXPECT_EQ(stream_err, buffer_err) << "text: " << text;
+    for (const auto &[text, want] : cases) {
+        std::string err;
+        EXPECT_TRUE(parseTrace(text, &err).empty()) << "text: " << text;
+        EXPECT_EQ(err, want) << "text: " << text;
     }
 }
 
-// A processor id must fit a MasterId: both parsers reject a wider one
-// by line instead of wrapping it onto another processor.
+// A processor id must fit a MasterId: a wider one is rejected by line
+// instead of wrapping onto another processor.
 TEST(TraceIoTest, ProcessorIdOutOfRangeRejected)
 {
     const std::pair<const char *, const char *> cases[] = {
@@ -119,25 +110,17 @@ TEST(TraceIoTest, ProcessorIdOutOfRangeRejected)
         {"0 R 0\n18446744073709551615 W 20\n", "line 2"},
     };
     for (const auto &[text, line] : cases) {
-        std::istringstream in(text);
-        std::string stream_err, buffer_err;
-        EXPECT_TRUE(readTrace(in, &stream_err).empty()) << text;
-        EXPECT_TRUE(parseTrace(text, &buffer_err).empty()) << text;
-        const std::string want =
-            std::string(line) + ": processor id out of range";
-        EXPECT_EQ(stream_err, want) << text;
-        EXPECT_EQ(buffer_err, want) << text;
+        std::string err;
+        EXPECT_TRUE(parseTrace(text, &err).empty()) << text;
+        EXPECT_EQ(err, std::string(line) + ": processor id out of range")
+            << text;
     }
 
     // The widest id still parses, unchanged.
-    const char *widest = "4294967295 W 20\n";
-    std::istringstream in(widest);
-    std::string stream_err, buffer_err;
+    std::string err;
     const std::vector<TraceRef> want = {{4294967295u, true, 0x20}};
-    EXPECT_EQ(readTrace(in, &stream_err), want);
-    EXPECT_EQ(parseTrace(widest, &buffer_err), want);
-    EXPECT_TRUE(stream_err.empty());
-    EXPECT_TRUE(buffer_err.empty());
+    EXPECT_EQ(parseTrace("4294967295 W 20\n", &err), want);
+    EXPECT_TRUE(err.empty());
 }
 
 TEST(TraceIoTest, BufferedParserRoundTripsGeneratedTraces)
