@@ -11,6 +11,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "hier/hier_system.h"
 #include "mc/explorer.h"
 #include "mc/hier_model.h"
 #include "obs/latency.h"
@@ -356,6 +357,39 @@ BM_CheckerPerAccessFull(benchmark::State &state)
     checkerPerAccess(state, false);
 }
 BENCHMARK(BM_CheckerPerAccessFull);
+
+/**
+ * BM_CheckerPerAccessIncremental on a two-level fabric: 2 clusters x 4
+ * caches, so each incremental check walks eight caches and probes both
+ * bridges' filters (H1/H2).  The populating writes come from every
+ * cache; the timed writes are cache 0's hits.
+ */
+void
+BM_CheckerPerAccessHier(benchmark::State &state)
+{
+    HierConfig cfg;
+    cfg.checkEveryAccess = true;
+    HierSystem sys(cfg, 2);
+    for (std::size_t i = 0; i < 8; ++i) {
+        CacheSpec spec;
+        spec.numSets = 64;
+        spec.assoc = 4;
+        spec.seed = i + 1;
+        sys.addCache(i % 2, spec);
+    }
+    Rng rng(5);
+    for (int i = 0; i < 256; ++i) {
+        sys.write(static_cast<MasterId>(rng.below(8)),
+                  rng.below(1024) * 8, rng.next());
+    }
+    Word v = 0;
+    for (auto _ : state) {
+        ++v;
+        benchmark::DoNotOptimize(sys.write(0, (v % 1024) * 8, v));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CheckerPerAccessHier);
 
 /** The abort/push/retry path (Illinois dirty read). */
 void

@@ -395,6 +395,25 @@ headerLine(std::uint64_t fingerprint, std::size_t num_jobs)
                      static_cast<unsigned long long>(num_jobs));
 }
 
+/**
+ * Whether `line`, a journal's unterminated first line, is a torn
+ * prefix of this campaign's header: a kill during the header write.
+ * Such a journal holds no checkpoint yet.  (The job count that ends
+ * the header is not checked: the fingerprint covers it.)
+ */
+bool
+tornHeader(const std::string &line, std::uint64_t fingerprint)
+{
+    const std::string want =
+        strprintf("%s %s fp=%016llx jobs=", kMagic, kVersion,
+                  static_cast<unsigned long long>(fingerprint));
+    if (line.size() <= want.size())
+        return want.compare(0, line.size(), line) == 0;
+    return line.compare(0, want.size(), want) == 0 &&
+           line.find_first_not_of("0123456789", want.size()) ==
+               std::string::npos;
+}
+
 /** Die unless `line` is this version's header for `fingerprint`. */
 void
 requireHeader(const std::string &path, const std::string &line,
@@ -511,19 +530,27 @@ CampaignJournal::CampaignJournal(const std::string &path,
         fbsim_fatal("journal: cannot open %s: %s", path.c_str(),
                     std::strerror(errno));
     off_t size = ::lseek(fd_, 0, SEEK_END);
-    if (size == 0) {
-        writeLine(headerLine(fingerprint, num_jobs));
-        return;
+    if (size > 0) {
+        std::ifstream in(path);
+        std::string first;
+        std::getline(in, first);
+        if (!in.eof() || !tornHeader(first, fingerprint)) {
+            // Appending to an existing journal: its header must match,
+            // or we would be checkpointing one campaign into another's
+            // file.
+            requireHeader(path, first, fingerprint);
+            // A torn final record (a kill mid-write) is no checkpoint;
+            // cut it, or the next record would be appended onto it and
+            // lost with it.
+            cutTornTail(fd_, size, path);
+            return;
+        }
+        // Only a torn header: start afresh.
+        if (::ftruncate(fd_, 0) != 0)
+            fbsim_fatal("journal: cannot truncate %s: %s", path.c_str(),
+                        std::strerror(errno));
     }
-    // Appending to an existing journal: its header must match, or we
-    // would be checkpointing one campaign into another's file.
-    std::ifstream in(path);
-    std::string first;
-    std::getline(in, first);
-    requireHeader(path, first, fingerprint);
-    // A torn final record (a kill mid-write) is no checkpoint; cut it,
-    // or the next record would be appended onto it and lost with it.
-    cutTornTail(fd_, size, path);
+    writeLine(headerLine(fingerprint, num_jobs));
 }
 
 CampaignJournal::~CampaignJournal()
@@ -570,8 +597,9 @@ loadCampaignJournal(const std::string &path, std::uint64_t fingerprint)
     if (!in.is_open())
         return {};
     std::string line;
-    if (!std::getline(in, line))
-        return {};   // torn header: nothing checkpointed yet
+    if (!std::getline(in, line) ||
+        (in.eof() && tornHeader(line, fingerprint)))
+        return {};   // no header or a torn one: nothing checkpointed
     requireHeader(path, line, fingerprint);
     JournalContents out;
     while (std::getline(in, line)) {

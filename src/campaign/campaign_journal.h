@@ -15,10 +15,12 @@
  * line.  The loader therefore accepts any prefix of well-formed
  * records and silently drops a malformed tail; the dropped job is
  * simply re-run on resume, and the appender cuts the torn line before
- * writing the next record.  Each record ends with an FNV-1a checksum
- * of its text, so a record corrupted at rest (one flipped digit) is
- * dropped the same way instead of merging as a different result, and
- * counted: a resumed campaign warns how many records it dropped.  A
+ * writing the next record.  A torn header (an unterminated prefix of
+ * this campaign's header line) is a journal with nothing in it yet.
+ * Each record ends with an FNV-1a checksum of its text, so a record
+ * corrupted at rest (one flipped digit) is dropped the same way
+ * instead of merging as a different result, and counted: a resumed
+ * campaign warns how many records it dropped.  A
  * fingerprint or version mismatch, by contrast, is a hard error -
  * resuming campaign A from campaign B's journal would silently
  * fabricate results.
@@ -68,9 +70,10 @@ class CampaignJournal
 {
   public:
     /**
-     * Open `path` for appending.  An empty or absent file gets the
-     * header; an existing one must carry this version and a matching
-     * fingerprint, and loses its torn final line, if it has one.
+     * Open `path` for appending.  An empty or absent file, or one
+     * holding only a torn header, gets the header; an existing one
+     * must carry this version and a matching fingerprint, and loses
+     * its torn final line, if it has one.
      * I/O, version or fingerprint failure is fatal
      * (fbsim_fatal) - checkpoint corruption must never be silent.
      */
@@ -108,8 +111,8 @@ struct JournalContents
  * well-formed record (later duplicates of a job index win, so a job
  * journaled twice across restarts stays harmless); a torn, garbage or
  * corrupted record is skipped, and counted unless it is the torn tail.
- * Fatal on a version or fingerprint mismatch; an absent file yields no
- * records (resume of a never-started campaign).
+ * Fatal on a version or fingerprint mismatch; an absent file or a torn
+ * header yields no records (resume of a never-started campaign).
  */
 JournalContents loadCampaignJournal(const std::string &path,
                                     std::uint64_t fingerprint);

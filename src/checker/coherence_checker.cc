@@ -16,17 +16,19 @@ CoherenceChecker::CoherenceChecker(const MainMemory &memory,
 }
 
 void
-CoherenceChecker::addCache(const SnoopingCache *cache)
+CoherenceChecker::addCache(const SnoopingCache *cache,
+                           std::size_t cluster)
 {
     fbsim_assert(cache != nullptr);
-    caches_.push_back(cache);
+    caches_.push_back({cache, cluster});
+    coverCluster(cluster);
 }
 
 void
 CoherenceChecker::removeCache(const SnoopingCache *cache)
 {
     for (auto it = caches_.begin(); it != caches_.end(); ++it) {
-        if (*it == cache) {
+        if (it->cache == cache) {
             caches_.erase(it);
             return;
         }
@@ -38,6 +40,7 @@ CoherenceChecker::attachClusterFilter(
     std::size_t cluster, std::function<bool(LineAddr)> may_local,
     std::function<bool(LineAddr)> may_remote)
 {
+    coverCluster(cluster);
     for (ClusterFilter &f : clusterFilters_) {
         if (f.cluster == cluster) {
             f.active = true;
@@ -59,77 +62,6 @@ CoherenceChecker::detachClusterFilter(std::size_t cluster)
     }
 }
 
-void
-CoherenceChecker::setCacheCluster(const SnoopingCache *cache,
-                                  std::size_t cluster)
-{
-    cacheCluster_[cache] = cluster;
-}
-
-std::size_t
-CoherenceChecker::ownerCluster(LineAddr la) const
-{
-    for (const SnoopingCache *cache : caches_) {
-        const CacheLine *line = cache->peekLine(la);
-        if (line && isOwned(line->state)) {
-            auto it = cacheCluster_.find(cache);
-            return it == cacheCluster_.end()
-                       ? static_cast<std::size_t>(-1)
-                       : it->second;
-        }
-    }
-    return static_cast<std::size_t>(-1);
-}
-
-void
-CoherenceChecker::checkClusterFilters(
-    LineAddr la, std::vector<std::string> &violations) const
-{
-    // Second pass over the caches, hier-mode only: count the line's
-    // valid holders per cluster.
-    std::vector<int> holders;
-    int total = 0;
-    for (const SnoopingCache *cache : caches_) {
-        if (cache->peekLine(la) == nullptr)
-            continue;
-        auto it = cacheCluster_.find(cache);
-        if (it == cacheCluster_.end())
-            continue;
-        if (it->second >= holders.size())
-            holders.resize(it->second + 1, 0);
-        ++holders[it->second];
-        ++total;
-    }
-    if (total == 0)
-        return;
-
-    for (const ClusterFilter &f : clusterFilters_) {
-        if (!f.active)
-            continue;
-        const int inside = f.cluster < holders.size()
-                               ? holders[f.cluster]
-                               : 0;
-        // H1: inclusion - the bridge may never filter a down-forward
-        // its own cluster needed.
-        if (inside > 0 && !f.mayLocal(la)) {
-            violations.push_back(strprintf(
-                "H1: bridge %zu localHeld excludes line 0x%llx held "
-                "valid by %d cache(s) in its cluster",
-                f.cluster, static_cast<unsigned long long>(la),
-                inside));
-        }
-        // H2: remote visibility - the bridge may never filter an
-        // invalidating up-forward that remote copies needed.
-        if (total - inside > 0 && !f.mayRemote(la)) {
-            violations.push_back(strprintf(
-                "H2: bridge %zu remoteShared excludes line 0x%llx "
-                "held valid by %d cache(s) outside its cluster",
-                f.cluster, static_cast<unsigned long long>(la),
-                total - inside));
-        }
-    }
-}
-
 std::string
 CoherenceChecker::noteRead(Addr addr, Word value) const
 {
@@ -148,7 +80,8 @@ CoherenceChecker::describeLine(LineAddr la) const
 {
     std::string out =
         strprintf(" | line 0x%llx:", static_cast<unsigned long long>(la));
-    for (const SnoopingCache *cache : caches_) {
+    for (const Registered &r : caches_) {
+        const SnoopingCache *cache = r.cache;
         const CacheLine *line = cache->peekLine(la);
         if (!line) {
             out += strprintf(" c%u:I", cache->clientId());
@@ -185,7 +118,7 @@ CoherenceChecker::onBusTransaction(const BusRequest &req,
                                    const BusResult &, Cycles)
 {
     if (trackDirty_)
-        dirty_.insert(req.line);
+        markDirty(req.line);
 }
 
 std::vector<std::string>
@@ -196,8 +129,8 @@ CoherenceChecker::checkInvariants() const
 
     // Collect the universe of interesting lines.
     std::set<LineAddr> lines;
-    for (const SnoopingCache *cache : caches_) {
-        cache->forEachValidLine(
+    for (const Registered &r : caches_) {
+        r.cache->forEachValidLine(
             [&](const CacheLine &line) { lines.insert(line.addr); });
     }
     memory_.forEachLine(
@@ -230,6 +163,10 @@ CoherenceChecker::checkLine(LineAddr la,
     int owners = 0;
     int valid_holders = 0;
     const SnoopingCache *exclusive_cache = nullptr;
+    // H1/H2 need each cluster's holders, counted in the same walk.
+    const bool hier = !clusterFilters_.empty();
+    if (hier)
+        std::fill(holders_.begin(), holders_.end(), 0);
 
     // One slab probe for the whole line; absent means never written.
     const Word *ow = expectedLine(la);
@@ -237,11 +174,14 @@ CoherenceChecker::checkLine(LineAddr la,
         return ow ? ow[wi] : Word{0};
     };
 
-    for (const SnoopingCache *cache : caches_) {
+    for (const Registered &r : caches_) {
+        const SnoopingCache *cache = r.cache;
         const CacheLine *line = cache->peekLine(la);
         if (!line)
             continue;
         ++valid_holders;
+        if (hier)
+            ++holders_[r.cluster];
         if (isExclusive(line->state)) {
             ++exclusive_holders;
             exclusive_cache = cache;
@@ -322,9 +262,30 @@ CoherenceChecker::checkLine(LineAddr la,
     }
 
     // H1/H2: bridge-filter inclusion, only when a hierarchy attached
-    // its probes (flat systems pay this one empty-vector branch).
-    if (!clusterFilters_.empty())
-        checkClusterFilters(la, violations);
+    // its probes and some cache holds the line.
+    for (const ClusterFilter &f : clusterFilters_) {
+        if (!f.active || valid_holders == 0)
+            continue;
+        const int inside = holders_[f.cluster];
+        // H1: inclusion - the bridge may never filter a down-forward
+        // its own cluster needed.
+        if (inside > 0 && !f.mayLocal(la)) {
+            violations.push_back(strprintf(
+                "H1: bridge %zu localHeld excludes line 0x%llx held "
+                "valid by %d cache(s) in its cluster",
+                f.cluster, static_cast<unsigned long long>(la),
+                inside));
+        }
+        // H2: remote visibility - the bridge may never filter an
+        // invalidating up-forward that remote copies needed.
+        if (valid_holders - inside > 0 && !f.mayRemote(la)) {
+            violations.push_back(strprintf(
+                "H2: bridge %zu remoteShared excludes line 0x%llx "
+                "held valid by %d cache(s) outside its cluster",
+                f.cluster, static_cast<unsigned long long>(la),
+                valid_holders - inside));
+        }
+    }
 
     // Stamp the full per-cache/memory/image state vector and the
     // reproduction tag (fault seed/schedule) onto every violation this

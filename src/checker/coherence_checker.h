@@ -35,10 +35,9 @@
 #ifndef FBSIM_CHECKER_COHERENCE_CHECKER_H_
 #define FBSIM_CHECKER_COHERENCE_CHECKER_H_
 
+#include <algorithm>
 #include <functional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bus/bus.h"
@@ -57,8 +56,13 @@ class CoherenceChecker : public TraceSink
      *  @param line_bytes system line size. */
     CoherenceChecker(const MainMemory &memory, std::size_t line_bytes);
 
-    /** Register a cache to be inspected (any number). */
-    void addCache(const SnoopingCache *cache);
+    /**
+     * Register a cache to be inspected (any number).  `cluster` is
+     * the leaf bus it sits on, which H1/H2 attribute its copies to;
+     * the fabric passes the cache's board, which in a hierarchy is
+     * its cluster.
+     */
+    void addCache(const SnoopingCache *cache, std::size_t cluster);
 
     /**
      * Deregister a cache (hot-swap withdrawal): a quarantined board is
@@ -75,7 +79,7 @@ class CoherenceChecker : public TraceSink
     {
         oracleLine(addr / lineBytes_)[wordIndexOf(addr)] = value;
         if (trackDirty_)
-            dirty_.insert(addr / lineBytes_);
+            markDirty(addr / lineBytes_);
     }
 
     /**
@@ -165,9 +169,11 @@ class CoherenceChecker : public TraceSink
 
     /**
      * Incremental scan: run the invariants only over lines dirtied
-     * since the last checkDirtyLines() call, then clear the dirty
-     * set.  Used by the per-access checking mode, where each access
-     * can only have perturbed the lines it transacted on.
+     * since the last checkDirtyLines() call, in ascending line order,
+     * then clear the dirty set.  Used by the per-access checking mode,
+     * where each access can only have perturbed the lines it
+     * transacted on.  Allocates nothing once the dirty list has grown
+     * to an access's working set, unless it finds a violation.
      */
     std::vector<std::string> checkDirtyLines();
 
@@ -182,7 +188,7 @@ class CoherenceChecker : public TraceSink
     void markLineDirty(LineAddr la)
     {
         if (trackDirty_)
-            dirty_.insert(la);
+            markDirty(la);
     }
 
     /**
@@ -198,7 +204,7 @@ class CoherenceChecker : public TraceSink
     /**
      * Enable/disable dirty-line tracking.  When nothing consumes
      * checkDirtyLines() (per-access checking off, or in full-scan
-     * mode) the per-write and per-transaction set inserts are wasted
+     * mode) the per-write and per-transaction list inserts are wasted
      * work on the hot path; the system turns tracking off then.
      */
     void setTrackDirty(bool on)
@@ -223,8 +229,9 @@ class CoherenceChecker : public TraceSink
      *
      * Both filters are conservative supersets, so injected staleness
      * (suppressed erases) never trips H1/H2; only an unsafely missing
-     * bit does.  With no filters attached checkLine() pays a single
-     * branch on an empty vector - the flat hot path is untouched.
+     * bit does.  checkLine() counts each cluster's holders in its one
+     * walk over the caches, by the cluster addCache() recorded; with
+     * no filters attached it skips the count.
      *
      * `cluster` identifies the bridge; re-attaching the same cluster
      * replaces its probes (reintegration re-arms a scrubbed bridge).
@@ -240,20 +247,6 @@ class CoherenceChecker : public TraceSink
      * attachClusterFilter() again after the scrub.
      */
     void detachClusterFilter(std::size_t cluster);
-
-    /** Map a cache to its cluster, so H1/H2 can attribute holders
-     *  (and ownerCluster() can track owners) across buses. */
-    void setCacheCluster(const SnoopingCache *cache,
-                         std::size_t cluster);
-
-    /**
-     * The cluster holding the line's owner (M/O), tracked through the
-     * bridges; SIZE_MAX when memory is the owner (or no mapping is
-     * registered).  This is what keeps dirty-line incremental
-     * checking exact under faults in the hierarchy: the owner is
-     * located across buses, not assumed to sit on the root.
-     */
-    std::size_t ownerCluster(LineAddr la) const;
 
     /** Total checks performed (for reporting). */
     std::uint64_t checksRun() const { return checksRun_; }
@@ -271,6 +264,13 @@ class CoherenceChecker : public TraceSink
     }
 
   private:
+    /** A registered cache and the cluster its copies count in. */
+    struct Registered
+    {
+        const SnoopingCache *cache;
+        std::size_t cluster;
+    };
+
     /** One bridge's registered filter probes. */
     struct ClusterFilter
     {
@@ -283,9 +283,20 @@ class CoherenceChecker : public TraceSink
     /** Run all invariants for one line, appending violations. */
     void checkLine(LineAddr la, std::vector<std::string> &out) const;
 
-    /** H1/H2 for one line (hier mode only; cold path). */
-    void checkClusterFilters(LineAddr la,
-                             std::vector<std::string> &out) const;
+    /** Add `la` to the ascending dirty list unless it is there. */
+    void markDirty(LineAddr la)
+    {
+        auto it = std::lower_bound(dirty_.begin(), dirty_.end(), la);
+        if (it == dirty_.end() || *it != la)
+            dirty_.insert(it, la);
+    }
+
+    /** Grow holders_ to count copies in `cluster`. */
+    void coverCluster(std::size_t cluster)
+    {
+        if (cluster >= holders_.size())
+            holders_.resize(cluster + 1, 0);
+    }
 
     /** The annotator's tag (" [ ... ]"), or empty when unset. */
     std::string
@@ -309,18 +320,20 @@ class CoherenceChecker : public TraceSink
     const MainMemory &memory_;
     std::size_t lineBytes_;
     std::size_t wordsPerLine_;
-    std::vector<const SnoopingCache *> caches_;
+    std::vector<Registered> caches_;
     FlatMap64<std::uint64_t> oracleSlot_;  ///< line -> oracleWords_ offset
     std::vector<Word> oracleWords_;        ///< zero-filled line slabs
     std::vector<std::uint64_t> denseOff_;  ///< low lines: offset + 1, 0 = absent
-    std::unordered_set<LineAddr> dirty_;
+    std::vector<LineAddr> dirty_;          ///< ascending, each line once
     bool trackDirty_ = true;
     std::function<std::string()> annotator_;
     mutable std::uint64_t checksRun_ = 0;
-    /** Hierarchical mode state; both empty in flat systems. */
+    /** Hierarchical mode: the bridges' probes (empty in flat
+     *  systems), and checkLine()'s per-cluster holder counts, sized
+     *  for every cluster a cache or filter names (scratch, hence
+     *  mutable: a checker serves one system on one thread). */
     std::vector<ClusterFilter> clusterFilters_;
-    std::unordered_map<const SnoopingCache *, std::size_t>
-        cacheCluster_;
+    mutable std::vector<int> holders_;
 };
 
 } // namespace fbsim

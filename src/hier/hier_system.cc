@@ -74,9 +74,9 @@ HierSystem::addCache(std::size_t cluster, const CacheSpec &spec)
         }
     }
     Cluster &c = clusters_[cluster];
-    MasterId id = addCacheOn(*c.bus, c.nextLeafId++, cluster, spec);
-    checker().setCacheCluster(cacheOf(id), cluster);
-    return id;
+    // The cluster is the cache's board, which the checker's H1/H2
+    // holder counts attribute its copies to.
+    return addCacheOn(*c.bus, c.nextLeafId++, cluster, spec);
 }
 
 MasterId
@@ -232,7 +232,7 @@ HierSystem::rejoinBoard(std::size_t cluster)
             continue;
         if (cache->reintegrate()) {
             c.bus->setSnooperSuspended(cache->clientId(), false);
-            checker().addCache(cache);
+            checker().addCache(cache, cluster);
         }
     }
     // The rejoined segment's caches are all invalid; scrub the

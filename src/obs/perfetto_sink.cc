@@ -1,6 +1,8 @@
 #include "obs/perfetto_sink.h"
 
+#include <charconv>
 #include <cstdio>
+#include <string_view>
 
 #include "bus/bus.h"
 #include "common/logging.h"
@@ -22,12 +24,27 @@ busEventName(BusCmd cmd)
     return "?";
 }
 
-/** JSON string escape (control chars, quote, backslash). */
-std::string
-jsonEscape(const std::string &s)
+/** Append `v` in decimal. */
+void
+appendDec(std::string &out, std::uint64_t v)
 {
-    std::string out;
-    out.reserve(s.size());
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/** Append `v` in lowercase hex, no prefix (printf's %llx). */
+void
+appendHex(std::string &out, std::uint64_t v)
+{
+    char buf[16];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v, 16).ptr);
+}
+
+/** Append `s` JSON-escaped (control chars, quote, backslash). */
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
     for (unsigned char c : s) {
         switch (c) {
           case '"':  out += "\\\""; break;
@@ -36,38 +53,28 @@ jsonEscape(const std::string &s)
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
           default:
-            if (c < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
+            if (c < 0x20) {
+                out += "\\u00";
+                out += kHex[c >> 4];
+                out += kHex[c & 0xf];
+            } else {
                 out += static_cast<char>(c);
+            }
         }
     }
-    return out;
 }
 
 } // namespace
 
 void
-PerfettoTraceSink::push(const char *ph, const char *name,
-                        std::uint64_t pid, std::uint64_t tid, Cycles ts,
-                        Cycles dur, bool has_dur,
-                        const std::string &detail)
+PerfettoTraceSink::pushText(Kind kind, const char *name,
+                            std::uint32_t pid, std::uint64_t tid,
+                            Cycles ts, Cycles dur,
+                            const std::string &detail)
 {
-    std::string ev = strprintf(
-        "{\"name\":\"%s\",\"ph\":\"%s\",\"pid\":%llu,\"tid\":%llu,"
-        "\"ts\":%llu",
-        jsonEscape(name).c_str(), ph,
-        static_cast<unsigned long long>(pid),
-        static_cast<unsigned long long>(tid),
-        static_cast<unsigned long long>(ts));
-    if (has_dur)
-        ev += strprintf(",\"dur\":%llu",
-                        static_cast<unsigned long long>(dur));
-    if (!detail.empty())
-        ev += strprintf(",\"args\":{\"detail\":\"%s\"}",
-                        jsonEscape(detail).c_str());
-    ev += "}";
-    events_.push_back(std::move(ev));
+    events_.push_back({name, ts, dur, tid, text_.size(), detail.size(),
+                       pid, kind, 0});
+    text_ += detail;
 }
 
 void
@@ -75,19 +82,13 @@ PerfettoTraceSink::onBusTransaction(const BusRequest &req,
                                     const BusResult &result,
                                     Cycles start)
 {
-    std::string detail = strprintf(
-        "line 0x%llx resp %s%s%s",
-        static_cast<unsigned long long>(req.line),
-        result.resp.ch ? "CH " : "", result.resp.di ? "DI " : "",
-        result.resp.sl ? "SL " : "");
-    if (result.suppliedByCache)
-        detail += "<- cache";
-    if (result.aborts > 0)
-        detail += strprintf(
-            " aborts %llu",
-            static_cast<unsigned long long>(result.aborts));
-    push("X", busEventName(req.cmd), kTraceBusPid, req.master, start,
-         result.cost, true, detail);
+    const std::uint8_t resp =
+        (result.resp.ch ? kCh : 0) | (result.resp.di ? kDi : 0) |
+        (result.resp.sl ? kSl : 0) |
+        (result.suppliedByCache ? kCache : 0);
+    events_.push_back({busEventName(req.cmd), start, result.cost,
+                       req.master, req.line, result.aborts,
+                       kTraceBusPid, Kind::Bus, resp});
 }
 
 void
@@ -95,15 +96,19 @@ PerfettoTraceSink::onInstant(const char *name, std::uint32_t pid,
                              std::uint32_t tid, Cycles ts,
                              const std::string &detail)
 {
-    push("i", name, pid, tid, ts, 0, false, detail);
+    pushText(Kind::Instant, name, pid, tid, ts, 0, detail);
 }
 
 void
 PerfettoTraceSink::onSpan(const char *name, std::uint32_t pid,
                           std::uint32_t tid, Cycles ts, Cycles dur,
-                          const std::string &detail)
+                          std::optional<Addr> addr)
 {
-    push("X", name, pid, tid, ts, dur, true, detail);
+    if (addr)
+        events_.push_back(
+            {name, ts, dur, tid, *addr, 0, pid, Kind::Access, 0});
+    else
+        pushText(Kind::Span, name, pid, tid, ts, dur, std::string());
 }
 
 void
@@ -111,12 +116,61 @@ PerfettoTraceSink::onJobEvent(const char *name, std::uint64_t job_index,
                               Cycles ts, Cycles dur,
                               const std::string &detail)
 {
-    if (dur > 0)
-        push("X", name, kTraceCampaignPid, job_index, ts, dur, true,
-             detail);
-    else
-        push("i", name, kTraceCampaignPid, job_index, ts, 0, false,
-             detail);
+    pushText(dur > 0 ? Kind::Span : Kind::Instant, name,
+             kTraceCampaignPid, job_index, ts, dur, detail);
+}
+
+void
+PerfettoTraceSink::renderEvent(std::string &out, const Event &e) const
+{
+    out += "{\"name\":\"";
+    appendEscaped(out, e.name);
+    out += e.kind == Kind::Instant ? "\",\"ph\":\"i\",\"pid\":"
+                                   : "\",\"ph\":\"X\",\"pid\":";
+    appendDec(out, e.pid);
+    out += ",\"tid\":";
+    appendDec(out, e.tid);
+    out += ",\"ts\":";
+    appendDec(out, e.ts);
+    if (e.kind != Kind::Instant) {
+        out += ",\"dur\":";
+        appendDec(out, e.dur);
+    }
+    switch (e.kind) {
+      case Kind::Instant:
+      case Kind::Span:
+        if (e.count > 0) {
+            out += ",\"args\":{\"detail\":\"";
+            appendEscaped(out, std::string_view(text_).substr(
+                                   e.arg, e.count));
+            out += "\"}";
+        }
+        break;
+      case Kind::Access:
+        out += ",\"args\":{\"detail\":\"addr 0x";
+        appendHex(out, e.arg);
+        out += "\"}";
+        break;
+      case Kind::Bus:
+        out += ",\"args\":{\"detail\":\"line 0x";
+        appendHex(out, e.arg);
+        out += " resp ";
+        if (e.resp & kCh)
+            out += "CH ";
+        if (e.resp & kDi)
+            out += "DI ";
+        if (e.resp & kSl)
+            out += "SL ";
+        if (e.resp & kCache)
+            out += "<- cache";
+        if (e.count > 0) {
+            out += " aborts ";
+            appendDec(out, e.count);
+        }
+        out += "\"}";
+        break;
+    }
+    out += '}';
 }
 
 std::string
@@ -128,20 +182,25 @@ PerfettoTraceSink::render() const
          {kTraceEnginePid, "engine"},
          {kTraceFaultPid, "fault-ladder"},
          {kTraceCampaignPid, "campaign"}};
-    std::string out = "{\"traceEvents\":[";
+    // A bus event, the commonest and longest numeric one, renders in
+    // about 110 bytes; details may double when escaped.
+    std::string out;
+    out.reserve(512 + 128 * events_.size() + 2 * text_.size());
+    out += "{\"traceEvents\":[";
     bool first = true;
     for (const auto &p : kPids) {
         if (!first)
-            out += ",";
+            out += ',';
         first = false;
-        out += strprintf("{\"name\":\"process_name\",\"ph\":\"M\","
-                         "\"pid\":%u,\"tid\":0,"
-                         "\"args\":{\"name\":\"%s\"}}",
-                         p.pid, p.name);
+        out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+        appendDec(out, p.pid);
+        out += ",\"tid\":0,\"args\":{\"name\":\"";
+        out += p.name;
+        out += "\"}}";
     }
-    for (const std::string &ev : events_) {
-        out += ",";
-        out += ev;
+    for (const Event &e : events_) {
+        out += ',';
+        renderEvent(out, e);
     }
     out += "]}";
     return out;

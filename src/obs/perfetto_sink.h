@@ -11,6 +11,14 @@
  * per processor), pid 3 = fault ladder (tid = master), pid 4 =
  * campaign (tid = job index).  Timestamps are nondecreasing per
  * (pid, tid) track by construction and validate_trace.py asserts it.
+ *
+ * Recording is cheap enough to leave on: each event is one fixed-size
+ * binary record holding the name pointer (a literal, per the
+ * TraceSink name rule) and numbers.  A bus transaction keeps its
+ * line, response bits, supplier and abort count, an engine access its
+ * address; only free-form details (ladder, scrub and job events) are
+ * copied, into one text arena.  render() formats the JSON once, at
+ * export.
  */
 
 #ifndef FBSIM_OBS_PERFETTO_SINK_H_
@@ -33,7 +41,7 @@ class PerfettoTraceSink : public TraceSink
                    const std::string &detail) override;
     void onSpan(const char *name, std::uint32_t pid, std::uint32_t tid,
                 Cycles ts, Cycles dur,
-                const std::string &detail) override;
+                std::optional<Addr> addr) override;
     void onJobEvent(const char *name, std::uint64_t job_index,
                     Cycles ts, Cycles dur,
                     const std::string &detail) override;
@@ -47,11 +55,47 @@ class PerfettoTraceSink : public TraceSink
     void writeFile(const std::string &path) const;
 
   private:
-    void push(const char *ph, const char *name, std::uint64_t pid,
-              std::uint64_t tid, Cycles ts, Cycles dur, bool has_dur,
-              const std::string &detail);
+    /** What an event's numbers mean, and how it renders. */
+    enum class Kind : std::uint8_t
+    {
+        Instant,   ///< "i", detail text (none when empty)
+        Span,      ///< "X", detail text (none when empty)
+        Access,    ///< "X", detail "addr 0x<arg>"
+        Bus,       ///< "X", detail "line 0x<arg> resp ..."
+    };
 
-    std::vector<std::string> events_;  ///< serialized, in emit order
+    /** Event::resp bits of a bus transaction: its wired-OR CH, DI
+     *  and SL lines, and whether a cache supplied the data. */
+    static constexpr std::uint8_t kCh = 1, kDi = 2, kSl = 4, kCache = 8;
+
+    /** One recorded event: fixed size, owns no memory. */
+    struct Event
+    {
+        const char *name;
+        Cycles ts;
+        Cycles dur;
+        std::uint64_t tid;
+        /** Bus: the line; Access: the address; Instant and Span: the
+         *  detail's offset in text_. */
+        std::uint64_t arg;
+        /** Bus: the abort count; Instant and Span: the detail's
+         *  length. */
+        std::uint64_t count;
+        std::uint32_t pid;
+        Kind kind;
+        std::uint8_t resp;
+    };
+
+    /** Record a free-form event, copying its detail into text_. */
+    void pushText(Kind kind, const char *name, std::uint32_t pid,
+                  std::uint64_t tid, Cycles ts, Cycles dur,
+                  const std::string &detail);
+
+    /** Append `e`'s JSON object to `out`. */
+    void renderEvent(std::string &out, const Event &e) const;
+
+    std::vector<Event> events_;   ///< in emit order
+    std::string text_;            ///< every free-form detail, back to back
 };
 
 } // namespace fbsim

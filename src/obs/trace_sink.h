@@ -16,13 +16,19 @@
  *
  * Hot-path rule: producers hold plain pointers and branch on null (or
  * iterate an empty vector); a detached simulation pays nothing but
- * that test.
+ * that test.  An attached sink should not format per event either:
+ * bus transactions and engine spans cross this interface as numbers,
+ * and only the rare ladder and job events carry free-form text.
+ *
+ * Name rule: every `name` is a string literal (or otherwise outlives
+ * the sink), so a sink may keep the pointer instead of copying it.
  */
 
 #ifndef FBSIM_OBS_TRACE_SINK_H_
 #define FBSIM_OBS_TRACE_SINK_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/types.h"
@@ -71,17 +77,18 @@ class TraceSink
         (void)detail;
     }
 
-    /** A duration event on a (pid, tid) track. */
+    /** A duration event on a (pid, tid) track: an access to `addr`,
+     *  or a wait when `addr` is empty. */
     virtual void
     onSpan(const char *name, std::uint32_t pid, std::uint32_t tid,
-           Cycles ts, Cycles dur, const std::string &detail)
+           Cycles ts, Cycles dur, std::optional<Addr> addr)
     {
         (void)name;
         (void)pid;
         (void)tid;
         (void)ts;
         (void)dur;
-        (void)detail;
+        (void)addr;
     }
 
     /** Campaign job lifecycle: claim/run/retry/timeout/resume. */

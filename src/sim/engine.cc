@@ -90,13 +90,11 @@ Engine::billBus(EngineResult &result, std::size_t proc, const ProcRef &ref,
     if (config_.trace) {
         if (wait > 0) {
             config_.trace->onSpan("arb-wait", kTraceEnginePid, tid,
-                                  readyAt, wait, std::string());
+                                  readyAt, wait, std::nullopt);
         }
-        config_.trace->onSpan(
-            ref.write ? "write" : "read", kTraceEnginePid, tid, start,
-            outcome.busCycles,
-            strprintf("addr 0x%llx",
-                      static_cast<unsigned long long>(ref.addr)));
+        config_.trace->onSpan(ref.write ? "write" : "read",
+                              kTraceEnginePid, tid, start,
+                              outcome.busCycles, ref.addr);
     }
     return start + outcome.busCycles;
 }

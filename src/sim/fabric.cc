@@ -92,7 +92,7 @@ Fabric::attachCache(std::unique_ptr<SnoopingCache> cache, Bus &bus,
     if (faults_)
         cache->setFaultTolerant(true);
     bus.attach(cache.get());
-    checker_->addCache(cache.get());
+    checker_->addCache(cache.get(), board);
     SnoopingCache *raw = cache.get();
     return addMaster(std::move(cache), raw, board);
 }

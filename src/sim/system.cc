@@ -179,7 +179,7 @@ System::rejoinBoard(std::size_t board)
     const auto id = static_cast<MasterId>(board);
     SnoopingCache *cache = cacheOf(id);
     cache->reintegrate();
-    checker().addCache(cache);
+    checker().addCache(cache, board);
     bus().setSnooperSuspended(id, false);
     clearProgress(board);
     return "rejoined with all lines invalid";

@@ -31,18 +31,20 @@ hexValue(char c)
     return -1;
 }
 
-/** Leading decimal digits of `tok` (stoul-style: trailing junk is
- *  ignored); false when there is no digit or the value overflows. */
+/** `tok` as an optionally '+'-signed decimal number; false when any
+ *  character is not a digit or the value overflows. */
 bool
 parseDecimal(std::string_view tok, std::uint64_t *out)
 {
     std::size_t i = 0;
     if (i < tok.size() && tok[i] == '+')
         ++i;
-    if (i >= tok.size() || tok[i] < '0' || tok[i] > '9')
+    if (i >= tok.size())
         return false;
     std::uint64_t value = 0;
-    for (; i < tok.size() && tok[i] >= '0' && tok[i] <= '9'; ++i) {
+    for (; i < tok.size(); ++i) {
+        if (tok[i] < '0' || tok[i] > '9')
+            return false;
         if (value > (~std::uint64_t{0} - (tok[i] - '0')) / 10)
             return false;
         value = value * 10 + (tok[i] - '0');
@@ -51,24 +53,25 @@ parseDecimal(std::string_view tok, std::uint64_t *out)
     return true;
 }
 
-/** Leading hex digits (optional 0x/0X prefix) of `tok`. */
+/** `tok` as an optionally '+'-signed hex number with an optional
+ *  0x/0X prefix; false when any other character is not a hex digit
+ *  or the value overflows. */
 bool
 parseHex(std::string_view tok, std::uint64_t *out)
 {
     std::size_t i = 0;
     if (i < tok.size() && tok[i] == '+')
         ++i;
-    if (i + 1 < tok.size() && tok[i] == '0' &&
-        (tok[i + 1] == 'x' || tok[i + 1] == 'X') &&
-        hexValue(i + 2 < tok.size() ? tok[i + 2] : '\0') >= 0)
+    if (i + 2 < tok.size() && tok[i] == '0' &&
+        (tok[i + 1] == 'x' || tok[i + 1] == 'X'))
         i += 2;
-    if (i >= tok.size() || hexValue(tok[i]) < 0)
+    if (i >= tok.size())
         return false;
     std::uint64_t value = 0;
     for (; i < tok.size(); ++i) {
         int digit = hexValue(tok[i]);
         if (digit < 0)
-            break;
+            return false;
         if (value >> 60)
             return false;   // would overflow the shift
         value = (value << 4) | static_cast<std::uint64_t>(digit);

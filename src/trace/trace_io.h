@@ -40,8 +40,9 @@ struct TraceRef
  * Parse a trace from an in-memory buffer with one in-place scan: no
  * per-line stream or string work, no number-parse exceptions.  The
  * processor id is decimal and the address hex (optional 0x), each
- * with an optional '+' and no '-'; trailing junk after a number's
- * digits is ignored ("1 W 0x" is address 0).
+ * with an optional '+' and no '-'.  A number is its whole token: a
+ * token with any other character ("1O0", "7x", a bare "0x") is a
+ * bad number.
  * @param text the trace text.
  * @param error_out set to "line N: <what>" on failure, else cleared.
  * @return the references, empty (with error_out set) on parse error.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hier/hier_system.h"
 #include "test_util.h"
 
 namespace fbsim {
@@ -17,6 +18,44 @@ TEST(CheckerTest, CleanSystemPasses)
     sys->write(0, 0x100, 1);
     sys->read(1, 0x100);
     EXPECT_TRUE(sys->checkNow().empty());
+}
+
+// One access whose line is dirtied by the write itself and by bus
+// transactions on its own leaf bus, the root bus and the other leaf
+// bus is checked once: each of the line's violations is reported once.
+TEST(CheckerTest, LineDirtiedOnEveryBusIsCheckedOnce)
+{
+    HierConfig cfg;   // no per-access check: this test scans by hand
+    HierSystem sys(cfg, 2);
+    CacheSpec spec = test::smallCache();
+    spec.seed = 1;
+    sys.addCache(0, spec);
+    spec.seed = 2;
+    sys.addCache(1, spec);
+    const Addr addr = 0x100;
+    sys.read(1, addr);   // cluster 1 holds the line
+    CoherenceChecker &ck = sys.checker();
+    ck.setTrackDirty(true);
+    const std::uint64_t leaf0 = sys.leafBus(0).stats().transactions;
+    const std::uint64_t root = sys.rootBus().stats().transactions;
+    const std::uint64_t leaf1 = sys.leafBus(1).stats().transactions;
+
+    sys.write(0, addr, 7);   // invalidates cluster 1's copy
+    EXPECT_GT(sys.leafBus(0).stats().transactions, leaf0);
+    EXPECT_GT(sys.rootBus().stats().transactions, root);
+    EXPECT_GT(sys.leafBus(1).stats().transactions, leaf1);
+    EXPECT_EQ(ck.dirtyLineCount(), 1u);
+
+    // Break the image under cache 0's M copy: one V1 violation.
+    ck.noteWrite(addr, 0xbad);
+    std::vector<std::string> v = ck.checkDirtyLines();
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_EQ(v[0].rfind("V1: cache 0 holds line 0x8 word 0 = 0x7 in "
+                         "state M, shared image is 0xbad | line 0x8:",
+                         0),
+              0u)
+        << v[0];
+    EXPECT_EQ(ck.dirtyLineCount(), 0u);
 }
 
 TEST(CheckerTest, DetectsStaleMemoryWithoutOwner)

@@ -14,6 +14,9 @@
  * The hierarchical timed engine must not allocate per reference: its
  * allocations are bounded by set-up and the caches' working set,
  * independent of how many references run.
+ *
+ * The coherence checker's per-access scan must not allocate at all
+ * once an access's working set has been seen.
  */
 
 #include <atomic>
@@ -22,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "hier/hier_engine.h"
 #include "mc/search.h"
 #include "protocols/factory.h"
@@ -146,6 +150,60 @@ TEST(McAlloc, HierEngineAllocatesNothingPerReference)
 
     ASSERT_EQ(r.procs.size(), 4u);
     EXPECT_LE(allocs, 2000u) << allocs << " allocations for 80000 refs";
+}
+
+/** 2 clusters x 4 caches, checked after every access or not. */
+std::unique_ptr<HierSystem>
+checkedHier(bool checked)
+{
+    HierConfig cfg;
+    cfg.checkEveryAccess = checked;
+    auto sys = std::make_unique<HierSystem>(cfg, 2);
+    for (std::size_t i = 0; i < 8; ++i) {
+        CacheSpec spec;
+        spec.numSets = 8;
+        spec.assoc = 2;
+        spec.seed = i + 1;
+        sys->addCache(i % 2, spec);
+    }
+    return sys;
+}
+
+/** Heap allocations made by `n` seeded random accesses to `sys`. */
+std::size_t
+accessAllocations(HierSystem &sys, std::uint64_t seed, int n)
+{
+    Rng rng(seed);
+    const std::size_t before = g_allocations;
+    for (int i = 0; i < n; ++i) {
+        const auto who = static_cast<MasterId>(rng.below(8));
+        const Addr addr = rng.below(48 * 4) * kWordBytes;
+        if (rng.chance(0.3))
+            sys.write(who, addr, rng.next());
+        else
+            sys.read(who, addr);
+    }
+    return g_allocations - before;
+}
+
+// The check is isolated by running the same accesses on an unchecked
+// twin: the checker never changes what the fabric does, so any
+// difference in allocations is the check's own.
+TEST(CheckerAlloc, HierPerAccessCheckAllocatesNothing)
+{
+    auto checked = checkedHier(true);
+    auto unchecked = checkedHier(false);
+    // Warm-up: every line of the working set is written (the oracle
+    // holds its slab) and every buffer has reached its size.
+    accessAllocations(*checked, 1, 20000);
+    accessAllocations(*unchecked, 1, 20000);
+
+    const std::size_t with_check = accessAllocations(*checked, 2, 20000);
+    const std::size_t without = accessAllocations(*unchecked, 2, 20000);
+    EXPECT_TRUE(checked->violations().empty());
+    EXPECT_EQ(checked->checker().checksRun(), 40000u);
+    EXPECT_EQ(with_check, without)
+        << with_check - without << " allocations in 20000 checks";
 }
 
 } // namespace

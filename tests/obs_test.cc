@@ -455,6 +455,116 @@ TEST(PerfettoTest, TimestampsNondecreasingPerTrack)
     EXPECT_GT(spans, 0u);
 }
 
+/** FNV-1a and length of a rendered trace. */
+std::string
+tracePin(const std::string &json)
+{
+    return strprintf("%016llx %zu",
+                     static_cast<unsigned long long>(test::fnv1a(json)),
+                     json.size());
+}
+
+/** A two-cluster campaign of two MOESI-class caches per cluster
+ *  whose ladder pulls and rejoins a segment and scrubs the bridges'
+ *  filters. */
+CampaignSpec
+hierTraceSpec()
+{
+    CampaignSpec spec;
+    spec.campaignSeed = 0x7ace;
+    spec.refsPerProc = 1500;
+    spec.clusters = 2;
+    ProtocolMix mix;
+    mix.name = "hier-moesi-class";
+    const ProtocolKind kinds[] = {ProtocolKind::Moesi,
+                                  ProtocolKind::Berkeley,
+                                  ProtocolKind::Dragon,
+                                  ProtocolKind::Moesi};
+    for (std::size_t i = 0; i < std::size(kinds); ++i) {
+        MixSlot slot;
+        slot.cache = test::smallCache(kinds[i]);
+        slot.cache.seed = i + 1;
+        mix.slots.push_back(slot);
+    }
+    spec.mixes.push_back(std::move(mix));
+    Arch85Params params;
+    params.pShared = 0.3;
+    params.sharedLines = 12;
+    spec.workloads.push_back(arch85SeededWorkload("arch85", params));
+    FaultConfig fc;
+    fc.seed = 0x7ace;
+    fc.spuriousAbort.probability = 0.05;
+    fc.abortStormProb = 0.25;
+    fc.abortStormLength = 24;
+    fc.bridgeDrop.probability = 0.02;
+    fc.bridgeDelay.probability = 0.02;
+    fc.filterStale.probability = 0.05;
+    fc.leafStall.probability = 1.0;
+    fc.leafStall.windowStart = 600;
+    fc.leafStall.windowEnd = 680;
+    spec.faults.push_back({"timing", fc});
+    spec.hier.checkEveryAccess = true;
+    spec.hier.maxBusRetries = 64;
+    spec.hier.watchdogRounds = 4;
+    spec.hier.quarantineAfterTrips = 2;
+    spec.hier.reintegrateAfterCycles = 4000;
+    spec.hier.scrubEveryAccesses = 512;
+    return spec;
+}
+
+// The exact bytes render() exports, as FNV-1a and length: a faulted
+// flat job (bus transactions, arbitration waits, read and write
+// spans, ladder instants, the job lifecycle), a faulted two-cluster
+// job (filter-scrub, quarantine and reintegrate instants), and one
+// instant whose detail takes every escape.
+TEST(PerfettoTest, RenderedBytesArePinned)
+{
+    CampaignSpec flat = metricsSpec(true);
+    flat.base.maxBusRetries = 2;
+    flat.base.watchdogRounds = 2;
+    flat.base.reintegrateAfterCycles = 500;
+    FaultConfig &fc = *flat.faults[1].faults;
+    fc.memoryDrop.probability = 1.0;
+    fc.memoryDrop.windowStart = 200;
+    fc.memoryDrop.windowEnd = 260;
+    fc.dataFlip.probability = 0.01;
+    PerfettoTraceSink flat_sink;
+    CampaignRunner flat_runner(1);
+    flat_runner.attachTrace(&flat_sink, 1);
+    flat_runner.run(flat);
+    const std::string flat_json = flat_sink.render();
+    for (const char *needle :
+         {"\"name\":\"Read\"", "\"name\":\"Push\"", "arb-wait",
+          "\"name\":\"read\"", "\"name\":\"write\"", "aborts ",
+          "<- cache", "retry-exhausted", "watchdog-trip", "quarantine",
+          "reintegrate", "data-flip", "job-claim", "job-run"})
+        EXPECT_NE(flat_json.find(needle), std::string::npos) << needle;
+
+    PerfettoTraceSink hier_sink;
+    CampaignRunner hier_runner(1);
+    hier_runner.attachTrace(&hier_sink, 0);
+    hier_runner.run(hierTraceSpec());
+    const std::string hier_json = hier_sink.render();
+    for (const char *needle :
+         {"filter-scrub", "\"name\":\"quarantine\"",
+          "\"name\":\"reintegrate\"", "\"name\":\"Invalidate\""})
+        EXPECT_NE(hier_json.find(needle), std::string::npos) << needle;
+
+    PerfettoTraceSink escape_sink;
+    escape_sink.onInstant("escape", kTraceFaultPid, 7, 42,
+                          "q\" b\\ n\n r\r t\t c\x01 end");
+    const std::string escape_json = escape_sink.render();
+    EXPECT_NE(escape_json.find(
+                  "\"detail\":\"q\\\" b\\\\ n\\n r\\r t\\t "
+                  "c\\u0001 end\""),
+              std::string::npos)
+        << escape_json;
+
+    EXPECT_EQ(tracePin(flat_json), "6c4e0873ca158ba3 89653");
+    EXPECT_EQ(tracePin(hier_json), "d1c970a05e584e73 641519");
+    EXPECT_EQ(tracePin(escape_json), "d6d7895530afe353 421");
+}
+
 // ---------------------------------------------------------------- //
 // Journal v2 metric round trip
 

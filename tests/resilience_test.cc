@@ -368,7 +368,7 @@ TEST(LadderPinTest, FlatJobLadderIsExact)
     EXPECT_GT(r.faults.dataFlips, 0u);
     EXPECT_EQ(test::ladderPin(r, sink.render()),
               "events 123 f99a9e97aca40d51 | violations 515 "
-              "cab0ed61b5b90aeb | engine 45741 45539 96 17 27 25 0 "
+              "1429d25f20b6f711 | engine 45741 45539 96 17 27 25 0 "
               "26ccd4ee37a3c37f | ladder 17 27 25 0 | report "
               "f91c5db9000c4d63 | metrics 8db31d3182b30313 | trace "
               "2bca7474acae31ba");
@@ -696,6 +696,55 @@ TEST(JournalTest, ResumeCutsTheTornTailBeforeAppending)
         loadCampaignJournal(path, campaignFingerprint(spec));
     EXPECT_EQ(journal.dropped, 0u);
     EXPECT_EQ(journal.results.size(), spec.numJobs());
+    std::remove(path.c_str());
+}
+
+// A kill during the very first write leaves only an unterminated
+// prefix of the header: whatever byte the kill hit, a resume starts
+// afresh and prints the uninterrupted table.
+TEST(JournalTest, TornHeaderResumesAfresh)
+{
+    const std::string path =
+        testing::TempDir() + "fbsim_torn_header_test.journal";
+    std::remove(path.c_str());
+    CampaignSpec spec = smallSpec(0x6b, 150, 2);
+    const std::uint64_t fp = campaignFingerprint(spec);
+    const std::string baseline =
+        renderCampaignTable(CampaignRunner(1).run(spec));
+    std::string header;
+    {
+        CampaignJournal journal(path, fp, spec.numJobs());
+        std::ifstream in(path);
+        std::getline(in, header);
+    }
+    ASSERT_FALSE(header.empty());
+    SupervisorOptions sup;
+    sup.journalPath = path;
+    sup.resume = true;
+    for (std::size_t cut = 0; cut <= header.size(); ++cut) {
+        {
+            std::ofstream out(path, std::ios::trunc);
+            out << header.substr(0, cut);
+        }
+        EXPECT_TRUE(loadCampaignJournal(path, fp).results.empty())
+            << "cut at " << cut;
+        EXPECT_EQ(baseline,
+                  renderCampaignTable(CampaignRunner(1, sup).run(spec)))
+            << "cut at " << cut;
+        // The resumed run journaled every job behind a whole header.
+        JournalContents journal = loadCampaignJournal(path, fp);
+        EXPECT_EQ(journal.results.size(), spec.numJobs())
+            << "cut at " << cut;
+        EXPECT_EQ(journal.dropped, 0u) << "cut at " << cut;
+    }
+    // Another campaign's header stays foreign, torn or not.
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << header;
+    }
+    const std::uint64_t other = campaignFingerprint(smallSpec(0x6c, 150, 2));
+    EXPECT_EXIT(loadCampaignJournal(path, other),
+                ::testing::ExitedWithCode(1), "fingerprint");
     std::remove(path.c_str());
 }
 

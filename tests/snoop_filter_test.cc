@@ -226,6 +226,117 @@ TEST(SnoopFilterTest, IncrementalCheckerMatchesFullScan)
     EXPECT_EQ(flushedImage(*inc), flushedImage(*sys_full));
 }
 
+/** MOESI whose M answers a snooped plain read by dropping to S
+ *  without intervening: the reader fills from stale memory and
+ *  nobody owns the dirty data any more (V1/V2 violations). */
+ProtocolTable
+silentDowngradeMoesi()
+{
+    ProtocolTable t = moesiTable();
+    SnoopAction a;
+    a.next = toState(State::S);
+    a.ch = Tri::Assert;
+    t.setSnoop(State::M, BusEvent::ReadByCache, {a});
+    return t;
+}
+
+/**
+ * Two clusters of two caches, checked after every access by the
+ * incremental or the full scan; cache 0 (cluster 0) runs `broken`.  A
+ * harmless fault site arms the quarantine machinery, and the
+ * automatic ladder is off: the test pulls and rejoins by hand.
+ */
+std::unique_ptr<HierSystem>
+checkedHier(bool incremental, const ProtocolTable &broken)
+{
+    HierConfig cfg;
+    cfg.checkEveryAccess = true;
+    cfg.incrementalCheck = incremental;
+    FaultConfig faults;
+    faults.seed = 0x42;
+    faults.memoryDelay.probability = 0.001;
+    cfg.faults = faults;
+    cfg.watchdogRounds = 1000000;
+    auto sys = std::make_unique<HierSystem>(cfg, 2);
+    for (std::size_t i = 0; i < 4; ++i) {
+        CacheSpec spec = test::smallCache(
+            i < 2 ? ProtocolKind::Moesi : ProtocolKind::Berkeley);
+        spec.seed = i + 1;
+        if (i == 0)
+            spec.table = &broken;
+        sys->addCache(i % 2, spec);
+    }
+    return sys;
+}
+
+/** The first structural violation (U/V/H) recorded, or "". */
+std::string
+firstInvariantViolation(const Fabric &sys)
+{
+    for (const std::string &v : sys.violations()) {
+        if (v.rfind("read of", 0) != 0)
+            return v;
+    }
+    return {};
+}
+
+// The hierarchical leg of the incremental checker's equivalence: a
+// broken table's violations and a segment's quarantine and rejoin (its
+// caches leave the checker and come back, counted under their cluster
+// again) are found alike by per-access incremental and full scans.
+TEST(SnoopFilterTest, HierIncrementalCheckerMatchesFullScan)
+{
+    const ProtocolTable broken = silentDowngradeMoesi();
+    auto inc = checkedHier(true, broken);
+    auto full = checkedHier(false, broken);
+    Rng rng(0x1ec);
+    // Accesses to 16 lines from `first`; fresh lines after the rejoin
+    // are held by one cluster alone, which H1/H2 then attribute.
+    auto drive = [&](int n, LineAddr first) {
+        for (int i = 0; i < n; ++i) {
+            const auto who = static_cast<MasterId>(rng.below(4));
+            const Addr addr = (first * 4 + rng.below(16 * 4)) * 8;
+            if (rng.chance(0.4)) {
+                const Word v = rng.next();
+                inc->write(who, addr, v);
+                full->write(who, addr, v);
+            } else {
+                EXPECT_EQ(inc->read(who, addr).value,
+                          full->read(who, addr).value);
+            }
+        }
+    };
+    drive(600, 0);
+    ASSERT_TRUE(inc->quarantineCluster(1));
+    ASSERT_TRUE(full->quarantineCluster(1));
+    EXPECT_EQ(inc->checkNow(), full->checkNow());
+    drive(600, 0);
+    ASSERT_TRUE(inc->reintegrateCluster(1));
+    ASSERT_TRUE(full->reintegrateCluster(1));
+    EXPECT_EQ(inc->checkNow(), full->checkNow());
+    drive(1200, 16);
+
+    // Both scans found the broken table at the same access, with the
+    // same first violation.
+    ASSERT_FALSE(inc->violations().empty());
+    EXPECT_EQ(inc->violations().front(), full->violations().front());
+    EXPECT_NE(firstInvariantViolation(*inc), "");
+    EXPECT_EQ(firstInvariantViolation(*inc),
+              firstInvariantViolation(*full));
+    EXPECT_EQ(inc->checkNow(), full->checkNow());
+    // Bridge-filter inclusion held throughout: with a holder counted
+    // under the wrong cluster after the rejoin, H1/H2 would misfire.
+    bool value_violation = false;
+    for (const HierSystem *sys : {inc.get(), full.get()}) {
+        for (const std::string &v : sys->violations()) {
+            EXPECT_NE(v.rfind("H1", 0), 0u) << v;
+            EXPECT_NE(v.rfind("H2", 0), 0u) << v;
+            value_violation = value_violation || v[0] == 'V';
+        }
+    }
+    EXPECT_TRUE(value_violation);
+}
+
 TEST(SnoopFilterTest, HierarchicalFilteredEqualsExhaustive)
 {
     auto build = [](bool filter) {

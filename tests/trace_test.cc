@@ -69,8 +69,6 @@ TEST(TraceIoTest, AcceptedTextsYieldTheseRefs)
         // Tabs and CRLF.
         {"0\tR\t100\r\n", {{0, false, 0x100}}},
         {"12 W 0\n", {{12, true, 0}}},
-        // "0" parsed, 'x' is trailing junk.
-        {"1 W 0x\n", {{1, true, 0}}},
     };
     for (const auto &[text, want] : cases) {
         std::string err = "stale";
@@ -93,6 +91,12 @@ TEST(TraceIoTest, RejectedTextsYieldTheseErrors)
         {"0 R -10\n", "line 1: bad number"},
         {"0 R -0\n", "line 1: bad number"},
         {"-1 R 10\n", "line 1: bad number"},
+        // Every character of a number must be a digit: junk after the
+        // digits (a letter O for a zero, a typo) is no number either.
+        {"1 W 0x\n", "line 1: bad number"},
+        {"0 R 1O0\n", "line 1: bad number"},
+        {"1 W 2g8\n", "line 1: bad number"},
+        {"7x R 40\n", "line 1: bad number"},
     };
     for (const auto &[text, want] : cases) {
         std::string err;
