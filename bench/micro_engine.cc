@@ -212,9 +212,9 @@ BM_SpeculativeEngineThroughput(benchmark::State &state)
 BENCHMARK(BM_SpeculativeEngineThroughput)->Arg(8)->Arg(32);
 
 /**
- * The relaxed per-line loop (one windowed drain, immediate oracle
- * writes, no undo records): the speed the strict speculative loop is
- * measured against.
+ * PerLine: the speculative loop under its commit-on-drain policy (each
+ * drained run commits at once, so only per-line order is kept): the
+ * speed the strict speculative loop is measured against.
  */
 void
 BM_PerLineEngineThroughput(benchmark::State &state)

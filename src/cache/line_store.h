@@ -36,12 +36,15 @@ class LineStore
     virtual const CacheLine *peek(LineAddr la) const = 0;
 
     /**
-     * Valid lines that must be evicted before `la` can be installed.
-     * Empty when a slot is free (or already allocated, for a sector
-     * whose tag is resident).  The controller flushes each (pushing
-     * owned data) and marks it invalid, then calls install().
+     * Replace `out`'s contents with the valid lines that must be
+     * evicted before `la` can be installed: none when a slot is free
+     * (or already allocated, for a sector whose tag is resident).  The
+     * controller flushes each (pushing owned data) and marks it
+     * invalid, then calls install().  `out` is the caller's reusable
+     * scratch, so steady-state misses allocate nothing.
      */
-    virtual std::vector<CacheLine *> evictionSet(LineAddr la) = 0;
+    virtual void evictionSet(LineAddr la,
+                             std::vector<CacheLine *> &out) = 0;
 
     /**
      * Allocate `la` (the eviction set must have been invalidated) and
@@ -129,15 +132,15 @@ class PlainLineStore : public LineStore
         return tags_.peek(la);
     }
 
-    std::vector<CacheLine *>
-    evictionSet(LineAddr la) override
+    void
+    evictionSet(LineAddr la, std::vector<CacheLine *> &out) override
     {
         // victimFor repairs bulk-invalidated frames to state I before
         // returning them, so valid() here is trustworthy.
+        out.clear();
         CacheLine &victim = tags_.victimFor(la);
         if (victim.valid())
-            return {&victim};
-        return {};
+            out.push_back(&victim);
     }
 
     CacheLine &

@@ -74,27 +74,26 @@ SectorStore::peek(LineAddr la) const
     return const_cast<SectorStore *>(this)->find(la);
 }
 
-std::vector<CacheLine *>
-SectorStore::evictionSet(LineAddr la)
+void
+SectorStore::evictionSet(LineAddr la, std::vector<CacheLine *> &out)
 {
+    out.clear();
     LineAddr sector = geom_.sectorOf(la);
     if (findSector(sector))
-        return {};   // sector resident: the subsector slot is free
+        return;   // sector resident: the subsector slot is free
     std::size_t set = geom_.setOf(sector);
     // A reusable frame (never tagged, or tagged but fully invalid)?
     for (std::size_t w = 0; w < geom_.assoc; ++w) {
         Sector &frame = sectors_[set * geom_.assoc + w];
         if (!frame.tagValid || !frame.anyValid())
-            return {};
+            return;
     }
     // Evict a whole sector: every valid subsector goes.
     Sector &victim = sectors_[set * geom_.assoc + repl_->victim(set)];
-    std::vector<CacheLine *> out;
     for (CacheLine &line : victim.subs) {
         if (line.valid())
             out.push_back(&line);
     }
-    return out;
 }
 
 CacheLine &

@@ -66,7 +66,8 @@ class SectorStore : public LineStore
 
     CacheLine *find(LineAddr la) override;
     const CacheLine *peek(LineAddr la) const override;
-    std::vector<CacheLine *> evictionSet(LineAddr la) override;
+    void evictionSet(LineAddr la,
+                     std::vector<CacheLine *> &out) override;
     CacheLine &install(LineAddr la, State s) override;
     void touch(const CacheLine &line) override;
     bool nearReplacement(const CacheLine &line) const override;

@@ -198,12 +198,10 @@ HierSystem::scrubFilters()
 void
 HierSystem::pullBoard(std::size_t cluster)
 {
-    // P896 live removal: the whole board-bus leaves under a quiesced
-    // window - no site fires while owned data drains to memory, so the
-    // flushes provably converge and nothing is lost.
+    // The whole board-bus leaves under quarantineBoard's quiesced
+    // window; the maintenance bypass also keeps the bridge's own fault
+    // draws and stall window out of the flushes.
     Cluster &c = clusters_[cluster];
-    FaultInjector *faults = faultInjector();
-    faults->setQuiesced(true);
     c.bridge->setMaintenanceBypass(true);
     for (MasterId id = 0; id < numClients(); ++id) {
         SnoopingCache *cache = cacheOf(id);
@@ -214,7 +212,6 @@ HierSystem::pullBoard(std::size_t cluster)
         checker().removeCache(cache);
     }
     c.bridge->setMaintenanceBypass(false);
-    faults->setQuiesced(false);
 
     // Detached from the root, the bridge neither snoops nor forwards
     // down; its filters lawfully decay until the rejoin scrub.

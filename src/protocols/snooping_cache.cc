@@ -216,9 +216,15 @@ SnoopingCache::read(Addr addr)
         // Devirtualized hit path: packed-tag lookup, pre-resolved
         // plan.  Pure read hits never change state, so only the data
         // word and the replacement touch happen.
-        AccessOutcome o;
-        if (tryLocalRead(addr, o.value))
+        State next = State::I;
+        if (CacheLine *l = pureHit(addr, false, next)) {
+            ++stats_.reads;
+            ++stats_.readHits;
+            AccessOutcome o;
+            o.value = l->data[wordIndexOf(addr)];
+            plain_->tags().touch(*l);
             return o;
+        }
     }
     ++stats_.reads;
     // Every protocol table serves a read on a valid line locally, so a
@@ -241,8 +247,15 @@ AccessOutcome
 SnoopingCache::write(Addr addr, Word value)
 {
     if (fastLocal_) {
-        // Devirtualized hit path via the fused probe.
-        if (tryLocalWrite(addr, value)) {
+        // Devirtualized hit path via the same probe.
+        State next = State::I;
+        if (CacheLine *l = pureHit(addr, true, next)) {
+            ++stats_.writes;
+            ++stats_.writeHits;
+            l->data[wordIndexOf(addr)] = value;
+            if (next != l->state)
+                plain_->tags().setState(*l, next);
+            plain_->tags().touch(*l);
             AccessOutcome o;
             o.value = value;
             return o;
@@ -491,7 +504,8 @@ SnoopingCache::allocateFor(LineAddr la, AccessOutcome &outcome)
 {
     // The store may demand several evictions (a sector cache replaces
     // a whole sector's subsectors at once).
-    for (CacheLine *victim : store_->evictionSet(la)) {
+    store_->evictionSet(la, victims_);
+    for (CacheLine *victim : victims_) {
         fbsim_assert(victim->valid());
         if (!evict(*victim, outcome)) {
             // The victim's writeback gave up (fault injection); it

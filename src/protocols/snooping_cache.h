@@ -181,64 +181,6 @@ class SnoopingCache : public BusClient, public Snooper
                       : store_->stateOf(la);
     }
 
-    /** True when tryLocalRead/tryLocalWrite may be used: the
-     *  devirtualized hit path is armed (deterministic chooser, plain
-     *  store, no coverage recorder, not quarantined). */
-    bool fastPathEnabled() const { return fastLocal_; }
-
-    /**
-     * Drain-path accesses for the timed engine: classification and
-     * execution fused into one tag probe.  A pure local hit executes
-     * with exactly read()/write() semantics and stats and returns
-     * true; anything else (miss, bus-bound cell, conditional
-     * transition) returns false having changed nothing, and the
-     * caller routes the reference through the generic path.  A false
-     * return coincides with wouldUseBus() for every table in the
-     * suite, because the pure hit plans cover exactly the bus-free
-     * cells.  Callers must check fastPathEnabled() first.
-     */
-    bool
-    tryLocalRead(Addr addr, Word &out)
-    {
-        TagStore &tags = plain_->tags();
-        CacheLine *l = tags.find(lineOf(addr));
-        if (l == nullptr)
-            return false;
-        HitPlan &p = readHit_[static_cast<int>(l->state)];
-        if (!p.filled)
-            fillHitPlan(p, false, l->state);
-        if (!p.pure)
-            return false;
-        ++stats_.reads;
-        ++stats_.readHits;
-        out = l->data[wordIndexOf(addr)];
-        tags.touch(*l);
-        return true;
-    }
-
-    /** Write counterpart of tryLocalRead() (pure hits: M stays M,
-     *  E->M - valid-to-valid, so no presence update is due). */
-    bool
-    tryLocalWrite(Addr addr, Word value)
-    {
-        TagStore &tags = plain_->tags();
-        CacheLine *l = tags.find(lineOf(addr));
-        if (l == nullptr)
-            return false;
-        HitPlan &p = writeHit_[static_cast<int>(l->state)];
-        if (!p.filled)
-            fillHitPlan(p, true, l->state);
-        if (!p.pure)
-            return false;
-        ++stats_.writes;
-        ++stats_.writeHits;
-        l->data[wordIndexOf(addr)] = value;
-        if (p.next != l->state)
-            tags.setState(*l, p.next);
-        tags.touch(*l);
-        return true;
-    }
-
     /** Section 5.2 near-replacement discard refinement enabled?  Such
      *  a cache's snoop commits depend on replacement recency, which
      *  speculation perturbs, so the engine excludes it. */
@@ -259,29 +201,29 @@ class SnoopingCache : public BusClient, public Snooper
     bool specEligible() const { return fastLocal_ && specSafe_; }
 
     /**
-     * Speculative counterparts of tryLocalRead/tryLocalWrite: same
-     * classification and execution, minus the replacement touch - the
-     * hit's frame index goes to `frame` and specCommit() replays the
-     * touches in order.  A write also leaves one undo entry (reads
-     * leave none), so the engine addresses entries by write count
-     * alone.  Hit counters are NOT bumped here - the engine batches
-     * them through specCountHits() once per drained run.  Callers must
-     * check specEligible() first.
+     * Speculative local accesses for the timed engine: a pure local
+     * hit executes with read()/write()'s fast-path semantics minus
+     * the replacement touch - the hit's frame index goes to `frame`
+     * and specCommit() replays the touches in order - and returns
+     * true; anything else (miss, bus-bound cell, conditional
+     * transition) returns false having changed nothing.  A false
+     * return coincides with wouldUseBus() for every table in the
+     * suite, because the pure hit plans cover exactly the bus-free
+     * cells.  A write also leaves one undo entry (reads leave none),
+     * so the engine addresses entries by write count alone.  Hit
+     * counters are NOT bumped here - the engine batches them through
+     * specCountHits() once per drained run.  Callers must check
+     * specEligible() first.
      */
     bool
     specLocalRead(Addr addr, Word &out, std::uint32_t &frame)
     {
-        TagStore &tags = plain_->tags();
-        CacheLine *l = tags.find(lineOf(addr));
+        State next = State::I;
+        CacheLine *l = pureHit(addr, false, next);
         if (l == nullptr)
             return false;
-        HitPlan &p = readHit_[static_cast<int>(l->state)];
-        if (!p.filled)
-            fillHitPlan(p, false, l->state);
-        if (!p.pure)
-            return false;
         out = l->data[wordIndexOf(addr)];
-        frame = tags.frameOf(*l);
+        frame = plain_->tags().frameOf(*l);
         return true;
     }
 
@@ -289,22 +231,17 @@ class SnoopingCache : public BusClient, public Snooper
     bool
     specLocalWrite(Addr addr, Word value, std::uint32_t &frame)
     {
-        TagStore &tags = plain_->tags();
-        CacheLine *l = tags.find(lineOf(addr));
+        State next = State::I;
+        CacheLine *l = pureHit(addr, true, next);
         if (l == nullptr)
-            return false;
-        HitPlan &p = writeHit_[static_cast<int>(l->state)];
-        if (!p.filled)
-            fillHitPlan(p, true, l->state);
-        if (!p.pure)
             return false;
         std::size_t w = wordIndexOf(addr);
         specUndo_.push_back({l, l->data[w],
                              static_cast<std::uint32_t>(w), l->state});
         l->data[w] = value;
-        if (p.next != l->state)
-            tags.setState(*l, p.next);
-        frame = tags.frameOf(*l);
+        if (next != l->state)
+            plain_->tags().setState(*l, next);
+        frame = plain_->tags().frameOf(*l);
         return true;
     }
 
@@ -430,6 +367,32 @@ class SnoopingCache : public BusClient, public Snooper
         State next = State::I;
     };
     void fillHitPlan(HitPlan &p, bool is_write, State s);
+
+    /**
+     * The one hit probe behind read()/write()'s fast path and
+     * specLocalRead/specLocalWrite: the line `addr` hits in when its
+     * state's plan for this access is a pure local hit (`next` gets
+     * the plan's next state: a read keeps it, a write moves M->M or
+     * E->M, valid to valid, so no presence update is due), else null.
+     * Changes no line or counter; requires the devirtualized hit path
+     * (fastLocal_ or specEligible()).
+     */
+    CacheLine *
+    pureHit(Addr addr, bool is_write, State &next)
+    {
+        CacheLine *l = plain_->tags().find(lineOf(addr));
+        if (l == nullptr)
+            return nullptr;
+        HitPlan &p =
+            (is_write ? writeHit_ : readHit_)[static_cast<int>(l->state)];
+        if (!p.filled)
+            fillHitPlan(p, is_write, l->state);
+        if (!p.pure)
+            return nullptr;
+        next = p.next;
+        return l;
+    }
+
     /** Recompute fastLocal_ from chooser/store/coverage/quarantine. */
     void updateFastPath();
 
@@ -510,6 +473,7 @@ class SnoopingCache : public BusClient, public Snooper
     TransitionCoverage *coverage_ = nullptr;
     std::string name_;
     std::vector<LocalAction> candScratch_;   ///< kindFiltered() reuse
+    std::vector<CacheLine *> victims_;       ///< allocateFor() reuse
     bool memoize_ = false;   ///< chooser_->deterministic()
     LocalMemo localMemo_[kNumStates][kNumLocalEvents];
     SnoopMemo snoopMemo_[kNumStates][kNumBusEvents];

@@ -117,21 +117,11 @@ Engine::run(const std::vector<RefStream *> &streams,
     fbsim_assert(!streams.empty());
     // Per-access machinery (fault injection, per-access checking,
     // scheduled reintegrations) observes the exact global access
-    // order: only the interleaved loop provides it.
-    if (!system_.plainAccessPath())
-        return runInterleaved(streams, refs_per_proc, control);
-    switch (config_.ordering) {
-      case EngineOrdering::Interleaved:
-        return runInterleaved(streams, refs_per_proc, control);
-      case EngineOrdering::PerLine:
-        return runWindowed(streams, refs_per_proc, control);
-      case EngineOrdering::Strict:
-        break;
-    }
-    // Strict means interleaved *semantics*; the speculative loop is
-    // just the fast way to produce them when every client supports
-    // undoable local execution.
-    if (specEligible())
+    // order: only the interleaved loop provides it.  Strict and
+    // PerLine are policies of the speculative loop, which needs every
+    // client to support undoable local execution.
+    if (system_.plainAccessPath() &&
+        config_.ordering != EngineOrdering::Interleaved && specEligible())
         return runSpeculative(streams, refs_per_proc, control);
     return runInterleaved(streams, refs_per_proc, control);
 }
@@ -250,203 +240,6 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
 }
 
 EngineResult
-Engine::runWindowed(const std::vector<RefStream *> &streams,
-                    std::uint64_t refs_per_proc,
-                    const RunControl *control)
-{
-    std::size_t n = streams.size();
-
-    struct ProcState
-    {
-        Cycles readyAt = 0;
-        std::uint64_t done = 0;
-        bool hasRef = false;
-        ProcRef ref;
-    };
-
-    std::vector<ProcState> procs(n);
-    // Caches with the devirtualized hit path drain through the fused
-    // classify-and-execute probe (tryLocalRead/Write) instead of the
-    // wouldUseBus + System-call pair; null falls back to the generic
-    // pair.  Stable for the whole run: on the plain access path
-    // nothing can quarantine a cache or attach coverage mid-run.
-    std::vector<SnoopingCache *> fastCache(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        SnoopingCache *c = system_.cacheOf(static_cast<MasterId>(i));
-        fastCache[i] = (c && c->fastPathEnabled()) ? c : nullptr;
-    }
-    EngineResult result;
-    result.procs.resize(n);
-    Arbiter arbiter(config_.arbitration, n);
-    Cycles bus_free = 0;
-    std::vector<std::uint64_t> seq(n, 0);
-
-    auto fetch = [&](std::size_t i) {
-        if (procs[i].done < refs_per_proc) {
-            procs[i].ref = streams[i]->next();
-            procs[i].hasRef = true;
-        }
-    };
-    for (std::size_t i = 0; i < n; ++i)
-        fetch(i);
-
-    bool stop = false;
-    const std::uint64_t pollEvery =
-        control ? std::max<std::uint64_t>(1, control->checkEveryRefs)
-                : 0;
-    std::uint64_t sincePoll = 0;
-
-    CoherenceChecker &ck = system_.checker();
-    constexpr Cycles hit = kHitCycles;
-
-    /**
-     * Run processor i's cache-local references to exhaustion (end of
-     * stream or a bus-bound reference, which stays parked for the
-     * service loop).  Oracle bookkeeping is immediate: a local write
-     * needs an M or E copy, so no other processor holds a valid copy
-     * it could read, and processor-ordered updates are exact.  The
-     * per-reference accounting (refs, cycles, seq) accumulates in
-     * locals and flushes once at the end of the run - the drained
-     * count fully determines it.
-     */
-    auto drain = [&](std::size_t i) {
-        ProcState &p = procs[i];
-        ProcTiming &t = result.procs[i];
-        SnoopingCache *fc = fastCache[i];
-        RefStream &stream = *streams[i];
-        const MasterId id = static_cast<MasterId>(i);
-        std::uint64_t drained = 0;
-        std::uint64_t sq = seq[i];
-        while (p.hasRef) {
-            if (pollEvery && ++sincePoll >= pollEvery) {
-                sincePoll = 0;
-                if (control->shouldStop()) {
-                    stop = true;
-                    break;
-                }
-            }
-            if (p.ref.write) {
-                // Computed from sq+1 and committed only when the
-                // write executes, so a parked reference re-derives the
-                // identical value in the service phase.
-                const Word value = writeValue(i, sq + 1);
-                if (fc) {
-                    if (!fc->tryLocalWrite(p.ref.addr, value))
-                        break;   // parked: the service loop takes over
-                    ck.noteWrite(p.ref.addr, value);
-                } else {
-                    if (system_.wouldUseBus(id, true, p.ref.addr))
-                        break;
-                    AccessOutcome o = system_.write(id, p.ref.addr, value);
-                    fbsim_assert(!o.usedBus);
-                }
-                ++sq;
-            } else {
-                if (fc) {
-                    Word got = 0;
-                    if (!fc->tryLocalRead(p.ref.addr, got))
-                        break;
-                    if (got != ck.expected(p.ref.addr))
-                        system_.recordReadMismatch(p.ref.addr, got);
-                } else {
-                    if (system_.wouldUseBus(id, false, p.ref.addr))
-                        break;
-                    AccessOutcome o = system_.read(id, p.ref.addr);
-                    fbsim_assert(!o.usedBus);
-                }
-            }
-            if (config_.accessLog)
-                config_.accessLog->push_back({id, p.ref.write, p.ref.addr});
-            ++drained;
-            if (p.done + drained < refs_per_proc)
-                p.ref = stream.next();
-            else
-                p.hasRef = false;
-        }
-        seq[i] = sq;
-        if (drained) {
-            p.done += drained;
-            t.refs += drained;
-            t.execCycles += drained * hit;
-            p.readyAt += drained * hit;
-            t.finishTime = p.readyAt;
-        }
-    };
-
-    // --- Cold-start drain window: every processor's initial run of
-    // cache-local references, in processor order.  The runs are
-    // mutually independent (a cross-processor conflict needs the bus,
-    // which parks the reference).
-    for (std::size_t i = 0; i < n && !stop; ++i)
-        drain(i);
-
-    // --- Service loop: bus transactions in readyAt order, each
-    // followed by the winner's next cache-local run.  Invariant at the
-    // top of each iteration: every processor with a pending reference
-    // is parked bus-bound (a completed transaction can invalidate or
-    // demote other caches' lines - making their parked references
-    // *more* bus-bound - but never refill one, so parked processors
-    // stay parked until they win the bus).
-    while (!stop) {
-        constexpr Cycles kIdle = ~Cycles{0};
-        Cycles tstar = kIdle;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (procs[i].hasRef)
-                tstar = std::min(tstar, procs[i].readyAt);
-        }
-        if (tstar == kIdle)
-            break;   // every stream exhausted
-
-        if (pollEvery && ++sincePoll >= pollEvery) {
-            sincePoll = 0;
-            if (control->shouldStop()) {
-                stop = true;
-                break;
-            }
-        }
-
-        // Grant at max(bus free, earliest bus-bound ready); every
-        // parked processor ready by then competes.  The winner's
-        // start time always equals the grant time: a candidate ready
-        // after bus_free became ready exactly at the grant.
-        Cycles grant = std::max(bus_free, tstar);
-        std::optional<MasterId> winner =
-            arbiter.grantWhere([&](std::size_t i) {
-                return procs[i].hasRef && procs[i].readyAt <= grant;
-            });
-        fbsim_assert(winner.has_value());
-        std::size_t w = *winner;
-        ProcState &p = procs[w];
-        ProcTiming &t = result.procs[w];
-
-        const AccessOutcome outcome = access(result, w, p.ref, seq[w]);
-        t.refs += 1;
-        t.execCycles += hit;
-        if (outcome.usedBus) {
-            bus_free = billBus(result, w, p.ref, p.readyAt, grant, outcome);
-            p.readyAt = bus_free + hit;
-        } else {
-            // Classification is exact and nothing ran in between, so
-            // a granted reference always uses the bus; stay robust.
-            p.readyAt += hit;
-        }
-        t.finishTime = p.readyAt;
-        p.hasRef = false;
-        p.done += 1;
-        fetch(w);
-
-        // Drain the winner's cache-local run inline: its next
-        // bus-bound reference must re-enter arbitration at its true
-        // ready time, not after other processors' later transactions
-        // have pushed bus_free past it.
-        drain(w);
-    }
-    result.cancelled = stop;
-    finish(result);
-    return result;
-}
-
-EngineResult
 Engine::runSpeculative(const std::vector<RefStream *> &streams,
                        std::uint64_t refs_per_proc,
                        const RunControl *control)
@@ -457,6 +250,10 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
     constexpr std::uint64_t kFetchBatch = 64;
     // Committed prefix length at which a window's buffers compact.
     constexpr std::uint64_t kCompactAt = 256;
+    // PerLine's commit-on-drain policy (see EngineOrdering); its
+    // commits leave the speculation counters alone.
+    const bool perLine = config_.ordering == EngineOrdering::PerLine;
+    SpecStats *const specStats = perLine ? nullptr : config_.specStats;
 
     /**
      * Per-processor speculation state.  Reference positions are
@@ -559,12 +356,12 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
 
     /**
      * Speculatively execute proc i's run of local hits until it parks
-     * (bus-bound ref), pauses (read mismatch needing in-order
-     * adjudication), exhausts its stream, or the supervisor stops the
-     * run.  Touches only proc-i state (its stream, buffer, cache and
-     * its cache's undo log), oracle words of lines its cache holds
-     * exclusively, and the stop flag.  A speculated write stores its
-     * value into the oracle at once: its line is M or E (the
+     * (bus-bound ref), pauses (Strict: a read mismatch needing
+     * in-order adjudication), exhausts its stream, or the supervisor
+     * stops the run.  Touches only proc-i state (its stream, buffer,
+     * cache and its cache's undo log), oracle words of lines its cache
+     * holds exclusively, and the stop flag.  A speculated write stores
+     * its value into the oracle at once: its line is M or E (the
      * exclusivity gate), so no other processor can read the word
      * before the next bus transaction on the line, which first commits
      * or rolls the write back.
@@ -645,6 +442,12 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
                     oWords = ck.expectedLine(la);
                 }
                 if (got != (oWords ? oWords[wi] : 0)) {
+                    if (perLine) {
+                        // Every other window is committed, so the
+                        // oracle is exact: record it here.
+                        system_.recordReadMismatch(ref.addr, got);
+                        continue;
+                    }
                     // The oracle already holds this proc's own writes,
                     // so this is a mismatch candidate: its violation
                     // string must be rendered at the exact functional
@@ -744,10 +547,10 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
                      {static_cast<MasterId>(i), r.write, r.addr}});
             }
         }
-        if (config_.specStats) {
-            ++config_.specStats->batches;
-            config_.specStats->specRefs += cut - p.commitPos;
-            config_.specStats->batchLen.record(cut - p.commitPos);
+        if (specStats) {
+            ++specStats->batches;
+            specStats->specRefs += cut - p.commitPos;
+            specStats->batchLen.record(cut - p.commitPos);
         }
         caches[i]->specCommit(p.frames.data() + (p.commitPos - p.bufBase),
                               cut - p.commitPos, writes);
@@ -798,10 +601,10 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         p.parked = false;
         p.paused = false;   // a rolled-back pause re-adjudicates
         redrain[i] = 1;
-        if (config_.specStats) {
-            ++config_.specStats->rollbacks;
-            config_.specStats->rolledBackRefs += undone;
-            config_.specStats->rollbackDepth.record(undone);
+        if (specStats) {
+            ++specStats->rollbacks;
+            specStats->rolledBackRefs += undone;
+            specStats->rollbackDepth.record(undone);
         }
     };
 
@@ -823,9 +626,19 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         return p.execPos;
     };
 
+    /** drainOne; under PerLine the drained run commits at once, so
+     *  no window is ever open at a serialization point. */
+    auto drain = [&](std::size_t i) {
+        drainOne(i);
+        if (perLine) {
+            commitRange(i, procs[i].execPos);
+            flushLog();
+        }
+    };
+
     // --- Round 1: every processor's first run of local hits.
     for (std::size_t i = 0; i < n; ++i)
-        drainOne(i);
+        drain(i);
 
     // --- Serialization loop.  Each iteration resolves the earliest
     // outstanding functional event: a paused read's adjudication or
@@ -889,7 +702,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             p.paused = false;
             for (std::size_t i = 0; i < n; ++i) {
                 redrain[i] = 0;
-                drainOne(i);
+                drain(i);
             }
             continue;
         }
@@ -1009,7 +822,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         for (std::size_t i = 0; i < n; ++i) {
             if (redrain[i]) {
                 redrain[i] = 0;
-                drainOne(i);
+                drain(i);
             }
         }
     }

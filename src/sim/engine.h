@@ -42,12 +42,15 @@ class TraceSink;
  * sharer valid across an invalidating transaction) are not covered;
  * study those with Interleaved or checkEveryAccess.
  *
- * PerLine relaxes Strict to the window discipline, which retains only
- * per-line ordering (each line still sees its accesses in a legal
+ * PerLine is the same loop with a commit-on-drain policy: each
+ * processor's run of local hits commits as soon as it is drained,
+ * ahead of other processors' earlier references, so only per-line
+ * ordering is retained (each line still sees its accesses in a legal
  * serialization; the global interleaving differs) - validated against
- * the src/mc differential oracle rather than bit-exactly.  Interleaved
- * forces the classic loop (the reference semantics both other modes
- * are measured against).
+ * the src/mc differential oracle rather than bit-exactly.  Like
+ * Strict it falls back to the interleaved loop when a cache is not
+ * speculation-eligible.  Interleaved forces the classic loop (the
+ * reference semantics both other modes are measured against).
  */
 enum class EngineOrdering : std::uint8_t
 {
@@ -129,13 +132,14 @@ struct EngineConfig
     TraceSink *trace = nullptr;
     /**
      * Reference-vs-transaction ordering discipline; see
-     * EngineOrdering.  Strict and PerLine take effect only on the
-     * plain access path with eligible caches; anything else falls
-     * back to the interleaved loop, whose semantics both represent.
+     * EngineOrdering.  Strict and PerLine run the speculative loop,
+     * and only on the plain access path with speculation-eligible
+     * caches; anything else falls back to the interleaved loop, whose
+     * semantics both represent.
      */
     EngineOrdering ordering = EngineOrdering::Strict;
     /** Speculation counters sink (not owned; null = detached).  Only
-     *  the speculative strict loop writes it. */
+     *  the speculative loop under Strict writes it. */
     SpecStats *specStats = nullptr;
     /**
      * Functional access log sink (not owned; null = detached).  Every
@@ -259,26 +263,17 @@ class Engine
                                 const RunControl *control);
 
     /**
-     * Window-discipline loop for the plain access path (PerLine): a
-     * cold drain window (each processor, in order, burns through its
-     * run of cache-local references) and then service phases (bus
-     * transactions, serialized through the arbiter exactly as in the
-     * classic loop), each followed by the winner's next local run.
-     * Both use one drain with immediate oracle bookkeeping.
-     */
-    EngineResult runWindowed(const std::vector<RefStream *> &streams,
-                             std::uint64_t refs_per_proc,
-                             const RunControl *control);
-
-    /**
-     * Strict-mode speculative loop: between bus transactions every
-     * processor batch-executes its run of provable local hits ahead
-     * of the global order, with undo records for its writes; at each
-     * serialization point the prefix preceding the transaction (in
-     * the interleaved functional order) commits and conflicting
-     * suffixes roll back and replay.  Observable outcome is
-     * byte-identical to runInterleaved.  Requires every client to be
-     * a speculation-eligible cache (SnoopingCache::specEligible).
+     * Speculative loop: between bus transactions every processor
+     * batch-executes its run of provable local hits ahead of the
+     * global order, with undo records for its writes.  Under Strict,
+     * at each serialization point the prefix preceding the transaction
+     * (in the interleaved functional order) commits and conflicting
+     * suffixes roll back and replay, so the observable outcome is
+     * byte-identical to runInterleaved.  Under PerLine each drained
+     * run commits at once and a read mismatch is recorded where the
+     * drain meets it, so no window is open at any bus transaction.
+     * Requires every client to be a speculation-eligible cache
+     * (SnoopingCache::specEligible).
      */
     EngineResult runSpeculative(const std::vector<RefStream *> &streams,
                                 std::uint64_t refs_per_proc,

@@ -333,7 +333,14 @@ Fabric::quarantineBoard(std::size_t board)
                                 replayTag().c_str());
     fbsim_warn("%s", msg.c_str());
     ladderEvent("quarantine", board, std::move(msg));
+    // P896 live removal: every board leaves under a quiesced window -
+    // no site fires while its owned data drains to memory, so the
+    // flushes converge and nothing is lost.
+    if (faults_)
+        faults_->setQuiesced(true);
     pullBoard(board);
+    if (faults_)
+        faults_->setQuiesced(false);
     boards_[board].pulled = true;
     clearProgress(board);
     if (config_.reintegrateAfterCycles > 0 &&

@@ -16,7 +16,8 @@
  * independent of how many references run.
  *
  * The coherence checker's per-access scan must not allocate at all
- * once an access's working set has been seen.
+ * once an access's working set has been seen, and neither must a warm
+ * flat fabric's accesses, evicting misses included.
  */
 
 #include <atomic>
@@ -29,6 +30,7 @@
 #include "hier/hier_engine.h"
 #include "mc/search.h"
 #include "protocols/factory.h"
+#include "sim/system.h"
 #include "trace/workloads.h"
 
 namespace {
@@ -169,9 +171,26 @@ checkedHier(bool checked)
     return sys;
 }
 
+/** 8 caches on one bus, checked after every access or not. */
+std::unique_ptr<System>
+checkedFlat(bool checked)
+{
+    SystemConfig cfg;
+    cfg.checkEveryAccess = checked;
+    auto sys = std::make_unique<System>(cfg);
+    for (std::size_t i = 0; i < 8; ++i) {
+        CacheSpec spec;
+        spec.numSets = 8;
+        spec.assoc = 2;
+        spec.seed = i + 1;
+        sys->addCache(spec);
+    }
+    return sys;
+}
+
 /** Heap allocations made by `n` seeded random accesses to `sys`. */
 std::size_t
-accessAllocations(HierSystem &sys, std::uint64_t seed, int n)
+accessAllocations(Fabric &sys, std::uint64_t seed, int n)
 {
     Rng rng(seed);
     const std::size_t before = g_allocations;
@@ -204,6 +223,22 @@ TEST(CheckerAlloc, HierPerAccessCheckAllocatesNothing)
     EXPECT_EQ(checked->checker().checksRun(), 40000u);
     EXPECT_EQ(with_check, without)
         << with_check - without << " allocations in 20000 checks";
+}
+
+// The flat twin allocates nothing at all once warm: a miss reuses its
+// cache's eviction scratch and the bus's line buffers, and the check
+// allocates nothing either.
+TEST(CheckerAlloc, FlatAccessesAllocateNothing)
+{
+    auto checked = checkedFlat(true);
+    auto unchecked = checkedFlat(false);
+    accessAllocations(*checked, 1, 20000);
+    accessAllocations(*unchecked, 1, 20000);
+
+    EXPECT_EQ(accessAllocations(*unchecked, 2, 20000), 0u);
+    EXPECT_EQ(accessAllocations(*checked, 2, 20000), 0u);
+    EXPECT_TRUE(checked->violations().empty());
+    EXPECT_GT(unchecked->cacheOf(0)->stats().evictions, 0u);
 }
 
 } // namespace

@@ -560,7 +560,7 @@ TEST(PerfettoTest, RenderedBytesArePinned)
               std::string::npos)
         << escape_json;
 
-    EXPECT_EQ(tracePin(flat_json), "6c4e0873ca158ba3 89653");
+    EXPECT_EQ(tracePin(flat_json), "35a04ce1c3bcace2 89511");
     EXPECT_EQ(tracePin(hier_json), "d1c970a05e584e73 641519");
     EXPECT_EQ(tracePin(escape_json), "d6d7895530afe353 421");
 }

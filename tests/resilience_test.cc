@@ -367,11 +367,11 @@ TEST(LadderPinTest, FlatJobLadderIsExact)
     EXPECT_GT(r.reintegrations, 0u);
     EXPECT_GT(r.faults.dataFlips, 0u);
     EXPECT_EQ(test::ladderPin(r, sink.render()),
-              "events 123 f99a9e97aca40d51 | violations 515 "
-              "1429d25f20b6f711 | engine 45741 45539 96 17 27 25 0 "
-              "26ccd4ee37a3c37f | ladder 17 27 25 0 | report "
-              "f91c5db9000c4d63 | metrics 8db31d3182b30313 | trace "
-              "2bca7474acae31ba");
+              "events 125 41349faf3e138634 | violations 504 "
+              "ec7c60b08b122c65 | engine 46409 46139 99 17 26 25 0 "
+              "b7c48d9e5c05c0e9 | ladder 17 26 25 0 | report "
+              "480c5a8dee1777ad | metrics 82b285bfda57e444 | trace "
+              "014339c9523f12b0");
 }
 
 TEST(SupervisedRunnerTest, DefaultSupervisionReproducesBaselineBytes)
@@ -608,8 +608,8 @@ TEST(JournalTest, RecordBytesArePinned)
     EXPECT_GT(batches, 0u);
     EXPECT_GT(events, 0u);
 
-    EXPECT_EQ(recordPins(flat), "c28e7ed9c4737b6c df58bf12ccb79281 "
-                                "ff4a912ecb90f881 95736116c2ba94ba");
+    EXPECT_EQ(recordPins(flat), "c28e7ed9c4737b6c 62de9565e793b2bd "
+                                "ff4a912ecb90f881 f9b83ce8954527a3");
     EXPECT_EQ(recordPins(hier), "34da72fa82e3d946 5c4dfde1b061ce08");
 }
 

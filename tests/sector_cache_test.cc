@@ -28,8 +28,10 @@ TEST(SectorStoreTest, SubsectorsShareOneTag)
 {
     SectorStore store({32, 4, 4, 2}, ReplacementKind::LRU, 1);
     // Install three subsectors of sector 0 (lines 0..2).
+    std::vector<CacheLine *> evict{nullptr};   // replaced, not appended
     for (LineAddr la = 0; la < 3; ++la) {
-        ASSERT_TRUE(store.evictionSet(la).empty());
+        store.evictionSet(la, evict);
+        ASSERT_TRUE(evict.empty());
         store.install(la, State::S);
     }
     EXPECT_EQ(store.validLineCount(), 3u);
@@ -62,7 +64,8 @@ TEST(SectorStoreTest, SectorEvictionCoversAllValidSubsectors)
     store.install(1, State::S);
     store.install(4, State::S);    // sector 1
     // Sector 2 (lines 8..11) needs a frame: both are taken.
-    std::vector<CacheLine *> evict = store.evictionSet(8);
+    std::vector<CacheLine *> evict;
+    store.evictionSet(8, evict);
     ASSERT_EQ(evict.size(), 2u);   // both valid subsectors of sector 0
     for (CacheLine *line : evict) {
         EXPECT_TRUE(line->valid());

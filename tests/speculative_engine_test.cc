@@ -12,9 +12,10 @@
  * stock protocol, from cold and from warm caches, under replacement
  * pressure, with fault injection armed or a table that writes S
  * without the bus (where the engine must fall back to the interleaved
- * loop entirely), and through forced mid-batch rollbacks.  The relaxed
- * PerLine loop has no such twin, so its exact output is pinned by
- * digest.
+ * loop entirely), and through forced mid-batch rollbacks.  PerLine,
+ * the same loop under a commit-on-drain policy, has no such twin, so
+ * its exact output is pinned by digest; where a cache is not
+ * speculation-eligible it must equal the interleaved loop.
  */
 
 #include <gtest/gtest.h>
@@ -59,6 +60,8 @@ struct Arch85Setup
     std::size_t numSets = 16;
     /** Replaces every cache's stock table when set. */
     const ProtocolTable *table = nullptr;
+    /** Gives cache 0 a Random chooser (speculation-ineligible). */
+    bool randomFirst = false;
 };
 
 /**
@@ -87,6 +90,8 @@ runArch85(const Arch85Setup &setup, EngineOrdering ordering,
         spec.assoc = 2;
         spec.seed = i + 1;
         spec.table = setup.table;
+        if (setup.randomFirst && i == 0)
+            spec.chooser = ChooserKind::Random;
         sys.addCache(spec);
     }
     const unsigned passes = setup.passes;
@@ -397,6 +402,29 @@ digestOf(const Observed &o)
     return d.value();
 }
 
+/** digestOf plus the violation and audit strings themselves. */
+std::uint64_t
+digestWithText(const Observed &o)
+{
+    Digest d;
+    d.add(digestOf(o));
+    d.add(test::fnv1a(o.violations));
+    d.add(test::fnv1a(o.checkNow));
+    return d.value();
+}
+
+/** Illinois whose S ignores ReadForModify: a writer's invalidate
+ *  leaves the other sharers' copies valid and stale. */
+ProtocolTable
+staleSharerIllinois()
+{
+    ProtocolTable t = illinoisTable();
+    SnoopAction stay;
+    stay.next = toState(State::S);
+    t.setSnoop(State::S, BusEvent::ReadForModify, {stay});
+    return t;
+}
+
 TEST(SpeculativeEngineTest, PerLinePinnedFromColdAndWarmCaches)
 {
     // The relaxed per-line loop reproduces no other loop's order, so
@@ -417,6 +445,53 @@ TEST(SpeculativeEngineTest, PerLinePinnedFromColdAndWarmCaches)
         EXPECT_GT(o.warmHeads, 0u) << "mix " << m;
         EXPECT_EQ(digestOf(o), kPinned[m])
             << "mix " << m << ": 0x" << std::hex << digestOf(o);
+    }
+}
+
+TEST(SpeculativeEngineTest, PerLineStaleCopiesPinned)
+{
+    // Stale sharers make local read hits disagree with the oracle.
+    // PerLine records each mismatch where its drain meets it, so the
+    // digest covers the violation and audit strings as well.  Its
+    // commits leave the speculation counters untouched.
+    const ProtocolTable stale = staleSharerIllinois();
+    const std::uint64_t kPinned[] = {
+        0x6d42f452993e1395ull,
+        0x7d2b59deaf89900cull,
+    };
+    const double kShared[] = {0.05, 0.3};
+    for (std::size_t k = 0; k < std::size(kShared); ++k) {
+        Arch85Setup setup;
+        setup.mix.assign(4, ProtocolKind::Illinois);
+        setup.table = &stale;
+        setup.passes = 2;
+        setup.refsPerProc = 3000;
+        setup.params.sharedLines = 4;
+        setup.params.pShared = kShared[k];
+        setup.seed = 5;
+        SpecStats spec;
+        Observed o = runArch85(setup, EngineOrdering::PerLine, &spec);
+        ASSERT_GT(o.violations.size(), 0u) << "pShared " << kShared[k];
+        EXPECT_EQ(spec.batches, 0u);
+        EXPECT_EQ(spec.specRefs, 0u);
+        const std::uint64_t got = digestWithText(o);
+        EXPECT_EQ(got, kPinned[k])
+            << "pShared " << kShared[k] << ": 0x" << std::hex << got;
+    }
+}
+
+TEST(SpeculativeEngineTest, PerLineFallsBackToInterleavedWhenIneligible)
+{
+    // A Random chooser makes its cache speculation-ineligible, so
+    // PerLine runs the interleaved loop, exactly as Strict does.
+    for (const auto &mix : kMixes) {
+        Arch85Setup setup;
+        setup.mix = mix;
+        setup.passes = 2;
+        setup.randomFirst = true;
+        Observed inter = runArch85(setup, EngineOrdering::Interleaved);
+        Observed perLine = runArch85(setup, EngineOrdering::PerLine);
+        expectIdentical(inter, perLine);
     }
 }
 
