@@ -227,11 +227,10 @@ BENCHMARK(BM_PerLineEngineThroughput)->Arg(8);
  * Adversarial rollback storm: every processor ping-pongs over the
  * same four hot lines under an invalidating protocol (Berkeley), so
  * speculated hit runs are constantly killed by foreign write
- * invalidations and replayed.  Guards the rollback path's worst case:
- * speculation must not fall off a cliff when conflicts dominate.
+ * invalidations and replayed.
  */
 void
-BM_SpeculativeRollbackStorm(benchmark::State &state)
+rollbackStorm(benchmark::State &state, EngineOrdering ordering)
 {
     const std::size_t procs = state.range(0);
     std::uint64_t total = 0;
@@ -249,14 +248,31 @@ BM_SpeculativeRollbackStorm(benchmark::State &state)
         }
         state.ResumeTiming();
         EngineConfig cfg;
-        cfg.ordering = EngineOrdering::Strict;
+        cfg.ordering = ordering;
         Engine engine(*sys, cfg);
         engine.run(raw, 2000);
         total += 2000 * procs;
     }
     state.SetItemsProcessed(total);
 }
+
+/** The storm under Strict.  Guards the rollback path's worst case:
+ *  speculation must not fall off a cliff when conflicts dominate. */
+void
+BM_SpeculativeRollbackStorm(benchmark::State &state)
+{
+    rollbackStorm(state, EngineOrdering::Strict);
+}
 BENCHMARK(BM_SpeculativeRollbackStorm)->Arg(8);
+
+/** The storm under the interleaved loop Strict imitates: the bar an
+ *  adaptive speculation window must reach (recorded, not gated). */
+void
+BM_InterleavedRollbackStorm(benchmark::State &state)
+{
+    rollbackStorm(state, EngineOrdering::Interleaved);
+}
+BENCHMARK(BM_InterleavedRollbackStorm)->Arg(8);
 
 /**
  * Engine throughput with the observability layer attached: a

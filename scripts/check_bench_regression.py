@@ -3,14 +3,17 @@
 
 Usage:
     check_bench_regression.py MEASURED_JSON [--record BENCH_micro.json]
-        [--bench ROW]... [--tolerance 0.10]
+        [--bench ROW]... [--tolerance 0.10] [--ratio NUM:DEN:MAX]...
 
 MEASURED_JSON is google-benchmark --benchmark_format=json output run
 with --benchmark_repetitions; for every guarded row the median across
 repetitions is compared against the record's optimized_ns entry.
---bench is repeatable; without it the default guarded set below is
-enforced.  Exits non-zero when any measured median exceeds its
-committed number by more than the tolerance.
+--bench is repeatable; without it (and without --ratio) the default
+guarded set below is enforced.  --ratio NUM:DEN:MAX requires the
+median of row NUM divided by the median of row DEN, both from
+MEASURED_JSON, to be at most MAX: a same-process comparison that
+holds on a noisy host where absolute records drift.  Exits non-zero
+when any check fails.
 """
 
 import argparse
@@ -44,6 +47,20 @@ def measured_median(report, bench):
     return statistics.median(times)
 
 
+def check_ratio(report, spec):
+    """Returns an error string, or None when NUM/DEN <= MAX."""
+    try:
+        num, den, limit = spec.rsplit(":", 2)
+        limit = float(limit)
+    except ValueError:
+        sys.exit(f"error: --ratio {spec!r} is not NUM:DEN:MAX")
+    ratio = measured_median(report, num) / measured_median(report, den)
+    print(f"{num} / {den}: median ratio {ratio:.3f} (limit {limit:.3f})")
+    if ratio > limit:
+        return f"{num} / {den} = {ratio:.3f} > {limit:.3f}"
+    return None
+
+
 def check_row(report, record, bench, tolerance):
     """Returns an error string, or None when the row is within bounds."""
     committed = record["optimized_ns"].get(bench)
@@ -72,16 +89,27 @@ def main():
                     help="row to enforce (repeatable; default: the "
                          "committed guarded set)")
     ap.add_argument("--tolerance", type=float, default=0.10)
+    ap.add_argument("--ratio", action="append", default=[],
+                    metavar="NUM:DEN:MAX",
+                    help="require median(NUM) / median(DEN) <= MAX "
+                         "(repeatable)")
     args = ap.parse_args()
 
     with open(args.measured) as f:
         report = json.load(f)
-    with open(args.record) as f:
-        record = json.load(f)
+    benches = args.benches or ([] if args.ratio else DEFAULT_GUARDED)
+    record = None
+    if benches:
+        with open(args.record) as f:
+            record = json.load(f)
 
     failures = []
-    for bench in args.benches or DEFAULT_GUARDED:
+    for bench in benches:
         err = check_row(report, record, bench, args.tolerance)
+        if err is not None:
+            failures.append(err)
+    for spec in args.ratio:
+        err = check_ratio(report, spec)
         if err is not None:
             failures.append(err)
 

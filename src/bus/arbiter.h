@@ -15,9 +15,8 @@
 
 #include <cstddef>
 #include <optional>
-#include <string_view>
-#include <vector>
 
+#include "common/logging.h"
 #include "common/types.h"
 
 namespace fbsim {
@@ -25,33 +24,26 @@ namespace fbsim {
 /** Arbitration disciplines. */
 enum class ArbitrationKind { FixedPriority, RoundRobin };
 
-/** Printable discipline name. */
-std::string_view arbitrationKindName(ArbitrationKind kind);
-
 /** Selects one requester per grant; stateful for round-robin. */
 class Arbiter
 {
   public:
     /** @param kind discipline.
      *  @param masters number of master ids (0 .. masters-1). */
-    Arbiter(ArbitrationKind kind, std::size_t masters);
-
-    ArbitrationKind kind() const { return kind_; }
+    Arbiter(ArbitrationKind kind, std::size_t masters)
+        : kind_(kind), masters_(masters)
+    {
+        fbsim_assert(masters > 0);
+    }
 
     /**
-     * Grant the bus to one of the requesting masters.
-     * @param requesting requesting[i] true if master i wants the bus.
+     * Grant the bus to one of the requesting masters: `wants(i)` says
+     * whether master i requests.  The predicate is evaluated lazily in
+     * the arbiter's own scan order and the scan stops at the first
+     * requester, so callers whose predicate is costly (the engine
+     * probes each candidate's cache state) pay for only the masters
+     * actually examined.
      * @return the granted id, or nullopt when nobody requests.
-     */
-    std::optional<MasterId> grant(const std::vector<bool> &requesting);
-
-    /**
-     * Same disciplines, but the request predicate is evaluated lazily
-     * in the arbiter's own scan order and the scan stops at the first
-     * requester.  Behaviorally identical to grant() on the vector
-     * [wants(0), ..., wants(n-1)]; callers whose predicate is costly
-     * (the engine probes each candidate's cache state) pay for only
-     * the masters actually examined.
      */
     template <typename Fn>
     std::optional<MasterId> grantWhere(Fn &&wants)

@@ -40,8 +40,6 @@ Bus::attach(Snooper *snooper)
     snooperBit_.push_back(bit);
     snooperId_.push_back(snooper->snooperId());
     snooperSuspended_.push_back(0);
-    if (specConflicts_)
-        snooper->setSpecConflictLog(specConflicts_);
 }
 
 void

@@ -1,13 +1,15 @@
 /**
  * @file
- * Abstract line storage for cache controllers.
+ * Line storage for cache controllers: the CacheLine and the LineStore
+ * interface the controller in protocols/ is written against.
  *
- * Two implementations exist: the conventional set-associative TagStore
- * (one tag per line) and the SectorStore (one tag per multi-line
- * sector, per-subsector state - section 5.1's sector caches [Hill84]).
- * The controller in protocols/ is written against this interface, so
- * consistency status is always associated with the transfer subsector
- * (= the system line), exactly as the paper concludes it must be.
+ * Two stores implement it: the conventional set-associative TagStore
+ * (one tag per line; final, so a controller holding a TagStore
+ * pointer calls it directly) and the SectorStore (one tag per
+ * multi-line sector, per-subsector state - section 5.1's sector caches
+ * [Hill84]).  Consistency status is thus always associated with the
+ * transfer subsector (= the system line), exactly as the paper
+ * concludes it must be.
  */
 
 #ifndef FBSIM_CACHE_LINE_STORE_H_
@@ -16,9 +18,20 @@
 #include <functional>
 #include <vector>
 
-#include "cache/tag_store.h"
+#include "common/types.h"
+#include "core/state.h"
 
 namespace fbsim {
+
+/** One cache line: tag, consistency state and data words. */
+struct CacheLine
+{
+    LineAddr addr = 0;        ///< full line address (tag + index)
+    State state = State::I;
+    std::vector<Word> data;   ///< wordsPerLine() words once allocated
+
+    bool valid() const { return isValid(state); }
+};
 
 /** Storage abstraction: lines indexed by LineAddr. */
 class LineStore
@@ -106,93 +119,6 @@ class LineStore
 
     /** Count of valid lines. */
     virtual std::size_t validLineCount() const = 0;
-};
-
-/** Conventional store: adapts TagStore to the LineStore interface. */
-class PlainLineStore : public LineStore
-{
-  public:
-    PlainLineStore(const CacheGeometry &geometry, ReplacementKind repl,
-                   std::uint64_t seed)
-        : tags_(geometry, repl, seed)
-    {
-    }
-
-    std::size_t
-    wordsPerLine() const override
-    {
-        return tags_.geometry().wordsPerLine();
-    }
-
-    CacheLine *find(LineAddr la) override { return tags_.find(la); }
-
-    const CacheLine *
-    peek(LineAddr la) const override
-    {
-        return tags_.peek(la);
-    }
-
-    void
-    evictionSet(LineAddr la, std::vector<CacheLine *> &out) override
-    {
-        // victimFor repairs bulk-invalidated frames to state I before
-        // returning them, so valid() here is trustworthy.
-        out.clear();
-        CacheLine &victim = tags_.victimFor(la);
-        if (victim.valid())
-            out.push_back(&victim);
-    }
-
-    CacheLine &
-    install(LineAddr la, State s) override
-    {
-        CacheLine &line = tags_.victimFor(la);
-        tags_.install(line, la, s);
-        return line;
-    }
-
-    void touch(const CacheLine &line) override { tags_.touch(line); }
-
-    State
-    stateOf(LineAddr la) const override
-    {
-        return tags_.stateOf(la);
-    }
-
-    void
-    setState(CacheLine &line, State next) override
-    {
-        tags_.setState(line, next);
-    }
-
-    void bulkInvalidate() override { tags_.bulkInvalidate(); }
-
-    bool
-    nearReplacement(const CacheLine &line) const override
-    {
-        return tags_.nearReplacement(line);
-    }
-
-    void
-    forEachValidLine(const std::function<void(const CacheLine &)> &fn)
-        const override
-    {
-        tags_.forEachValidLine(fn);
-    }
-
-    std::size_t
-    validLineCount() const override
-    {
-        return tags_.validLineCount();
-    }
-
-    const TagStore &tags() const { return tags_; }
-    /** Direct store access for the controller's devirtualized hit
-     *  path (state changes still funnel through setState). */
-    TagStore &tags() { return tags_; }
-
-  private:
-    TagStore tags_;
 };
 
 } // namespace fbsim

@@ -18,6 +18,7 @@
 #include <memory>
 
 #include "cache/line_store.h"
+#include "cache/replacement.h"
 
 namespace fbsim {
 

@@ -45,6 +45,17 @@ TagStore::victimFor(LineAddr la)
 }
 
 void
+TagStore::evictionSet(LineAddr la, std::vector<CacheLine *> &out)
+{
+    // victimFor repairs bulk-invalidated frames to state I before
+    // returning them, so valid() here is trustworthy.
+    out.clear();
+    CacheLine &victim = victimFor(la);
+    if (victim.valid())
+        out.push_back(&victim);
+}
+
+void
 TagStore::install(CacheLine &line, LineAddr la, State s)
 {
     std::size_t idx = static_cast<std::size_t>(&line - lines_.data());

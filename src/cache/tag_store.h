@@ -1,6 +1,7 @@
 /**
  * @file
- * Set-associative tag/data store with MOESI per-line state.
+ * Set-associative tag/data store with MOESI per-line state: the
+ * conventional LineStore.
  *
  * The tag store is purely mechanical: lookup, victim selection and
  * fills.  All protocol decisions (what state to enter, when to push a
@@ -22,28 +23,20 @@
 
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "cache/geometry.h"
+#include "cache/line_store.h"
 #include "cache/replacement.h"
-#include "common/types.h"
-#include "core/state.h"
 
 namespace fbsim {
 
-/** One cache line: tag, consistency state and data words. */
-struct CacheLine
-{
-    LineAddr addr = 0;        ///< full line address (tag + index)
-    State state = State::I;
-    std::vector<Word> data;   ///< wordsPerLine() words once allocated
-
-    bool valid() const { return isValid(state); }
-};
-
-/** A set-associative array of CacheLine with a replacement policy. */
-class TagStore
+/**
+ * A set-associative array of CacheLine with a replacement policy.
+ * Final, so calls through a TagStore pointer or reference bind
+ * directly and the hot lookups inline.
+ */
+class TagStore final : public LineStore
 {
   public:
     /** @param geometry validated cache shape.
@@ -57,9 +50,15 @@ class TagStore
 
     const CacheGeometry &geometry() const { return geom_; }
 
+    std::size_t
+    wordsPerLine() const override
+    {
+        return geom_.wordsPerLine();
+    }
+
     /** Find the line holding `la` in any valid state; null on miss. */
     CacheLine *
-    find(LineAddr la)
+    find(LineAddr la) override
     {
         // Last-hit shortcut: lookups cluster heavily on the line just
         // touched (snoop + commit of one transaction, read-then-write
@@ -82,7 +81,7 @@ class TagStore
 
     /** Const lookup for checkers/inspection; null on miss. */
     const CacheLine *
-    peek(LineAddr la) const
+    peek(LineAddr la) const override
     {
         return const_cast<TagStore *>(this)->find(la);
     }
@@ -94,7 +93,7 @@ class TagStore
      * a couple of contiguous loads.
      */
     State
-    stateOf(LineAddr la) const
+    stateOf(LineAddr la) const override
     {
         std::size_t base = geom_.setOf(la) * geom_.assoc;
         for (std::size_t w = 0; w < geom_.assoc; ++w) {
@@ -115,11 +114,23 @@ class TagStore
      */
     CacheLine &victimFor(LineAddr la);
 
+    /** The replacement victim when it is valid (one line at most). */
+    void evictionSet(LineAddr la, std::vector<CacheLine *> &out) override;
+
     /**
      * Install `la` into `line` (obtained from victimFor): resets tag,
      * state and data storage and informs the replacement policy.
      */
     void install(CacheLine &line, LineAddr la, State s);
+
+    /** install() into victimFor(la). */
+    CacheLine &
+    install(LineAddr la, State s) override
+    {
+        CacheLine &line = victimFor(la);
+        install(line, la, s);
+        return line;
+    }
 
     /**
      * Change a resident line's consistency state, keeping the packed
@@ -127,7 +138,7 @@ class TagStore
      * CacheLine::state outside install().
      */
     void
-    setState(CacheLine &line, State next)
+    setState(CacheLine &line, State next) override
     {
         std::size_t idx = static_cast<std::size_t>(&line - lines_.data());
         bool was = frameValid(idx);
@@ -147,14 +158,14 @@ class TagStore
      * only observe lines through the store's epoch-aware API and must
      * drop any raw CacheLine pointers they cached before the call.
      */
-    void bulkInvalidate();
+    void bulkInvalidate() override;
 
     /** Record a hit for replacement bookkeeping.  Dispatched through
      *  the policy's TouchKind so the per-hit path of the stamp
      *  policies (LRU: one store; FIFO/Random: nothing) pays no
      *  virtual call. */
     void
-    touch(const CacheLine &line)
+    touch(const CacheLine &line) override
     {
         if (touchKind_ == ReplacementPolicy::TouchKind::Noop)
             return;
@@ -168,7 +179,7 @@ class TagStore
     }
 
     /** Near-replacement test for the section 5.2 refinement. */
-    bool nearReplacement(const CacheLine &line) const;
+    bool nearReplacement(const CacheLine &line) const override;
 
     /** The replacement policy's touch dispatch kind (immutable). */
     ReplacementPolicy::TouchKind touchKind() const { return touchKind_; }
@@ -201,10 +212,10 @@ class TagStore
 
     /** Visit every valid line (for checkers and statistics). */
     void forEachValidLine(
-        const std::function<void(const CacheLine &)> &fn) const;
+        const std::function<void(const CacheLine &)> &fn) const override;
 
     /** Count of currently valid lines. */
-    std::size_t validLineCount() const
+    std::size_t validLineCount() const override
     { return static_cast<std::size_t>(validCount_); }
 
     /** Bulk-invalidation epoch (tests: proves reintegration is O(1)). */

@@ -73,29 +73,6 @@ struct MoesiPolicy
     /** Write-through caches only: allocate on a write miss by reading
      *  first (the table's "Read>Write*" alternative). */
     bool wtWriteAllocate = false;
-
-    /** The paper's preferred configuration (first table entries). */
-    static MoesiPolicy preferred() { return {}; }
-
-    /** A Berkeley-flavoured policy: no E, invalidating writes. */
-    static MoesiPolicy
-    berkeleyLike()
-    {
-        MoesiPolicy p;
-        p.sharedWrite = SharedWrite::Invalidate;
-        p.useExclusive = false;
-        return p;
-    }
-
-    /** A Dragon-flavoured policy: update-based, uses E. */
-    static MoesiPolicy
-    dragonLike()
-    {
-        MoesiPolicy p;
-        p.sharedWrite = SharedWrite::Broadcast;
-        p.missWrite = MissWrite::ReadThenWrite;
-        return p;
-    }
 };
 
 /** Apply the policy's notes 9/10/12 weakenings to a result state. */

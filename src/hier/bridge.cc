@@ -71,7 +71,7 @@ BusBridge::eraseRemoteShared(LineAddr la)
     // decays in the conservative direction (stale presence costs
     // forwards), never the unsafe one (a missing bit would skip a
     // required invalidation).  Draw only when the erase would land.
-    if (faults_ && !maintenance_ && remoteShared_.count(la) != 0 &&
+    if (faults_ && !maintenance_ && mayBeRemote(la) &&
         faults_->fireFilterStale(*staleSite_)) {
         ++stats_.staleFilterSkips;
         return;
@@ -82,7 +82,7 @@ BusBridge::eraseRemoteShared(LineAddr la)
 void
 BusBridge::eraseLocalHeld(LineAddr la)
 {
-    if (faults_ && !maintenance_ && localHeld_.count(la) != 0 &&
+    if (faults_ && !maintenance_ && mayBeLocal(la) &&
         faults_->fireFilterStale(*staleSite_)) {
         ++stats_.staleFilterSkips;
         return;
@@ -91,27 +91,22 @@ BusBridge::eraseLocalHeld(LineAddr la)
 }
 
 FilterAudit
-BusBridge::auditFilters(const std::unordered_set<LineAddr> &local,
-                        const std::unordered_set<LineAddr> &remote,
+BusBridge::auditFilters(const LineSet &local, const LineSet &remote,
                         bool repair)
 {
+    // Entries of `from` absent from `in`.
+    auto missing = [](const LineSet &from, const LineSet &in) {
+        std::uint64_t n = 0;
+        from.forEach([&](LineAddr la, std::uint8_t) {
+            n += in.find(la) == nullptr ? 1 : 0;
+        });
+        return n;
+    };
     FilterAudit a;
-    for (LineAddr la : localHeld_) {
-        if (local.count(la) == 0)
-            ++a.staleLocal;
-    }
-    for (LineAddr la : local) {
-        if (localHeld_.count(la) == 0)
-            ++a.missingLocal;
-    }
-    for (LineAddr la : remoteShared_) {
-        if (remote.count(la) == 0)
-            ++a.staleRemote;
-    }
-    for (LineAddr la : remote) {
-        if (remoteShared_.count(la) == 0)
-            ++a.missingRemote;
-    }
+    a.staleLocal = missing(localHeld_, local);
+    a.missingLocal = missing(local, localHeld_);
+    a.staleRemote = missing(remoteShared_, remote);
+    a.missingRemote = missing(remote, remoteShared_);
     if (repair && a.total() != 0) {
         localHeld_ = local;
         remoteShared_ = remote;
@@ -243,7 +238,7 @@ BusBridge::transact(const BusRequest &req, bool local_owner,
             // the erase anyway would be the unsafe direction.)
             if (!res.dropped) {
                 if (req.sig.ca)
-                    localHeld_.insert(req.line);
+                    localHeld_[req.line] = 1;
                 if (req.sig.im)
                     eraseRemoteShared(req.line);
             }
@@ -273,7 +268,7 @@ BusBridge::transact(const BusRequest &req, bool local_owner,
                 // see the write when no remote copy may exist - the
                 // ownership invariant covers the stale memory.
                 if (!mayBeRemote(req.line)) {
-                    localHeld_.insert(req.line);
+                    localHeld_[req.line] = 1;
                     ++stats_.upFiltered;
                     return {};
                 }
@@ -284,7 +279,7 @@ BusBridge::transact(const BusRequest &req, bool local_owner,
                 SlaveResult res = forwardUp(req, BusCmd::WriteWord,
                                             req.sig, local_ch, {}, {});
                 if (req.sig.ca && !res.dropped)
-                    localHeld_.insert(req.line);
+                    localHeld_[req.line] = 1;
                 return res;
             }
         }
@@ -362,14 +357,14 @@ BusBridge::snoop(const BusRequest &req)
             salvagedValid_ = false;
         }
         if (will_retain_remote)
-            remoteShared_.insert(req.line);
+            remoteShared_[req.line] = 1;
         return reply;
     }
 
     if (!mayBeLocal(req.line)) {
         ++stats_.downFiltered;
         if (will_retain_remote)
-            remoteShared_.insert(req.line);
+            remoteShared_[req.line] = 1;
         return reply;
     }
 
@@ -425,7 +420,7 @@ BusBridge::snoop(const BusRequest &req)
     }
 
     if (will_retain_remote)
-        remoteShared_.insert(req.line);
+        remoteShared_[req.line] = 1;
 
     reply.resp.ch = r.resp.ch;
     reply.resp.di = r.resp.di;

@@ -38,13 +38,20 @@
 #ifndef FBSIM_HIER_BRIDGE_H_
 #define FBSIM_HIER_BRIDGE_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "bus/bus.h"
+#include "common/flat_map.h"
 #include "fault/fault_injector.h"
 
 namespace fbsim {
+
+/**
+ * A set of line addresses (the mapped byte is unused).  Inserts
+ * allocate only when the table grows and erases shift back, so steady
+ * filter traffic allocates nothing.
+ */
+using LineSet = FlatMap64<std::uint8_t>;
 
 /** Statistics of one bridge. */
 struct BridgeStats
@@ -152,11 +159,12 @@ class BusBridge : public MemorySlave, public Snooper
     const BridgeStats &stats() const { return stats_; }
 
     /** Conservative test: may the line be cached in this cluster? */
-    bool mayBeLocal(LineAddr la) const { return localHeld_.count(la); }
+    bool mayBeLocal(LineAddr la) const
+    { return localHeld_.find(la) != nullptr; }
 
     /** Conservative test: may the line be cached outside it? */
     bool mayBeRemote(LineAddr la) const
-    { return remoteShared_.count(la); }
+    { return remoteShared_.find(la) != nullptr; }
 
     /**
      * Arm this bridge's fault sites.  `cluster` keys the site names
@@ -197,8 +205,7 @@ class BusBridge : public MemorySlave, public Snooper
      * valid in any other cluster.  Returns the divergence found;
      * repairs count into stats().scrubbedEntries.
      */
-    FilterAudit auditFilters(const std::unordered_set<LineAddr> &local,
-                             const std::unordered_set<LineAddr> &remote,
+    FilterAudit auditFilters(const LineSet &local, const LineSet &remote,
                              bool repair);
 
   private:
@@ -223,8 +230,8 @@ class BusBridge : public MemorySlave, public Snooper
     BridgeStats stats_;
 
     bool conservativeCh_ = false;
-    std::unordered_set<LineAddr> remoteShared_;
-    std::unordered_set<LineAddr> localHeld_;
+    LineSet remoteShared_;
+    LineSet localHeld_;
 
     // Fault plumbing (null/idle in fault-free runs: forwards pay one
     // branch on faults_ and nothing else).

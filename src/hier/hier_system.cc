@@ -141,19 +141,35 @@ HierSystem::attachFilterChecks(std::size_t k)
         [b](LineAddr la) { return b->mayBeRemote(la); });
 }
 
-void
-HierSystem::computePresence(
-    std::vector<std::unordered_set<LineAddr>> &held) const
+std::vector<LineSet>
+HierSystem::presence() const
 {
-    held.assign(clusters_.size(), {});
+    std::vector<LineSet> held(clusters_.size());
     for (MasterId id = 0; id < numClients(); ++id) {
         const SnoopingCache *cache = cacheOf(id);
         if (!cache || cache->quarantined())
             continue;
-        std::unordered_set<LineAddr> &mine = held[clusterOf(id)];
+        LineSet &mine = held[clusterOf(id)];
         cache->forEachValidLine(
-            [&](const CacheLine &line) { mine.insert(line.addr); });
+            [&](const CacheLine &line) { mine[line.addr] = 1; });
     }
+    return held;
+}
+
+FilterAudit
+HierSystem::scrubBridge(std::size_t k, const std::vector<LineSet> &held)
+{
+    LineSet remote;
+    for (std::size_t j = 0; j < held.size(); ++j) {
+        if (j != k)
+            held[j].forEach([&](LineAddr la, std::uint8_t) {
+                remote[la] = 1;
+            });
+    }
+    FilterAudit audit =
+        clusters_[k].bridge->auditFilters(held[k], remote, /*repair=*/true);
+    scrubDivergence_ += audit.total();
+    return audit;
 }
 
 std::uint64_t
@@ -161,20 +177,13 @@ HierSystem::scrubFilters()
 {
     // Exact presence per cluster, recomputed from the TagStores; each
     // active bridge's filters are audited against them and repaired.
-    std::vector<std::unordered_set<LineAddr>> held;
-    computePresence(held);
+    const std::vector<LineSet> held = presence();
     std::uint64_t divergence = 0;
     const FaultInjector *faults = faultInjector();
     for (std::size_t k = 0; k < clusters_.size(); ++k) {
         if (clusterQuarantined(k))
             continue;   // suspended filters are scrubbed at rejoin
-        std::unordered_set<LineAddr> remote;
-        for (std::size_t j = 0; j < clusters_.size(); ++j) {
-            if (j != k)
-                remote.insert(held[j].begin(), held[j].end());
-        }
-        FilterAudit audit = clusters_[k].bridge->auditFilters(
-            held[k], remote, /*repair=*/true);
+        FilterAudit audit = scrubBridge(k, held);
         if (audit.total() > 0 && trace()) {
             trace()->onInstant(
                 "filter-scrub", kTraceFaultPid,
@@ -191,7 +200,6 @@ HierSystem::scrubFilters()
         }
         divergence += audit.total();
     }
-    scrubDivergence_ += divergence;
     return divergence;
 }
 
@@ -236,16 +244,7 @@ HierSystem::rejoinBoard(std::size_t cluster)
     // bridge's decayed filters to the exact recomputed presence sets
     // *before* it resumes snooping, so its first down-forward decision
     // is already sound, then re-arm the H1/H2 checks.
-    std::vector<std::unordered_set<LineAddr>> held;
-    computePresence(held);
-    std::unordered_set<LineAddr> remote;
-    for (std::size_t j = 0; j < clusters_.size(); ++j) {
-        if (j != cluster)
-            remote.insert(held[j].begin(), held[j].end());
-    }
-    FilterAudit audit =
-        c.bridge->auditFilters(held[cluster], remote, /*repair=*/true);
-    scrubDivergence_ += audit.total();
+    FilterAudit audit = scrubBridge(cluster, presence());
     rootBus().setSnooperSuspended(static_cast<MasterId>(cluster), false);
     attachFilterChecks(cluster);
     return strprintf("rejoined cold, filters scrubbed (%llu entries)",

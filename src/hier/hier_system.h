@@ -18,7 +18,6 @@
 #define FBSIM_HIER_HIER_SYSTEM_H_
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "hier/bridge.h"
@@ -132,8 +131,13 @@ class HierSystem : public Fabric
     void attachFilterChecks(std::size_t k);
 
     /** Exact per-cluster presence sets from the leaf TagStores. */
-    void computePresence(
-        std::vector<std::unordered_set<LineAddr>> &held) const;
+    std::vector<LineSet> presence() const;
+
+    /** Audit cluster `k`'s bridge filters against `held` (from
+     *  presence()) and repair them; the divergence is added to
+     *  scrubDivergence(). */
+    FilterAudit scrubBridge(std::size_t k,
+                            const std::vector<LineSet> &held);
 
     HierConfig config_;
     std::vector<Cluster> clusters_;

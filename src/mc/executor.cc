@@ -257,7 +257,7 @@ class Executor
      * Mirror of Bus::execute/attempt on any bus of the tree.  The
      * snoopers answer in board order: the bus's caches by id (only
      * valid holders respond, an absent line being the engine's null
-     * cachedFind), then the root's bridges in cluster order.  A busy
+     * line lookup), then the root's bridges in cluster order.  A busy
      * owner's BS aborts the attempt; the owner pushes and the master
      * retries.  In the data phase an intervening owner supplies a read
      * and the bus's slave takes part - memory on the root, the

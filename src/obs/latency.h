@@ -81,34 +81,14 @@ class LatencyRecorder
     }
 
     const HistogramData &
-    waitHistogram(std::size_t m) const
-    {
-        fbsim_assert(m < wait_.size());
-        return wait_[m].data();
-    }
-
-    const HistogramData &
     serviceHistogram(std::size_t m) const
     {
         fbsim_assert(m < service_.size());
         return service_[m].data();
     }
 
-    std::uint64_t retries(std::size_t m) const { return retries_[m]; }
-    Cycles backoffCycles(std::size_t m) const { return backoff_[m]; }
     std::uint64_t transactions(std::size_t m) const
     { return transactions_[m]; }
-
-    /** Jain index over per-master total service cycles. */
-    double
-    serviceFairness() const
-    {
-        std::vector<double> xs;
-        xs.reserve(service_.size());
-        for (const Histogram &h : service_)
-            xs.push_back(static_cast<double>(h.data().sum));
-        return jainFairnessIndex(xs);
-    }
 
     /**
      * Export into a registry under per-master names: bus.mI.wait and

@@ -202,32 +202,6 @@ mergeSnapshots(const MetricsSnapshot &a, const MetricsSnapshot &b)
 }
 
 std::string
-renderMetrics(const MetricsSnapshot &snapshot)
-{
-    std::string out;
-    for (const MetricEntry &e : snapshot.entries) {
-        if (e.kind == MetricKind::Histogram) {
-            const HistogramData &h = e.hist;
-            out += strprintf(
-                "%-32s count %llu min %llu max %llu "
-                "p50/p90/p99 %llu/%llu/%llu mean %.1f\n",
-                e.name.c_str(),
-                static_cast<unsigned long long>(h.count),
-                static_cast<unsigned long long>(h.count ? h.min : 0),
-                static_cast<unsigned long long>(h.max),
-                static_cast<unsigned long long>(h.percentile(50)),
-                static_cast<unsigned long long>(h.percentile(90)),
-                static_cast<unsigned long long>(h.percentile(99)),
-                h.mean());
-        } else {
-            out += strprintf("%-32s %llu\n", e.name.c_str(),
-                             static_cast<unsigned long long>(e.value));
-        }
-    }
-    return out;
-}
-
-std::string
 renderMetricsJson(const MetricsSnapshot &snapshot)
 {
     std::string out = "{";

@@ -196,9 +196,6 @@ class MetricRegistry
 MetricsSnapshot mergeSnapshots(const MetricsSnapshot &a,
                                const MetricsSnapshot &b);
 
-/** Human-readable listing (one metric per line). */
-std::string renderMetrics(const MetricsSnapshot &snapshot);
-
 /** JSON object {"name": value | {histogram fields}, ...}. */
 std::string renderMetricsJson(const MetricsSnapshot &snapshot);
 

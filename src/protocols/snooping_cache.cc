@@ -12,9 +12,9 @@ SnoopingCache::SnoopingCache(MasterId id, Bus &bus,
                              std::unique_ptr<ActionChooser> chooser,
                              const SnoopingCacheConfig &config)
     : SnoopingCache(id, bus, table, std::move(chooser),
-                    std::make_unique<PlainLineStore>(config.geometry,
-                                                     config.replacement,
-                                                     config.seed),
+                    std::make_unique<TagStore>(config.geometry,
+                                               config.replacement,
+                                               config.seed),
                     config.geometry.lineBytes, config.kind,
                     config.discardNearReplacement)
 {
@@ -38,7 +38,7 @@ SnoopingCache::SnoopingCache(MasterId id, Bus &bus,
     fbsim_assert((lineBytes_ & (lineBytes_ - 1)) == 0);
     lineShift_ = static_cast<unsigned>(std::countr_zero(lineBytes_));
     memoize_ = chooser_->deterministic();
-    plain_ = dynamic_cast<PlainLineStore *>(store_.get());
+    plain_ = dynamic_cast<TagStore *>(store_.get());
     updateFastPath();
     name_ = table_.name();
     if (kind_ == ClientKind::WriteThrough)
@@ -48,15 +48,12 @@ SnoopingCache::SnoopingCache(MasterId id, Bus &bus,
         fbsim_fatal("protocol table invalid: %s", problems[0].c_str());
     specSafe_ = memoize_ && plain_ != nullptr &&
                 !discardNearReplacement_ &&
-                plain_->tags().touchKind() !=
+                plain_->touchKind() !=
                     ReplacementPolicy::TouchKind::Custom;
     // The exclusivity gate: no pure write hit from a shared state.
     for (State s : {State::O, State::S}) {
-        HitPlan &p = writeHit_[static_cast<int>(s)];
-        if (specSafe_) {
-            fillHitPlan(p, true, s);
-            specSafe_ = !p.pure;
-        }
+        if (specSafe_)
+            specSafe_ = !hitPlan(true, s).pure;
     }
 }
 
@@ -77,40 +74,85 @@ SnoopingCache::kindFiltered(const LocalCell &cell)
     return candScratch_;
 }
 
-void
-SnoopingCache::fillLocalMemo(LocalMemo &m, State s, LocalEvent ev)
+const LocalAction *
+SnoopingCache::chooseLocal(State s, LocalEvent ev, LocalAction &slot)
 {
     const std::vector<LocalAction> &candidates =
         kindFiltered(table_.local(s, ev));
-    m.empty = candidates.empty();
-    if (!m.empty)
-        m.action = chooser_->chooseLocal(kind_, s, ev, candidates);
-    m.filled = true;
+    if (candidates.empty())
+        return nullptr;
+    slot = chooser_->chooseLocal(kind_, s, ev, candidates);
+    return &slot;
 }
 
-void
-SnoopingCache::fillSnoopMemo(SnoopMemo &m, State s, BusEvent ev)
+const SnoopAction *
+SnoopingCache::chooseSnoop(State s, BusEvent ev, SnoopAction &slot,
+                           const SnoopAction *&discard)
 {
     const SnoopCell &cell = table_.snoop(s, ev);
     if (cell.empty()) {
-        if (faultTolerant_) {
-            m.empty = true;
-            m.filled = true;
-            return;
-        }
+        if (faultTolerant_)
+            return nullptr;
         fbsim_panic("%s cache %u: illegal bus event col %d on line "
                     "in state %s",
                     name_.c_str(), id_, busEventColumn(ev),
                     std::string(stateName(s)).c_str());
     }
-    m.action = chooser_->chooseSnoop(kind_, s, ev, cell);
+    slot = chooser_->chooseSnoop(kind_, s, ev, cell);
+    discard = nullptr;
     for (const SnoopAction &alt : cell) {
         if (alt.next == toState(State::I) && !alt.bs) {
-            m.discardAlt = &alt;
+            discard = &alt;
             break;
         }
     }
-    m.filled = true;
+    return &slot;
+}
+
+const LocalAction *
+SnoopingCache::localAction(State s, LocalEvent ev, LocalAction &slot)
+{
+    if (!memoize_)
+        return chooseLocal(s, ev, slot);
+    LocalMemo &m = localMemo_[static_cast<int>(s)][static_cast<int>(ev)];
+    if (!m.filled) {
+        m.empty = chooseLocal(s, ev, m.action) == nullptr;
+        m.filled = true;
+    }
+    return m.empty ? nullptr : &m.action;
+}
+
+const SnoopAction *
+SnoopingCache::snoopAction(const CacheLine &line, BusEvent ev,
+                           SnoopAction &slot)
+{
+    const SnoopAction *action;
+    const SnoopAction *discard = nullptr;
+    if (memoize_) {
+        SnoopMemo &m =
+            snoopMemo_[static_cast<int>(line.state)][static_cast<int>(ev)];
+        if (!m.filled) {
+            m.empty = chooseSnoop(line.state, ev, m.action,
+                                  m.discardAlt) == nullptr;
+            m.filled = true;
+        }
+        action = m.empty ? nullptr : &m.action;
+        discard = m.discardAlt;
+    } else {
+        action = chooseSnoop(line.state, ev, slot, discard);
+    }
+    // Section 5.2 refinement: discard instead of update when the line
+    // is nearing replacement and the cell offers an invalidate.  The
+    // recency probe draws under Random replacement, so its call count
+    // is output: a memoized cell without the alternative skips it, a
+    // fresh choice probes before looking.
+    if (action && discardNearReplacement_ && (discard || !memoize_) &&
+        !action->bs && action->next.resolve(true) != State::I &&
+        (ev == BusEvent::BroadcastWriteCache ||
+         ev == BusEvent::BroadcastWriteNoCache) &&
+        !isOwned(line.state) && store_->nearReplacement(line) && discard)
+        return discard;
+    return action;
 }
 
 void
@@ -132,61 +174,15 @@ SnoopingCache::updateFastPath()
 }
 
 void
-SnoopingCache::specRollback(std::uint64_t reads, std::uint64_t writes)
-{
-    TagStore &tags = plain_->tags();
-    fbsim_assert(specUndo_.size() - specUndoHead_ >= writes);
-    for (std::uint64_t k = 0; k < writes; ++k) {
-        // A speculated write required M/E, so no snooped transaction
-        // can have touched the line since (exclusivity - any snoop hit
-        // would have rolled this entry back first); the restore
-        // target is exactly as the write left it.
-        const SpecUndo &u = specUndo_.back();
-        fbsim_assert(u.line->valid());
-        u.line->data[u.wordIdx] = u.prevWord;
-        if (u.prevState != u.line->state)
-            tags.setState(*u.line, u.prevState);
-        specUndo_.pop_back();
-    }
-    stats_.reads -= reads;
-    stats_.readHits -= reads;
-    stats_.writes -= writes;
-    stats_.writeHits -= writes;
-}
-
-void
-SnoopingCache::specCommit(const std::uint32_t *frames, std::size_t count,
-                          std::uint64_t writes)
-{
-    plain_->tags().touchFrames(frames, count);
-    std::size_t h = specUndoHead_ + writes;
-    fbsim_assert(h <= specUndo_.size());
-    if (h == specUndo_.size()) {
-        specUndo_.clear();
-        specUndoHead_ = 0;
-        return;
-    }
-    specUndoHead_ = h;
-    // Keep the dead prefix bounded so a long run with a persistent
-    // uncommitted tail cannot grow the log without bound.
-    if (specUndoHead_ >= 1024 &&
-        specUndoHead_ * 2 >= specUndo_.size()) {
-        specUndo_.erase(specUndo_.begin(),
-                        specUndo_.begin() +
-                            static_cast<std::ptrdiff_t>(specUndoHead_));
-        specUndoHead_ = 0;
-    }
-}
-
-void
 SnoopingCache::fillHitPlan(HitPlan &p, bool is_write, State s)
 {
-    const LocalMemo &m = localMemoFor(
-        s, is_write ? LocalEvent::Write : LocalEvent::Read);
+    fbsim_assert(memoize_);   // a plan is a pure function of the memo
+    LocalAction slot;
+    const LocalAction *a = localAction(
+        s, is_write ? LocalEvent::Write : LocalEvent::Read, slot);
     p.pure = false;
-    if (!m.empty && !m.action.usesBus && !m.action.readThenWrite &&
-        !m.action.next.conditional()) {
-        State ns = m.action.next.resolve(false);
+    if (a && !a->usesBus && !a->readThenWrite && !a->next.conditional()) {
+        State ns = a->next.resolve(false);
         // A hit that silently drops the line (ns == I) must take the
         // generic path (eviction counting, presence update); a read
         // that changes state at all is equally out of scope.
@@ -196,17 +192,6 @@ SnoopingCache::fillHitPlan(HitPlan &p, bool is_write, State s)
         }
     }
     p.filled = true;
-}
-
-bool
-SnoopingCache::readTransparent(State ns)
-{
-    if (!isValid(ns))
-        return false;
-    const LocalMemo &m = localMemoFor(ns, LocalEvent::Read);
-    return !m.empty && !m.action.usesBus && !m.action.readThenWrite &&
-           !m.action.next.conditional() &&
-           m.action.next.resolve(false) == ns;
 }
 
 AccessOutcome
@@ -222,7 +207,7 @@ SnoopingCache::read(Addr addr)
             ++stats_.readHits;
             AccessOutcome o;
             o.value = l->data[wordIndexOf(addr)];
-            plain_->tags().touch(*l);
+            plain_->touch(*l);
             return o;
         }
     }
@@ -254,8 +239,8 @@ SnoopingCache::write(Addr addr, Word value)
             ++stats_.writeHits;
             l->data[wordIndexOf(addr)] = value;
             if (next != l->state)
-                plain_->tags().setState(*l, next);
-            plain_->tags().touch(*l);
+                plain_->setState(*l, next);
+            plain_->touch(*l);
             AccessOutcome o;
             o.value = value;
             return o;
@@ -297,27 +282,12 @@ SnoopingCache::dispatchLocal(LocalEvent ev, Addr addr, Word value,
                              int depth)
 {
     fbsim_assert(depth < 3);
-    LineAddr la = lineOf(addr);
-    CacheLine *line = cachedFind(la);
+    CacheLine *line = findLine(lineOf(addr));
     State s = line ? line->state : State::I;
 
-    LocalAction chosen;
-    const LocalAction *action = &chosen;
-    bool no_action;
-    if (memoize_) {
-        const LocalMemo &m = localMemoFor(s, ev);
-        no_action = m.empty;
-        action = &m.action;
-    } else {
-        const std::vector<LocalAction> &candidates =
-            kindFiltered(table_.local(s, ev));
-        no_action = candidates.empty();
-        if (!no_action) {
-            chosen = chooser_->chooseLocal(kind_, s, ev, candidates);
-            action = &chosen;
-        }
-    }
-    if (no_action) {
+    LocalAction slot;
+    const LocalAction *action = localAction(s, ev, slot);
+    if (action == nullptr) {
         // The paper's "--" cells: a Pass/Flush of a line we do not hold
         // (or hold clean, for Pass) is simply a no-op at the API level.
         if (ev == LocalEvent::Pass || ev == LocalEvent::Flush)
@@ -438,7 +408,7 @@ SnoopingCache::executeLocal(const LocalAction &action, LocalEvent ev,
             outcome.faulted = true;
             return outcome;
         }
-        CacheLine *line = cachedFind(la);
+        CacheLine *line = findLine(la);
         if (line) {
             line->data[wi] = value;
             setLineState(*line, action.next.resolve(r.resp.ch));
@@ -450,7 +420,7 @@ SnoopingCache::executeLocal(const LocalAction &action, LocalEvent ev,
 
       case BusCmd::WriteLine: {
         // Push (Pass keeps the copy, Flush discards it).
-        CacheLine *line = cachedFind(la);
+        CacheLine *line = findLine(la);
         fbsim_assert(line != nullptr);
         req.wline = line->data;
         BusResult r = bus_.execute(req);
@@ -477,7 +447,7 @@ SnoopingCache::executeLocal(const LocalAction &action, LocalEvent ev,
       case BusCmd::AddrOnly: {
         // Pure invalidate; our copy is current (it matches the owner,
         // by the shared-image invariant) so no data moves.
-        CacheLine *line = cachedFind(la);
+        CacheLine *line = findLine(la);
         fbsim_assert(line != nullptr);
         BusResult r = bus_.execute(req);
         outcome.usedBus = true;
@@ -522,23 +492,9 @@ bool
 SnoopingCache::evict(CacheLine &victim, AccessOutcome &outcome)
 {
     State s = victim.state;
-    LocalAction chosen;
-    const LocalAction *actionp = &chosen;
-    bool no_action;
-    if (memoize_) {
-        const LocalMemo &m = localMemoFor(s, LocalEvent::Flush);
-        no_action = m.empty;
-        actionp = &m.action;
-    } else {
-        const std::vector<LocalAction> &candidates =
-            kindFiltered(table_.local(s, LocalEvent::Flush));
-        no_action = candidates.empty();
-        if (!no_action) {
-            chosen = chooser_->chooseLocal(kind_, s, LocalEvent::Flush,
-                                           candidates);
-        }
-    }
-    if (no_action) {
+    LocalAction slot;
+    const LocalAction *actionp = localAction(s, LocalEvent::Flush, slot);
+    if (actionp == nullptr) {
         // Unowned data may always be dropped silently.
         fbsim_assert(!isOwned(s));
         ++stats_.evictions;
@@ -605,7 +561,7 @@ SnoopingCache::snoop(const BusRequest &req)
     pending_.isPush = false;
     SnoopReply reply;
 
-    CacheLine *line = cachedFind(req.line);
+    CacheLine *line = findLine(req.line);
     if (!line)
         return reply;
 
@@ -655,50 +611,10 @@ SnoopingCache::snoop(const BusRequest &req)
         return reply;
     }
 
-    SnoopAction chosen;
-    const SnoopAction *action = &chosen;
-    if (memoize_) {
-        const SnoopMemo &m = snoopMemoFor(line->state, ev);
-        if (m.empty)
-            return ignoredIllegalSnoop(line->state, ev, req.line);
-        action = &m.action;
-        // Section 5.2 refinement: discard instead of update when the
-        // line is nearing replacement and the cell offers an
-        // invalidate.
-        if (discardNearReplacement_ && m.discardAlt && !action->bs &&
-            action->next.resolve(true) != State::I &&
-            (ev == BusEvent::BroadcastWriteCache ||
-             ev == BusEvent::BroadcastWriteNoCache) &&
-            !isOwned(line->state) && store_->nearReplacement(*line)) {
-            action = m.discardAlt;
-        }
-    } else {
-        const SnoopCell &cell = table_.snoop(line->state, ev);
-        if (cell.empty()) {
-            if (faultTolerant_)
-                return ignoredIllegalSnoop(line->state, ev, req.line);
-            fbsim_panic("%s cache %u: illegal bus event col %d on line "
-                        "in state %s",
-                        name_.c_str(), id_, busEventColumn(ev),
-                        std::string(stateName(line->state)).c_str());
-        }
-
-        chosen = chooser_->chooseSnoop(kind_, line->state, ev, cell);
-
-        // Section 5.2 refinement (as above).
-        if (discardNearReplacement_ && !chosen.bs &&
-            chosen.next.resolve(true) != State::I &&
-            (ev == BusEvent::BroadcastWriteCache ||
-             ev == BusEvent::BroadcastWriteNoCache) &&
-            !isOwned(line->state) && store_->nearReplacement(*line)) {
-            for (const SnoopAction &alt : cell) {
-                if (alt.next == toState(State::I) && !alt.bs) {
-                    chosen = alt;
-                    break;
-                }
-            }
-        }
-    }
+    SnoopAction slot;
+    const SnoopAction *action = snoopAction(*line, ev, slot);
+    if (action == nullptr)
+        return ignoredIllegalSnoop(line->state, ev, req.line);
 
     pending_.active = true;
     pending_.action = *action;
@@ -829,7 +745,7 @@ SnoopingCache::quarantine()
         held.push_back(line.addr);
     });
     for (LineAddr la : held) {
-        CacheLine *line = cachedFind(la);
+        CacheLine *line = findLine(la);
         if (!line)
             continue;   // invalidated by an earlier flush's snoop
         if (!evict(*line, outcome)) {
@@ -860,7 +776,6 @@ SnoopingCache::reintegrate()
     store_->bulkInvalidate();
     bus_.clearPresence(id_);
     pending_ = Pending{};
-    lastLine_ = nullptr;
     quarantined_ = false;
     updateFastPath();
     return true;

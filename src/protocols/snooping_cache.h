@@ -21,7 +21,8 @@
 #include <string>
 
 #include "bus/bus.h"
-#include "cache/line_store.h"
+#include "cache/tag_store.h"
+#include "common/logging.h"
 #include "common/random.h"
 #include "core/policy.h"
 #include "core/protocol_table.h"
@@ -46,6 +47,21 @@ struct SnoopingCacheConfig
      * chosen table cell to offer an invalidate alternative).
      */
     bool discardNearReplacement = false;
+};
+
+/**
+ * One speculation-conflict record: a snooped commit (or abort push)
+ * mutated cache `id`'s copy of `line`.  `word` >= 0 narrows the
+ * mutation to a single captured word (a foreign write absorbed or
+ * snarfed with the consistency state unchanged), so speculation on
+ * the line's other words stays valid; -1 means the whole line (any
+ * state change).
+ */
+struct SpecConflict
+{
+    MasterId id = 0;
+    LineAddr line = 0;
+    std::int32_t word = -1;
 };
 
 /** A snooping cache: processor port + bus snooper. */
@@ -87,14 +103,11 @@ class SnoopingCache : public BusClient, public Snooper
     MasterId snooperId() const override { return id_; }
     bool filterable() const override { return true; }
     bool holdsLine(LineAddr la) const override
-    { return cachedPeek(la) != nullptr; }
+    { return peekLine(la) != nullptr; }
     SnoopReply snoop(const BusRequest &req) override;
     void supplyLine(const BusRequest &req, std::span<Word> out) override;
     void commit(const BusRequest &req, bool others_ch) override;
     void performAbortPush(const BusRequest &req) override;
-    void
-    setSpecConflictLog(std::vector<SpecConflict> *log) override
-    { specLog_ = log; }
 
     // Inspection (tests, checker, explorer).
     const ProtocolTable &table() const { return table_; }
@@ -103,8 +116,11 @@ class SnoopingCache : public BusClient, public Snooper
     ClientKind kind() const { return kind_; }
 
     /** Valid line holding `la`, or null (checker access). */
-    const CacheLine *peekLine(LineAddr la) const
-    { return cachedPeek(la); }
+    const CacheLine *
+    peekLine(LineAddr la) const
+    {
+        return plain_ ? plain_->peek(la) : store_->peek(la);
+    }
 
     /** Visit every valid line (checker access). */
     void
@@ -177,15 +193,8 @@ class SnoopingCache : public BusClient, public Snooper
     State lineState(Addr addr) const
     {
         LineAddr la = lineOf(addr);
-        return plain_ ? plain_->tags().stateOf(la)
-                      : store_->stateOf(la);
+        return plain_ ? plain_->stateOf(la) : store_->stateOf(la);
     }
-
-    /** Section 5.2 near-replacement discard refinement enabled?  Such
-     *  a cache's snoop commits depend on replacement recency, which
-     *  speculation perturbs, so the engine excludes it. */
-    bool discardsNearReplacement() const
-    { return discardNearReplacement_; }
 
     /**
      * True when the engine may run this cache speculatively: the
@@ -201,6 +210,22 @@ class SnoopingCache : public BusClient, public Snooper
     bool specEligible() const { return fastLocal_ && specSafe_; }
 
     /**
+     * What a speculated write overwrote, handed back by
+     * specLocalWrite() and restored by specRestore() on rollback.  The
+     * line pointer stays exact across the engine's window: no frame is
+     * installed or evicted while speculation is outstanding (local
+     * hits never allocate, snooped transactions never install, and a
+     * cache executes a bus access only with an empty window).
+     */
+    struct SpecUndo
+    {
+        CacheLine *line = nullptr;
+        Word prevWord = 0;          ///< overwritten word
+        std::uint32_t wordIdx = 0;  ///< word within the line
+        State prevState = State::I; ///< pre-access state
+    };
+
+    /**
      * Speculative local accesses for the timed engine: a pure local
      * hit executes with read()/write()'s fast-path semantics minus
      * the replacement touch - the hit's frame index goes to `frame`
@@ -209,11 +234,9 @@ class SnoopingCache : public BusClient, public Snooper
      * transition) returns false having changed nothing.  A false
      * return coincides with wouldUseBus() for every table in the
      * suite, because the pure hit plans cover exactly the bus-free
-     * cells.  A write also leaves one undo entry (reads leave none),
-     * so the engine addresses entries by write count alone.  Hit
-     * counters are NOT bumped here - the engine batches them through
-     * specCountHits() once per drained run.  Callers must check
-     * specEligible() first.
+     * cells.  Hit counters are NOT bumped here - the engine batches
+     * them through specCountHits() once per drained run.  Callers
+     * must check specEligible() first.
      */
     bool
     specLocalRead(Addr addr, Word &out, std::uint32_t &frame)
@@ -223,67 +246,116 @@ class SnoopingCache : public BusClient, public Snooper
         if (l == nullptr)
             return false;
         out = l->data[wordIndexOf(addr)];
-        frame = plain_->tags().frameOf(*l);
+        frame = plain_->frameOf(*l);
         return true;
     }
 
-    /** Write counterpart of specLocalRead(). */
+    /** Write counterpart of specLocalRead(); a write also fills
+     *  `undo`, the caller's one record of what it overwrote. */
     bool
-    specLocalWrite(Addr addr, Word value, std::uint32_t &frame)
+    specLocalWrite(Addr addr, Word value, std::uint32_t &frame,
+                   SpecUndo &undo)
     {
         State next = State::I;
         CacheLine *l = pureHit(addr, true, next);
         if (l == nullptr)
             return false;
         std::size_t w = wordIndexOf(addr);
-        specUndo_.push_back({l, l->data[w],
-                             static_cast<std::uint32_t>(w), l->state});
+        undo = {l, l->data[w], static_cast<std::uint32_t>(w), l->state};
         l->data[w] = value;
         if (next != l->state)
-            plain_->tags().setState(*l, next);
-        frame = plain_->tags().frameOf(*l);
+            plain_->setState(*l, next);
+        frame = plain_->frameOf(*l);
         return true;
     }
 
     /**
-     * Bulk stats for a drained run of speculated hits.  specLocalRead
-     * and specLocalWrite leave the hit counters alone so the drain
-     * loop pays no per-reference increments; the engine adds the run's
-     * totals here once per drain and specRollback() takes the undone
-     * ones back out.
+     * Bulk stats for a run of speculated hits.  specLocalRead and
+     * specLocalWrite leave the hit counters alone so the drain loop
+     * pays no per-reference increments; the engine adds a drained
+     * run's totals here once, and takes rolled-back hits back out
+     * with negative counts.
      */
     void
-    specCountHits(std::uint64_t reads, std::uint64_t writes)
+    specCountHits(std::int64_t reads, std::int64_t writes)
     {
-        stats_.reads += reads;
-        stats_.readHits += reads;
-        stats_.writes += writes;
-        stats_.writeHits += writes;
+        // Modular adds: a negative count subtracts exactly.
+        stats_.reads += static_cast<std::uint64_t>(reads);
+        stats_.readHits += static_cast<std::uint64_t>(reads);
+        stats_.writes += static_cast<std::uint64_t>(writes);
+        stats_.writeHits += static_cast<std::uint64_t>(writes);
     }
 
     /**
-     * Roll back the newest speculated accesses, `reads` reads and
-     * `writes` writes: restore each written word and consistency
-     * state, newest first, and recount stats.  Their touches were
-     * never applied, so a replay reproduces byte-identical cache
-     * state.
+     * Roll back one speculated write: restore its word and
+     * consistency state.  The engine restores a window's writes
+     * newest first; their touches were never applied, so a replay
+     * reproduces byte-identical cache state.
      */
-    void specRollback(std::uint64_t reads, std::uint64_t writes);
+    void
+    specRestore(const SpecUndo &u)
+    {
+        // A speculated write required M/E, so no snooped transaction
+        // can have touched the line since (exclusivity - any snoop hit
+        // would have rolled this write back first); the restore target
+        // is exactly as the write left it.
+        fbsim_assert(u.line->valid());
+        u.line->data[u.wordIdx] = u.prevWord;
+        if (u.prevState != u.line->state)
+            plain_->setState(*u.line, u.prevState);
+    }
 
     /**
      * Make the oldest outstanding speculated accesses permanent: apply
      * the replacement touches of `count` accesses, whose frames are
-     * given in access order, and drop the undo entries of the `writes`
-     * writes among them.  Called at each serialization point for the
-     * committed prefix.
+     * given in access order.  Called at each serialization point for
+     * the committed prefix.
      */
-    void specCommit(const std::uint32_t *frames, std::size_t count,
-                    std::uint64_t writes);
+    void
+    specCommit(const std::uint32_t *frames, std::size_t count)
+    {
+        plain_->touchFrames(frames, count);
+    }
+
+    /**
+     * Speculation-conflict sink (not owned; null detaches).  While
+     * set, every snooped commit or abort push that *mutates* this
+     * cache's observable copy of a line - a state change or a data
+     * capture - appends one record; no-op commits (a sharer answering
+     * CH and keeping its copy) stay silent.  The speculative engine
+     * sets it on each of its caches and drains it after each
+     * transaction to decide which pending hit runs must roll back.
+     */
+    void setSpecConflictLog(std::vector<SpecConflict> *log)
+    { specLog_ = log; }
 
   private:
     /** Dispatch one local event on the line's current state. */
     AccessOutcome dispatchLocal(LocalEvent ev, Addr addr, Word value,
                                 int depth);
+
+    /**
+     * The two resolvers of a table cell, one per table half.  Under a
+     * deterministic chooser they return the memoized action; otherwise
+     * a fresh choice written to the caller's `slot` (callers own the
+     * slot, so a nested dispatch - the read inside a read-then-write,
+     * the eviction inside a fill - keeps its own).  Null for an empty
+     * cell.  snoopAction() also applies the section 5.2
+     * near-replacement discard, and an empty snoop cell panics unless
+     * the cache is fault tolerant.
+     */
+    const LocalAction *localAction(State s, LocalEvent ev,
+                                   LocalAction &slot);
+    const SnoopAction *snoopAction(const CacheLine &line, BusEvent ev,
+                                   SnoopAction &slot);
+
+    /** One chooser draw over the kind-filtered cell; null if empty. */
+    const LocalAction *chooseLocal(State s, LocalEvent ev,
+                                   LocalAction &slot);
+    /** One chooser draw over the snoop cell, plus the cell's
+     *  invalidate alternative (`discard`, null when it has none). */
+    const SnoopAction *chooseSnoop(State s, BusEvent ev, SnoopAction &slot,
+                                   const SnoopAction *&discard);
 
     /** Execute a chosen local action on `line` (the resident line for
      *  `addr`, or null when the address misses). */
@@ -342,14 +414,6 @@ class SnoopingCache : public BusClient, public Snooper
          *  discard, if the cell offers one (points into the table). */
         const SnoopAction *discardAlt = nullptr;
     };
-    void fillLocalMemo(LocalMemo &m, State s, LocalEvent ev);
-
-    // True when a snooped state change to `ns` is invisible to an
-    // outstanding run of speculated read hits: the line stays valid,
-    // data is untouched by the caller, and the table still serves a
-    // pure (stateless, busless) read hit from `ns`.
-    bool readTransparent(State ns);
-    void fillSnoopMemo(SnoopMemo &m, State s, BusEvent ev);
 
     /**
      * Pre-resolved hit plan for the devirtualized fast path: for a
@@ -368,6 +432,24 @@ class SnoopingCache : public BusClient, public Snooper
     };
     void fillHitPlan(HitPlan &p, bool is_write, State s);
 
+    /** The hit plan of a read or write in state `s`, filled on first
+     *  use (it requires the memoized resolver). */
+    const HitPlan &
+    hitPlan(bool is_write, State s)
+    {
+        HitPlan &p = (is_write ? writeHit_ : readHit_)[static_cast<int>(s)];
+        if (!p.filled)
+            fillHitPlan(p, is_write, s);
+        return p;
+    }
+
+    /** True when a snooped state change to `ns` is invisible to an
+     *  outstanding run of speculated read hits: the line stays valid,
+     *  data is untouched by the caller, and the table still serves a
+     *  pure (stateless, busless) read hit from `ns`. */
+    bool readTransparent(State ns)
+    { return isValid(ns) && hitPlan(false, ns).pure; }
+
     /**
      * The one hit probe behind read()/write()'s fast path and
      * specLocalRead/specLocalWrite: the line `addr` hits in when its
@@ -380,13 +462,10 @@ class SnoopingCache : public BusClient, public Snooper
     CacheLine *
     pureHit(Addr addr, bool is_write, State &next)
     {
-        CacheLine *l = plain_->tags().find(lineOf(addr));
+        CacheLine *l = plain_->find(lineOf(addr));
         if (l == nullptr)
             return nullptr;
-        HitPlan &p =
-            (is_write ? writeHit_ : readHit_)[static_cast<int>(l->state)];
-        if (!p.filled)
-            fillHitPlan(p, is_write, l->state);
+        const HitPlan &p = hitPlan(is_write, l->state);
         if (!p.pure)
             return nullptr;
         next = p.next;
@@ -396,52 +475,12 @@ class SnoopingCache : public BusClient, public Snooper
     /** Recompute fastLocal_ from chooser/store/coverage/quarantine. */
     void updateFastPath();
 
-    LocalMemo &localMemoFor(State s, LocalEvent ev)
+    /** Valid line holding `la`, or null.  The conventional store is
+     *  called directly; its find() keeps the one-entry lookup memo. */
+    CacheLine *
+    findLine(LineAddr la)
     {
-        LocalMemo &m =
-            localMemo_[static_cast<int>(s)][static_cast<int>(ev)];
-        if (!m.filled)
-            fillLocalMemo(m, s, ev);
-        return m;
-    }
-
-    SnoopMemo &snoopMemoFor(State s, BusEvent ev)
-    {
-        SnoopMemo &m =
-            snoopMemo_[static_cast<int>(s)][static_cast<int>(ev)];
-        if (!m.filled)
-            fillSnoopMemo(m, s, ev);
-        return m;
-    }
-
-    /**
-     * Line-store lookups funnel through a one-entry pointer cache:
-     * one access probes the same line several times (hit check,
-     * dispatch, execute; snoop then commit), and every probe through
-     * the LineStore interface is a virtual call.  Line storage is
-     * stable (both stores size their arrays at construction), and the
-     * valid + tag revalidation keeps a recycled frame from lying.
-     */
-    CacheLine *cachedFind(LineAddr la)
-    {
-        CacheLine *l = lastLine_;
-        if (l && l->valid() && l->addr == la)
-            return l;
-        l = store_->find(la);
-        if (l)
-            lastLine_ = l;
-        return l;
-    }
-
-    const CacheLine *cachedPeek(LineAddr la) const
-    {
-        const CacheLine *l = lastLine_;
-        if (l && l->valid() && l->addr == la)
-            return l;
-        l = store_->peek(la);
-        if (l)
-            lastLine_ = const_cast<CacheLine *>(l);
-        return l;
+        return plain_ ? plain_->find(la) : store_->find(la);
     }
 
     // lineBytes_ is a power of two (the store's geometry validates
@@ -459,9 +498,9 @@ class SnoopingCache : public BusClient, public Snooper
     std::size_t lineBytes_;
     unsigned lineShift_ = 0;
     std::unique_ptr<LineStore> store_;
-    /** store_ downcast when it is the conventional store; the hot hit
-     *  path then bypasses the LineStore virtual interface. */
-    PlainLineStore *plain_ = nullptr;
+    /** store_ downcast when it is the conventional store; TagStore is
+     *  final, so calls through it bypass the virtual interface. */
+    TagStore *plain_ = nullptr;
     /** True when the devirtualized hit path may run: deterministic
      *  chooser (plans are pure), plain store, no coverage recorder,
      *  not quarantined. */
@@ -479,7 +518,6 @@ class SnoopingCache : public BusClient, public Snooper
     SnoopMemo snoopMemo_[kNumStates][kNumBusEvents];
     HitPlan readHit_[kNumStates];
     HitPlan writeHit_[kNumStates];
-    mutable CacheLine *lastLine_ = nullptr;   ///< cachedFind/cachedPeek
 
     /** Latched snoop decision between snoop() and commit(). */
     struct Pending
@@ -491,27 +529,9 @@ class SnoopingCache : public BusClient, public Snooper
     };
     Pending pending_;
 
-    /**
-     * One speculated write pending commit or rollback.  Entries are
-     * appended in access order; rollback pops a suffix, commit
-     * advances a head cursor past a prefix, so the live window is
-     * contiguous.  Line pointers stay exact across the window: no
-     * frame is installed or evicted while speculation is outstanding
-     * (local hits never allocate, snooped transactions never install,
-     * and a cache executes a bus access only with an empty window).
-     */
-    struct SpecUndo
-    {
-        CacheLine *line;
-        Word prevWord;          ///< overwritten word
-        std::uint32_t wordIdx;  ///< word within the line
-        State prevState;        ///< pre-access state
-    };
-    std::vector<SpecUndo> specUndo_;
-    std::size_t specUndoHead_ = 0;
     /** specEligible()'s configuration half, fixed at construction. */
     bool specSafe_ = false;
-    /** Speculation-conflict sink (Bus fan-out; not owned). */
+    /** Speculation-conflict sink (set by the engine; not owned). */
     std::vector<SpecConflict> *specLog_ = nullptr;
 };
 

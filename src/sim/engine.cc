@@ -264,12 +264,13 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
      * bufBase <= commitPos <= execPos <= fetched, runStart <=
      * commitPos, and every reference in [commitPos, execPos) executed
      * speculatively: its frame is recorded, and a write's value is in
-     * the oracle with live undo entries here and in its cache.
+     * the oracle with its one undo record here.
      */
     struct PendWrite
     {
         std::uint64_t g;   ///< absolute index of the speculated write
         Word old;          ///< the oracle word it overwrote
+        SnoopingCache::SpecUndo undo;   ///< what it overwrote in the cache
     };
     struct SpecProc
     {
@@ -326,7 +327,10 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
 
     // Conflict notification: each transaction reports which caches'
     // copies it mutated, on which lines (word-granular for captured
-    // foreign writes with the state unchanged).
+    // foreign writes with the state unchanged).  Every snooper on the
+    // bus is one of these caches (specEligible() admits no other
+    // client), so wiring the log into each of them sees every
+    // mutation; the guard detaches it on every exit.
     std::vector<SpecConflict> conflicts;
     const std::uint64_t word_mask =
         (caches[0]->lineBytes() / kWordBytes) - 1;
@@ -336,10 +340,15 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
     std::vector<std::uint8_t> redrain(n, 0);
     struct LogGuard
     {
-        Bus &bus;
-        ~LogGuard() { bus.setSpecConflictLog(nullptr); }
-    } guard{system_.bus()};
-    system_.bus().setSpecConflictLog(&conflicts);
+        const std::vector<SnoopingCache *> &caches;
+        ~LogGuard()
+        {
+            for (SnoopingCache *c : caches)
+                c->setSpecConflictLog(nullptr);
+        }
+    } guard{caches};
+    for (SnoopingCache *c : caches)
+        c->setSpecConflictLog(&conflicts);
 
     bool stop = false;
     const std::uint64_t pollEvery =
@@ -359,8 +368,8 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
      * (bus-bound ref), pauses (Strict: a read mismatch needing
      * in-order adjudication), exhausts its stream, or the supervisor
      * stops the run.  Touches only proc-i state (its stream, buffer,
-     * cache and its cache's undo log), oracle words of lines its cache
-     * holds exclusively, and the stop flag.  A speculated write stores
+     * pending writes and cache), oracle words of lines its cache holds
+     * exclusively, and the stop flag.  A speculated write stores
      * its value into the oracle at once: its line is M or E (the
      * exclusivity gate), so no other processor can read the word
      * before the next bus transaction on the line, which first commits
@@ -415,13 +424,14 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             const std::size_t wi = (ref.addr / kWordBytes) & word_mask;
             if (ref.write) {
                 const Word value = writeValue(i, seqExec + 1);
-                if (!c.specLocalWrite(ref.addr, value, frame)) {
+                SnoopingCache::SpecUndo undo;
+                if (!c.specLocalWrite(ref.addr, value, frame, undo)) {
                     p.parked = true;
                     break;
                 }
                 ++seqExec;
                 Word *slab = ck.oracleLine(la);
-                p.pendWrites.push_back({g, slab[wi]});
+                p.pendWrites.push_back({g, slab[wi], undo});
                 slab[wi] = value;
                 oLa = la;
                 oWords = slab;
@@ -464,8 +474,8 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         // Batched hit counters: one adjustment per drained run instead
         // of two increments per reference (specLocal* leave stats
         // alone by contract).
-        const std::uint64_t dw = seqExec - p.seqExec;
-        c.specCountHits(g - p.execPos - dw, dw);
+        const auto dw = static_cast<std::int64_t>(seqExec - p.seqExec);
+        c.specCountHits(static_cast<std::int64_t>(g - p.execPos) - dw, dw);
         p.execPos = g;
         p.fetched = fetched;
         p.seqExec = seqExec;
@@ -535,7 +545,6 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         std::size_t h = p.pendHead;
         while (h < p.pendWrites.size() && p.pendWrites[h].g < cut)
             ++h;
-        const std::size_t writes = h - p.pendHead;
         p.pendHead = h;
         if (config_.accessLog) {
             Cycles s = startOf(p, p.commitPos);
@@ -553,7 +562,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             specStats->batchLen.record(cut - p.commitPos);
         }
         caches[i]->specCommit(p.frames.data() + (p.commitPos - p.bufBase),
-                              cut - p.commitPos, writes);
+                              cut - p.commitPos);
         p.commitPos = cut;
         if (p.commitPos == p.execPos) {
             p.sig = 0;
@@ -577,12 +586,14 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
         }
     };
 
-    /** Undo proc i's speculated suffix [k, execPos): oracle words
-     *  newest-first, cache state via the undo log, the write counter
-     *  here; the refs replay on the next drain with byte-identical
-     *  values, and their touches were never applied. */
+    /** Undo proc i's speculated suffix [k, execPos): each write's
+     *  oracle word and cache word and state, newest first, then the
+     *  hit counters and the write counter; the refs replay on the
+     *  next drain with byte-identical values, and their touches were
+     *  never applied. */
     auto rollbackTo = [&](std::size_t i, std::uint64_t k) {
         SpecProc &p = procs[i];
+        SnoopingCache &c = *caches[i];
         fbsim_assert(k >= p.commitPos && k < p.execPos);
         std::uint64_t undone = p.execPos - k;
         std::uint64_t writes = 0;
@@ -592,11 +603,13 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             const Addr a = p.buf[w.g - p.bufBase].addr;
             ck.oracleLine(a >> line_shift)[(a / kWordBytes) & word_mask] =
                 w.old;
+            c.specRestore(w.undo);
             p.pendWrites.pop_back();
             ++writes;
         }
         p.seqExec -= writes;
-        caches[i]->specRollback(undone - writes, writes);
+        c.specCountHits(-static_cast<std::int64_t>(undone - writes),
+                        -static_cast<std::int64_t>(writes));
         p.execPos = k;
         p.parked = false;
         p.paused = false;   // a rolled-back pause re-adjudicates
@@ -761,9 +774,9 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
 
         conflicts.clear();
         const AccessOutcome outcome = access(result, w, ref, p.seqExec);
-        // Candidacy required an empty window, so the winner's undo
-        // log and pending writes are already committed; the bus
-        // reference itself ran non-speculatively.
+        // Candidacy required an empty window, so the winner's pending
+        // writes are already committed; the bus reference itself ran
+        // non-speculatively.
         p.execPos = g + 1;
         p.commitPos = g + 1;
         p.sig = 0;

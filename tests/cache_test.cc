@@ -179,15 +179,6 @@ TEST(TagStoreTest, InvalidatedLinesDropOutOfLookup)
 // ---------------------------------------------------------------- //
 // Epoch-based bulk invalidation.
 
-/** PlainLineStore forced onto the generic per-line walk, as the
- *  equivalence reference for the O(1) epoch path. */
-class WalkInvalidateStore : public PlainLineStore
-{
-  public:
-    using PlainLineStore::PlainLineStore;
-    void bulkInvalidate() override { LineStore::bulkInvalidate(); }
-};
-
 TEST(LineStoreTest, EpochInvalidationMatchesPerLineWalk)
 {
     CacheGeometry geom;
@@ -195,8 +186,11 @@ TEST(LineStoreTest, EpochInvalidationMatchesPerLineWalk)
     geom.numSets = 8;
     geom.assoc = 2;
 
-    PlainLineStore epoch_store(geom, ReplacementKind::LRU, 1);
-    WalkInvalidateStore walk_store(geom, ReplacementKind::LRU, 1);
+    // walk_store is invalidated through the generic per-line walk
+    // (LineStore's own bulkInvalidate), the equivalence reference for
+    // the O(1) epoch path.
+    TagStore epoch_store(geom, ReplacementKind::LRU, 1);
+    TagStore walk_store(geom, ReplacementKind::LRU, 1);
 
     std::vector<LineAddr> lines;
     for (LineAddr la = 0; la < 12; ++la)
@@ -208,10 +202,10 @@ TEST(LineStoreTest, EpochInvalidationMatchesPerLineWalk)
         walk_store.setState(*walk_store.find(la), State::M);
     }
     ASSERT_EQ(epoch_store.validLineCount(), walk_store.validLineCount());
-    std::uint32_t epoch_before = epoch_store.tags().epoch();
+    std::uint32_t epoch_before = epoch_store.epoch();
 
     epoch_store.bulkInvalidate();
-    walk_store.bulkInvalidate();
+    walk_store.LineStore::bulkInvalidate();
 
     // The epoch path must be observably identical to the walk: every
     // line gone, none findable, count zero...
@@ -224,7 +218,8 @@ TEST(LineStoreTest, EpochInvalidationMatchesPerLineWalk)
         EXPECT_EQ(walk_store.find(la), nullptr);
     }
     // ...while doing its work with one counter bump instead of a walk.
-    EXPECT_EQ(epoch_store.tags().epoch(), epoch_before + 1);
+    EXPECT_EQ(epoch_store.epoch(), epoch_before + 1);
+    EXPECT_EQ(walk_store.epoch(), 0u);
 
     // Both stores keep working identically afterwards: refills land in
     // repaired frames and are found in the installed state.
@@ -256,15 +251,14 @@ TEST(LineStoreTest, ReintegrationBumpsEpochOnce)
         sys.read(1, static_cast<Addr>(i) * 8);
     }
     const SnoopingCache *cache = sys.cacheOf(0);
-    const auto *plain =
-        dynamic_cast<const PlainLineStore *>(&cache->store());
+    const auto *plain = dynamic_cast<const TagStore *>(&cache->store());
     ASSERT_NE(plain, nullptr);
-    std::uint32_t before = plain->tags().epoch();
+    std::uint32_t before = plain->epoch();
 
     ASSERT_TRUE(sys.quarantine(0));
     ASSERT_TRUE(sys.reintegrate(0));
     EXPECT_EQ(cache->store().validLineCount(), 0u);
-    EXPECT_EQ(plain->tags().epoch(), before + 1);
+    EXPECT_EQ(plain->epoch(), before + 1);
 
     for (int i = 0; i < 200; ++i) {
         sys.write(0, static_cast<Addr>(i) * 8, 1000 + i);
@@ -302,14 +296,18 @@ TEST(SpeculativeCacheTest, CommitTimeTouchesPickThePlainVictim)
     ASSERT_TRUE(cache.specEligible());
     std::uint32_t frames[4];
     Word got = 0;
+    SnoopingCache::SpecUndo undo;
     ASSERT_TRUE(cache.specLocalRead(b, got, frames[0]));
     ASSERT_TRUE(cache.specLocalRead(a, got, frames[1]));
     ASSERT_TRUE(cache.specLocalRead(c, got, frames[2]));
-    ASSERT_TRUE(cache.specLocalWrite(d, 99, frames[3]));
+    ASSERT_TRUE(cache.specLocalWrite(d, 99, frames[3], undo));
     cache.specCountHits(3, 1);
     EXPECT_EQ(cache.peekLine(d / 32)->state, State::M);
-    cache.specRollback(1, 1);   // the read of c and the write of d
-    cache.specCommit(frames, 2, 0);
+    // Roll back the read of c and the write of d.
+    cache.specRestore(undo);
+    cache.specCountHits(-1, -1);
+    EXPECT_NE(cache.peekLine(d / 32)->state, State::M);
+    cache.specCommit(frames, 2);
     plain_sys.read(0, b);
     plain_sys.read(0, a);
 

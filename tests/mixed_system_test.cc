@@ -8,6 +8,10 @@
  * verify every access.
  */
 
+#include <array>
+#include <cstring>
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -18,8 +22,8 @@ namespace {
 
 /** Drive a random workload over a handful of shared lines. */
 void
-stress(System &sys, std::uint64_t seed, int accesses,
-       std::size_t lines = 24, double p_write = 0.35)
+drive(System &sys, std::uint64_t seed, int accesses, std::size_t lines,
+      double p_write)
 {
     Rng rng(seed);
     std::size_t clients = sys.numClients();
@@ -33,6 +37,14 @@ stress(System &sys, std::uint64_t seed, int accesses,
         if (rng.chance(0.02))
             sys.flush(who, addr, rng.chance(0.5));
     }
+}
+
+/** drive(), then require a consistent system. */
+void
+stress(System &sys, std::uint64_t seed, int accesses,
+       std::size_t lines = 24, double p_write = 0.35)
+{
+    drive(sys, seed, accesses, lines, p_write);
     EXPECT_TRUE(sys.violations().empty()) << sys.violations().front();
     EXPECT_TRUE(sys.checkNow().empty()) << sys.checkNow().front();
 }
@@ -139,6 +151,127 @@ TEST(MixedSystemTest, DiscardNearReplacementRefinement)
     sys.addCache(test::smallCache());
     sys.addCache(test::smallCache(ProtocolKind::Dragon));
     stress(sys, 11, 4000);
+}
+
+/** Every 64-bit counter of a stats block, in field order, as text. */
+template <class Counters>
+std::string
+countersText(const Counters &c)
+{
+    static_assert(std::is_trivially_copyable_v<Counters> &&
+                  sizeof(Counters) % sizeof(std::uint64_t) == 0);
+    std::array<std::uint64_t, sizeof(Counters) / sizeof(std::uint64_t)>
+        words;
+    std::memcpy(words.data(), &c, sizeof c);
+    std::string out;
+    for (std::uint64_t w : words)
+        out += strprintf("%llu ", static_cast<unsigned long long>(w));
+    return out;
+}
+
+/**
+ * stress()'s 24-line workload, fingerprinted: every cache's
+ * CacheStats, the BusStats, describeLine() of every line the workload
+ * can touch, and the violation and audit strings.
+ */
+std::uint64_t
+pinnedRun(System &sys, std::uint64_t seed, int accesses)
+{
+    constexpr std::size_t kLines = 24;
+    drive(sys, seed, accesses, kLines, 0.35);
+    std::vector<std::string> parts;
+    for (MasterId id = 0; id < sys.numClients(); ++id)
+        parts.push_back(countersText(sys.cacheOf(id)->stats()));
+    parts.push_back(countersText(sys.bus().stats()));
+    for (LineAddr la = 0; la < kLines; ++la)
+        parts.push_back(sys.checker().describeLine(la));
+    for (const std::string &v : sys.violations())
+        parts.push_back(v);
+    for (const std::string &v : sys.checkNow())
+        parts.push_back(v);
+    return test::fnv1a(parts);
+}
+
+/** DiscardNearReplacementRefinement's mix, cache 0 on `chooser`. */
+std::unique_ptr<System>
+discardMix(ChooserKind chooser, bool discard)
+{
+    auto sys = std::make_unique<System>(test::testConfig());
+    CacheSpec a = test::smallCache();
+    a.discardNearReplacement = discard;
+    a.chooser = chooser;
+    a.seed = 5;
+    sys->addCache(a);
+    sys->addCache(test::smallCache());
+    sys->addCache(test::smallCache(ProtocolKind::Dragon));
+    return sys;
+}
+
+// The next three pins fix the exact outcome of the action resolver -
+// memoized and fresh choices, the section 5.2 discard, the Random
+// chooser's draw order - so a refactor of how a table cell resolves
+// must reproduce every counter, line and violation byte for byte.
+
+TEST(ResolverPinTest, DiscardWithPreferredChooserIsExact)
+{
+    auto sys = discardMix(ChooserKind::Preferred, true);
+    const std::uint64_t got = pinnedRun(*sys, 11, 4000);
+    EXPECT_EQ(got, 0x850fcbf632bdba01ull) << "0x" << std::hex << got;
+    // The refinement must actually fire: the discarding cache loses
+    // more copies to snooped broadcasts than it does without it.
+    auto plain = discardMix(ChooserKind::Preferred, false);
+    pinnedRun(*plain, 11, 4000);
+    EXPECT_GT(sys->cacheOf(0)->stats().invalidationsRecv,
+              plain->cacheOf(0)->stats().invalidationsRecv);
+}
+
+TEST(ResolverPinTest, DiscardWithRandomChooserIsExact)
+{
+    auto sys = discardMix(ChooserKind::Random, true);
+    const std::uint64_t got = pinnedRun(*sys, 11, 4000);
+    EXPECT_EQ(got, 0x30f01b1354f73a27ull) << "0x" << std::hex << got;
+}
+
+TEST(ResolverPinTest, AllRandomMixIsExact)
+{
+    System sys(test::testConfig());
+    const ProtocolKind kMix[] = {ProtocolKind::Moesi,
+                                 ProtocolKind::Berkeley,
+                                 ProtocolKind::Dragon, ProtocolKind::Moesi};
+    for (std::size_t i = 0; i < std::size(kMix); ++i) {
+        CacheSpec spec = test::smallCache(kMix[i]);
+        spec.chooser = ChooserKind::Random;
+        spec.seed = 31 + i;
+        sys.addCache(spec);
+    }
+    const std::uint64_t got = pinnedRun(sys, 17, 4000);
+    EXPECT_EQ(got, 0x9793398bac61277full) << "0x" << std::hex << got;
+}
+
+TEST(ResolverPinTest, RecencyProbeCountIsExact)
+{
+    // Random replacement draws on every near-replacement probe, so the
+    // number of probes is output.  Dragon's S offers no invalidate on
+    // a snooped broadcast write: a memoized cell skips the probe there,
+    // a fresh choice probes before it looks.  One digest per chooser.
+    const ChooserKind kChoosers[] = {ChooserKind::Preferred,
+                                     ChooserKind::Random};
+    const std::uint64_t kPinned[] = {0xe9c5385dbc657618ull,
+                                     0x23e0922225fc47f0ull};
+    for (std::size_t k = 0; k < std::size(kChoosers); ++k) {
+        System sys(test::testConfig());
+        CacheSpec d = test::smallCache(ProtocolKind::Dragon);
+        d.discardNearReplacement = true;
+        d.replacement = ReplacementKind::Random;
+        d.chooser = kChoosers[k];
+        d.seed = 7;
+        sys.addCache(d);
+        sys.addCache(test::smallCache(ProtocolKind::Dragon));
+        sys.addCache(test::smallCache());
+        const std::uint64_t got = pinnedRun(sys, 23, 4000);
+        EXPECT_EQ(got, kPinned[k])
+            << "chooser " << k << ": 0x" << std::hex << got;
+    }
 }
 
 TEST(MixedSystemTest, IncompatibleMixIsDetectedByTheChecker)
