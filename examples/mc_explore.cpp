@@ -89,8 +89,9 @@ runOne(const std::string &label,
     if (res.counterexample) {
         printTrace(*res.counterexample);
         // An invariant-violation counterexample must reproduce on the
-        // real engine; an illegal-transition one cannot (the engine
-        // panics there by design), so replay only its clean prefix.
+        // real engine; an illegal-transition one cannot (the model
+        // rejects the step the engine counts and answers), so replay
+        // only its clean prefix.
         std::vector<mc::TraceStep> steps = res.counterexample->steps;
         mc::ReplayResult rr =
             mc::replayTrace(cfg.model, steps, /*expect_violation=*/true);

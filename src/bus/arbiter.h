@@ -4,10 +4,9 @@
  *
  * The Futurebus grants mastership through a distributed arbiter; at
  * the transaction level all that matters is the selection discipline
- * among simultaneous requesters.  fbsim provides the two classic
- * disciplines: fixed priority (lowest id wins, simple but unfair) and
- * round-robin (rotating highest priority, fair).  The timed engine in
- * sim/ uses an Arbiter to order masters contending for the bus.
+ * among simultaneous requesters.  fbsim arbitrates round-robin
+ * (rotating highest priority, fair).  The timed engine in sim/ uses an
+ * Arbiter to order masters contending for the bus.
  */
 
 #ifndef FBSIM_BUS_ARBITER_H_
@@ -21,17 +20,12 @@
 
 namespace fbsim {
 
-/** Arbitration disciplines. */
-enum class ArbitrationKind { FixedPriority, RoundRobin };
-
-/** Selects one requester per grant; stateful for round-robin. */
+/** Selects one requester per grant, round-robin. */
 class Arbiter
 {
   public:
-    /** @param kind discipline.
-     *  @param masters number of master ids (0 .. masters-1). */
-    Arbiter(ArbitrationKind kind, std::size_t masters)
-        : kind_(kind), masters_(masters)
+    /** @param masters number of master ids (0 .. masters-1). */
+    explicit Arbiter(std::size_t masters) : masters_(masters)
     {
         fbsim_assert(masters > 0);
     }
@@ -48,31 +42,19 @@ class Arbiter
     template <typename Fn>
     std::optional<MasterId> grantWhere(Fn &&wants)
     {
-        switch (kind_) {
-          case ArbitrationKind::FixedPriority:
-            for (std::size_t i = 0; i < masters_; ++i) {
-                if (wants(i))
-                    return static_cast<MasterId>(i);
+        for (std::size_t k = 0; k < masters_; ++k) {
+            std::size_t i = nextPriority_ + k;
+            if (i >= masters_)
+                i -= masters_;
+            if (wants(i)) {
+                nextPriority_ = i + 1 == masters_ ? 0 : i + 1;
+                return static_cast<MasterId>(i);
             }
-            return std::nullopt;
-
-          case ArbitrationKind::RoundRobin:
-            for (std::size_t k = 0; k < masters_; ++k) {
-                std::size_t i = nextPriority_ + k;
-                if (i >= masters_)
-                    i -= masters_;
-                if (wants(i)) {
-                    nextPriority_ = i + 1 == masters_ ? 0 : i + 1;
-                    return static_cast<MasterId>(i);
-                }
-            }
-            return std::nullopt;
         }
         return std::nullopt;
     }
 
   private:
-    ArbitrationKind kind_;
     std::size_t masters_;
     std::size_t nextPriority_ = 0;   ///< round-robin token
 };

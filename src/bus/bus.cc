@@ -222,6 +222,20 @@ Bus::execute(const BusRequest &req_in)
                 static_cast<unsigned long long>(req.line), maxRetries_);
 }
 
+void
+Bus::noteConflict(const char *what, const Snooper &first,
+                  const Snooper &second, LineAddr la)
+{
+    ++stats_.responseConflicts;
+    if (warnedConflict_)
+        return;
+    warnedConflict_ = true;
+    fbsim_warn("modules %u and %u both %s on line %llu (counted in "
+               "responseConflicts)",
+               first.snooperId(), second.snooperId(), what,
+               static_cast<unsigned long long>(la));
+}
+
 BusResult
 Bus::attempt(const BusRequest &req, bool &aborted)
 {
@@ -279,37 +293,25 @@ Bus::attempt(const BusRequest &req, bool &aborted)
         wired_bits |= reply.resp.bits();
         if (reply.resp.di) {
             // Ownership is unique, so at most one module intervenes.
-            // Under fault injection a muted invalidate can leave two
-            // modules believing they own a line; keep the first
-            // responder (deterministic attach order), count the
-            // conflict, and rely on the always-on checker to report
-            // the divergence itself.  Without an injector a double
-            // assertion is a protocol bug and stays fatal.
-            if (di_owner == nullptr) {
+            // A second DI means the system has already diverged: a
+            // muted invalidate left two owners, or a broken table
+            // (CacheSpec::table) intervenes from a shared state.  Keep
+            // the first responder (deterministic attach order), count
+            // the conflict, and let the always-on checker report the
+            // divergence itself.
+            if (di_owner == nullptr)
                 di_owner = s;
-            } else if (faults_) {
-                ++stats_.responseConflicts;
-            } else {
-                fbsim_panic("modules %u and %u both intervened on line "
-                            "%llu",
-                            di_owner->snooperId(), s->snooperId(),
-                            static_cast<unsigned long long>(req.line));
-            }
+            else
+                noteConflict("intervened", *di_owner, *s, req.line);
         }
         if (reply.resp.bs) {
-            if (bs_owner == nullptr) {
+            // Both busy modules want to push; serve the first now.
+            // The loser is re-snooped on the retry round, asserts BS
+            // again and pushes then.
+            if (bs_owner == nullptr)
                 bs_owner = s;
-            } else if (faults_) {
-                // Both busy modules want to push; serve the first now.
-                // The loser is re-snooped on the retry round, asserts
-                // BS again and pushes then.
-                ++stats_.responseConflicts;
-            } else {
-                fbsim_panic("modules %u and %u both asserted BS on "
-                            "line %llu",
-                            bs_owner->snooperId(), s->snooperId(),
-                            static_cast<unsigned long long>(req.line));
-            }
+            else
+                noteConflict("asserted BS", *bs_owner, *s, req.line);
         }
         ch_count += reply.resp.ch ? 1 : 0;
         scratch.participants.push_back(s);

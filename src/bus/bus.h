@@ -179,7 +179,7 @@ struct BusStats
     std::uint64_t spuriousAborts = 0;    ///< of which fault-injected
     std::uint64_t droppedResponses = 0;  ///< slave responses lost (fault)
     std::uint64_t retryExhausted = 0;    ///< transactions that gave up
-    std::uint64_t responseConflicts = 0; ///< double DI/BS under faults
+    std::uint64_t responseConflicts = 0; ///< second DI or BS (diverged)
     std::uint64_t addressCycles = 0;     ///< incl. aborted attempts
     std::uint64_t dataWords = 0;         ///< total words moved
     Cycles busyCycles = 0;               ///< total bus occupancy
@@ -324,6 +324,11 @@ class Bus
     BusResult attempt(const BusRequest &req, bool &aborted);
     AttemptScratch &scratchFor(unsigned depth);
 
+    /** A second module asserted DI or BS on one address cycle: count
+     *  it in responseConflicts and warn once per bus. */
+    void noteConflict(const char *what, const Snooper &first,
+                      const Snooper &second, LineAddr la);
+
     MemorySlave &slave_;
     BusCostModel cost_;
     unsigned maxRetries_;
@@ -350,6 +355,7 @@ class Bus
     std::vector<std::vector<Word>> linePool_;
     FaultInjector *faults_ = nullptr;  ///< not owned; null = fault-free
     unsigned depth_ = 0;   ///< nested-push depth guard
+    bool warnedConflict_ = false;   ///< noteConflict() warned already
 };
 
 } // namespace fbsim

@@ -9,7 +9,8 @@
  * multi-line sector, per-subsector state - section 5.1's sector caches
  * [Hill84]).  Consistency status is thus always associated with the
  * transfer subsector (= the system line), exactly as the paper
- * concludes it must be.
+ * concludes it must be.  Both replace by LRU, each keeping its own
+ * LruStamps (one stamp per frame: a line, or a whole sector).
  */
 
 #ifndef FBSIM_CACHE_LINE_STORE_H_
@@ -110,7 +111,8 @@ class LineStore
             setState(*line, State::I);
     }
 
-    /** Section 5.2 near-replacement probe. */
+    /** Section 5.2 near-replacement probe: the line's frame is in the
+     *  cold half of its set by LRU recency.  Reads stamps only. */
     virtual bool nearReplacement(const CacheLine &line) const = 0;
 
     /** Visit every valid line. */

@@ -12,6 +12,13 @@ isPow2(std::size_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+const SectorGeometry &
+validated(const SectorGeometry &geometry)
+{
+    geometry.validate();
+    return geometry;
+}
+
 } // namespace
 
 void
@@ -29,12 +36,9 @@ SectorGeometry::validate() const
         fbsim_fatal("sector associativity must be at least 1");
 }
 
-SectorStore::SectorStore(const SectorGeometry &geometry,
-                         ReplacementKind repl, std::uint64_t seed)
-    : geom_(geometry)
+SectorStore::SectorStore(const SectorGeometry &geometry)
+    : geom_(validated(geometry)), lru_(geom_.numSets, geom_.assoc)
 {
-    geom_.validate();
-    repl_ = makeReplacementPolicy(repl, geom_.numSets, geom_.assoc, seed);
     sectors_.resize(geom_.numSets * geom_.assoc);
     for (Sector &frame : sectors_)
         frame.subs.resize(geom_.subsectorsPerSector);
@@ -89,7 +93,7 @@ SectorStore::evictionSet(LineAddr la, std::vector<CacheLine *> &out)
             return;
     }
     // Evict a whole sector: every valid subsector goes.
-    Sector &victim = sectors_[set * geom_.assoc + repl_->victim(set)];
+    Sector &victim = sectors_[set * geom_.assoc + lru_.victim(set)];
     for (CacheLine &line : victim.subs) {
         if (line.valid())
             out.push_back(&line);
@@ -119,9 +123,7 @@ SectorStore::install(LineAddr la, State s)
             frame->subs[k].state = State::I;
             frame->subs[k].data.clear();
         }
-        std::size_t way = static_cast<std::size_t>(
-            frame - &sectors_[set * geom_.assoc]);
-        repl_->onFill(set, way);
+        lru_.touch(static_cast<std::size_t>(frame - sectors_.data()));
     }
     CacheLine &line = frame->subs[geom_.subOf(la)];
     fbsim_assert(!line.valid());
@@ -147,16 +149,14 @@ SectorStore::frameOf(const CacheLine &line) const
 void
 SectorStore::touch(const CacheLine &line)
 {
-    std::size_t idx = frameOf(line);
-    repl_->onAccess(idx / geom_.assoc, idx % geom_.assoc);
+    lru_.touch(frameOf(line));
 }
 
 bool
 SectorStore::nearReplacement(const CacheLine &line) const
 {
     std::size_t idx = frameOf(line);
-    return repl_->isNearReplacement(idx / geom_.assoc,
-                                    idx % geom_.assoc);
+    return lru_.nearReplacement(idx / geom_.assoc, idx % geom_.assoc);
 }
 
 void

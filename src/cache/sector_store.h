@@ -15,10 +15,8 @@
 #ifndef FBSIM_CACHE_SECTOR_STORE_H_
 #define FBSIM_CACHE_SECTOR_STORE_H_
 
-#include <memory>
-
 #include "cache/line_store.h"
-#include "cache/replacement.h"
+#include "cache/lru_stamps.h"
 
 namespace fbsim {
 
@@ -53,12 +51,12 @@ struct SectorGeometry
     void validate() const;
 };
 
-/** Sector-organized line store. */
+/** Sector-organized line store; sectors replace by LRU. */
 class SectorStore : public LineStore
 {
   public:
-    SectorStore(const SectorGeometry &geometry, ReplacementKind repl,
-                std::uint64_t seed);
+    /** @param geometry sector shape (validated here). */
+    explicit SectorStore(const SectorGeometry &geometry);
 
     const SectorGeometry &geometry() const { return geom_; }
 
@@ -103,7 +101,7 @@ class SectorStore : public LineStore
     std::size_t frameOf(const CacheLine &line) const;
 
     SectorGeometry geom_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    LruStamps lru_;                 // one stamp per sector frame
     std::vector<Sector> sectors_;   // sets x ways, row-major
 };
 

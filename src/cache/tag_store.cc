@@ -6,20 +6,25 @@
 
 namespace fbsim {
 
-TagStore::TagStore(const CacheGeometry &geometry, ReplacementKind repl,
-                   std::uint64_t seed)
-    : geom_(geometry)
+namespace {
+
+const CacheGeometry &
+validated(const CacheGeometry &geometry)
 {
-    geom_.validate();
-    repl_ = makeReplacementPolicy(repl, geom_.numSets, geom_.assoc, seed);
+    geometry.validate();
+    return geometry;
+}
+
+} // namespace
+
+TagStore::TagStore(const CacheGeometry &geometry)
+    : geom_(validated(geometry)), lru_(geom_.numSets, geom_.assoc)
+{
     lines_.resize(geom_.numSets * geom_.assoc);
     tags_.assign(lines_.size(), kNoTag);
     states_.assign(lines_.size(),
                    static_cast<std::uint8_t>(State::I));
     epochOf_.assign(lines_.size(), 0);
-    touchKind_ = repl_->touchKind();
-    touchStamps_ = repl_->stampTable();
-    touchClock_ = repl_->stampClock();
 }
 
 CacheLine &
@@ -41,7 +46,7 @@ TagStore::victimFor(LineAddr la)
         }
         return lines_[idx];
     }
-    return lines_[base + repl_->victim(geom_.setOf(la))];
+    return lines_[base + lru_.victim(geom_.setOf(la))];
 }
 
 void
@@ -69,7 +74,7 @@ TagStore::install(CacheLine &line, LineAddr la, State s)
     tags_[idx] = isValid(s) ? la : kNoTag;
     if (isValid(s))
         ++validCount_;
-    repl_->onFill(geom_.setOf(la), wayOf(line));
+    lru_.touch(idx);
 }
 
 void
@@ -91,7 +96,10 @@ TagStore::bulkInvalidate()
 bool
 TagStore::nearReplacement(const CacheLine &line) const
 {
-    return repl_->isNearReplacement(geom_.setOf(line.addr), wayOf(line));
+    // frame == set * assoc + way by construction; recovering the way
+    // with a multiply avoids a division by the runtime-valued assoc.
+    std::size_t set = geom_.setOf(line.addr);
+    return lru_.nearReplacement(set, frameOf(line) - set * geom_.assoc);
 }
 
 void
@@ -102,15 +110,6 @@ TagStore::forEachValidLine(
         if (frameValid(idx))
             fn(lines_[idx]);
     }
-}
-
-std::size_t
-TagStore::wayOf(const CacheLine &line) const
-{
-    // idx == set * assoc + way by construction; recovering the way
-    // with a multiply avoids a division by the runtime-valued assoc.
-    std::size_t idx = static_cast<std::size_t>(&line - lines_.data());
-    return idx - geom_.setOf(line.addr) * geom_.assoc;
 }
 
 } // namespace fbsim

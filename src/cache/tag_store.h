@@ -3,9 +3,9 @@
  * Set-associative tag/data store with MOESI per-line state: the
  * conventional LineStore.
  *
- * The tag store is purely mechanical: lookup, victim selection and
- * fills.  All protocol decisions (what state to enter, when to push a
- * victim) belong to the cache controller in protocols/.
+ * The tag store is purely mechanical: lookup, LRU victim selection
+ * and fills.  All protocol decisions (what state to enter, when to
+ * push a victim) belong to the cache controller in protocols/.
  *
  * Layout is data-oriented: alongside the CacheLine objects (which own
  * the data words) the store keeps struct-of-arrays metadata - packed
@@ -22,28 +22,24 @@
 #define FBSIM_CACHE_TAG_STORE_H_
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "cache/geometry.h"
 #include "cache/line_store.h"
-#include "cache/replacement.h"
+#include "cache/lru_stamps.h"
 
 namespace fbsim {
 
 /**
- * A set-associative array of CacheLine with a replacement policy.
- * Final, so calls through a TagStore pointer or reference bind
- * directly and the hot lookups inline.
+ * A set-associative array of CacheLine with LRU replacement.  Final,
+ * so calls through a TagStore pointer or reference bind directly and
+ * the hot lookups inline.
  */
 class TagStore final : public LineStore
 {
   public:
-    /** @param geometry validated cache shape.
-     *  @param repl replacement algorithm.
-     *  @param seed randomness for the Random policy. */
-    TagStore(const CacheGeometry &geometry, ReplacementKind repl,
-             std::uint64_t seed);
+    /** @param geometry cache shape (validated here). */
+    explicit TagStore(const CacheGeometry &geometry);
 
     TagStore(const TagStore &) = delete;
     TagStore &operator=(const TagStore &) = delete;
@@ -119,7 +115,7 @@ class TagStore final : public LineStore
 
     /**
      * Install `la` into `line` (obtained from victimFor): resets tag,
-     * state and data storage and informs the replacement policy.
+     * state and data storage and stamps the frame most recently used.
      */
     void install(CacheLine &line, LineAddr la, State s);
 
@@ -160,29 +156,15 @@ class TagStore final : public LineStore
      */
     void bulkInvalidate() override;
 
-    /** Record a hit for replacement bookkeeping.  Dispatched through
-     *  the policy's TouchKind so the per-hit path of the stamp
-     *  policies (LRU: one store; FIFO/Random: nothing) pays no
-     *  virtual call. */
+    /** Record a hit for replacement bookkeeping. */
     void
     touch(const CacheLine &line) override
     {
-        if (touchKind_ == ReplacementPolicy::TouchKind::Noop)
-            return;
-        std::size_t idx =
-            static_cast<std::size_t>(&line - lines_.data());
-        if (touchKind_ == ReplacementPolicy::TouchKind::Stamp) {
-            touchStamps_[idx] = ++*touchClock_;
-            return;
-        }
-        repl_->onAccess(idx / geom_.assoc, idx % geom_.assoc);
+        lru_.touch(frameOf(line));
     }
 
     /** Near-replacement test for the section 5.2 refinement. */
     bool nearReplacement(const CacheLine &line) const override;
-
-    /** The replacement policy's touch dispatch kind (immutable). */
-    ReplacementPolicy::TouchKind touchKind() const { return touchKind_; }
 
     /** Frame index of a resident line, for deferred touchFrames(). */
     std::uint32_t
@@ -191,23 +173,12 @@ class TagStore final : public LineStore
         return static_cast<std::uint32_t>(&line - lines_.data());
     }
 
-    /**
-     * touch() each frame in order - speculated hits record their frame
-     * and replay the touches when they commit.  The stamp clock stays
-     * in a register for the whole batch.
-     */
+    /** touch() each frame in order - speculated hits record their
+     *  frame and replay the touches when they commit. */
     void
     touchFrames(const std::uint32_t *frames, std::size_t count)
     {
-        if (touchKind_ == ReplacementPolicy::TouchKind::Stamp) {
-            std::uint64_t clock = *touchClock_;
-            for (std::size_t k = 0; k < count; ++k)
-                touchStamps_[frames[k]] = ++clock;
-            *touchClock_ = clock;
-        } else if (touchKind_ == ReplacementPolicy::TouchKind::Custom) {
-            for (std::size_t k = 0; k < count; ++k)
-                touch(lines_[frames[k]]);
-        }
+        lru_.touchFrames(frames, count);
     }
 
     /** Visit every valid line (for checkers and statistics). */
@@ -231,16 +202,8 @@ class TagStore final : public LineStore
         return tags_[idx] != kNoTag && epochOf_[idx] == epoch_;
     }
 
-    std::size_t wayOf(const CacheLine &line) const;
-
     CacheGeometry geom_;
-    std::unique_ptr<ReplacementPolicy> repl_;
-    /** touch() fast-path dispatch, latched from repl_ at construction
-     *  (a policy's TouchKind and stamp storage are immutable). */
-    ReplacementPolicy::TouchKind touchKind_ =
-        ReplacementPolicy::TouchKind::Custom;
-    std::uint64_t *touchStamps_ = nullptr;
-    std::uint64_t *touchClock_ = nullptr;
+    LruStamps lru_;                  // one stamp per frame of lines_
     std::vector<CacheLine> lines_;   // sets x ways, row-major
     /** SoA metadata, parallel to lines_: packed tag (kNoTag when the
      *  frame is invalid), packed u8 state, and the epoch the entry

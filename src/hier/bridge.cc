@@ -46,7 +46,8 @@ BusBridge::setFaultInjector(FaultInjector *faults, std::size_t cluster)
 bool
 BusBridge::forwardLost()
 {
-    if (!faults_ || maintenance_)
+    // A quiesced window (a board pull) also freezes an open stall.
+    if (!faults_ || faults_->quiesced())
         return false;
     if (stallRemaining_ == 0 && faults_->fireLeafStall(*stallSite_)) {
         stallRemaining_ = faults_->config().leafStallForwards;
@@ -71,7 +72,7 @@ BusBridge::eraseRemoteShared(LineAddr la)
     // decays in the conservative direction (stale presence costs
     // forwards), never the unsafe one (a missing bit would skip a
     // required invalidation).  Draw only when the erase would land.
-    if (faults_ && !maintenance_ && mayBeRemote(la) &&
+    if (faults_ && mayBeRemote(la) &&
         faults_->fireFilterStale(*staleSite_)) {
         ++stats_.staleFilterSkips;
         return;
@@ -82,7 +83,7 @@ BusBridge::eraseRemoteShared(LineAddr la)
 void
 BusBridge::eraseLocalHeld(LineAddr la)
 {
-    if (faults_ && !maintenance_ && mayBeLocal(la) &&
+    if (faults_ && mayBeLocal(la) &&
         faults_->fireFilterStale(*staleSite_)) {
         ++stats_.staleFilterSkips;
         return;
@@ -184,7 +185,7 @@ BusBridge::forwardUp(const BusRequest &req, BusCmd cmd,
         }
         if (!r.line.empty())
             root_.recycleLineBuffer(std::move(r.line));
-        if (faults_ && !maintenance_) {
+        if (faults_) {
             // Duplicate delivery, only for non-fill forwards: every
             // such command is value-idempotent at the root (the same
             // invalidation, write-through or copyback lands twice).

@@ -189,16 +189,6 @@ class BusBridge : public MemorySlave, public Snooper
     static constexpr unsigned kWatchdogThreshold = 4;
 
     /**
-     * Maintenance bypass: while set, forwards draw no faults and any
-     * open stall window is frozen.  Segment quarantine/reintegration
-     * flushes run under it - P896 live-removal holds the backplane in
-     * a quiesced window, so maintenance traffic is not exposed to the
-     * modeled transient faults (and quarantine flushes provably
-     * converge, keeping owned data intact).
-     */
-    void setMaintenanceBypass(bool on) { maintenance_ = on; }
-
-    /**
      * Audit (and with `repair` fix) both filters against the exact
      * per-cluster presence sets recomputed from the leaf TagStores:
      * `local` = lines valid inside this cluster, `remote` = lines
@@ -244,7 +234,6 @@ class BusBridge : public MemorySlave, public Snooper
     std::size_t cluster_ = 0;
     unsigned stallRemaining_ = 0;   ///< forwards left in the window
     unsigned exhaustStreak_ = 0;    ///< consecutive exhausted forwards
-    bool maintenance_ = false;
 
     /** Line data fetched from the cluster between snoop and supply. */
     std::vector<Word> pendingLine_;

@@ -207,10 +207,9 @@ void
 HierSystem::pullBoard(std::size_t cluster)
 {
     // The whole board-bus leaves under quarantineBoard's quiesced
-    // window; the maintenance bypass also keeps the bridge's own fault
-    // draws and stall window out of the flushes.
+    // window, which also keeps the bridge's own fault draws and stall
+    // window out of the flushes.
     Cluster &c = clusters_[cluster];
-    c.bridge->setMaintenanceBypass(true);
     for (MasterId id = 0; id < numClients(); ++id) {
         SnoopingCache *cache = cacheOf(id);
         if (clusterOf(id) != cluster || !cache || cache->quarantined())
@@ -219,7 +218,6 @@ HierSystem::pullBoard(std::size_t cluster)
         c.bus->setSnooperSuspended(cache->clientId(), true);
         checker().removeCache(cache);
     }
-    c.bridge->setMaintenanceBypass(false);
 
     // Detached from the root, the bridge neither snoops nor forwards
     // down; its filters lawfully decay until the rejoin scrub.

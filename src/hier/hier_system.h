@@ -83,9 +83,9 @@ class HierSystem : public Fabric
      * cache in the cluster is flushed and isolated, the bridge is
      * suspended from the root bus, and the cluster's filter checks are
      * detached.  The flushes run under the injector's quiesced window
-     * and the bridge's maintenance bypass, so owned data provably
-     * drains to memory.  Returns false when already quarantined (or no
-     * fault machinery is armed).
+     * (no fault site fires, the bridge's stall window freezes), so
+     * owned data provably drains to memory.  Returns false when
+     * already quarantined (or no fault machinery is armed).
      */
     bool quarantineCluster(std::size_t cluster)
     { return quarantineBoard(cluster); }

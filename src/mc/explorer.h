@@ -124,7 +124,7 @@ struct BasicCounterexample
 {
     std::vector<TraceStep> steps;
     /** The violations the final step produced (invariant breaches or
-     *  an illegal transition the fault-free engine would panic on). */
+     *  an illegal transition the model rejects). */
     std::vector<std::string> violations;
     /** The violating state (partially advanced for illegal steps). */
     S finalState;

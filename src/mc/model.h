@@ -147,10 +147,10 @@ struct ChoiceRecord
 struct StepResult
 {
     /** False: the step itself was illegal (empty snooped cell, double
-     *  DI/BS, nonconvergence, undispatchable local event) - the
-     *  fault-free engine would have panicked.  The state is left
-     *  partially advanced, exactly as far as the engine would have
-     *  got. */
+     *  DI/BS, nonconvergence, undispatchable local event).  The engine
+     *  counts and answers an empty cell or a second DI/BS and panics
+     *  on the other two; the model rejects them all.  The state is left
+     *  partially advanced, exactly as far as the step got. */
     bool ok = true;
 
     /** Value the access returned (reads; writes echo the new value). */

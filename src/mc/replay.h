@@ -52,7 +52,9 @@ struct ReplayResult
  *
  * Only invariant-violation counterexamples are engine-replayable; a
  * trace whose final step is an illegal transition (empty cell, double
- * intervention) would panic the fault-free engine by design - replay
+ * intervention) has no engine counterpart - the model rejects the
+ * step, while the engine counts it (illegalSnoops, responseConflicts)
+ * and answers it as a missed snoop or a first responder - so replay
  * its prefix instead.
  */
 ReplayResult replayTrace(const ModelConfig &cfg,

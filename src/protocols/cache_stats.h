@@ -30,7 +30,7 @@ struct CacheStats
     std::uint64_t dirtyFills = 0;         ///< fills supplied by a cache
     std::uint64_t faultedAccesses = 0;    ///< gave up (fault injection)
     std::uint64_t illegalSnoops = 0;      ///< undefined cells ignored
-                                          ///  (fault-degraded mode)
+                                          ///  (a fault or bad table)
 
     double
     missRatio() const

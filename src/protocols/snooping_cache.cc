@@ -12,9 +12,7 @@ SnoopingCache::SnoopingCache(MasterId id, Bus &bus,
                              std::unique_ptr<ActionChooser> chooser,
                              const SnoopingCacheConfig &config)
     : SnoopingCache(id, bus, table, std::move(chooser),
-                    std::make_unique<TagStore>(config.geometry,
-                                               config.replacement,
-                                               config.seed),
+                    std::make_unique<TagStore>(config.geometry),
                     config.geometry.lineBytes, config.kind,
                     config.discardNearReplacement)
 {
@@ -46,10 +44,7 @@ SnoopingCache::SnoopingCache(MasterId id, Bus &bus,
     std::vector<std::string> problems = table_.validate();
     if (!problems.empty())
         fbsim_fatal("protocol table invalid: %s", problems[0].c_str());
-    specSafe_ = memoize_ && plain_ != nullptr &&
-                !discardNearReplacement_ &&
-                plain_->touchKind() !=
-                    ReplacementPolicy::TouchKind::Custom;
+    specSafe_ = memoize_ && plain_ != nullptr && !discardNearReplacement_;
     // The exclusivity gate: no pure write hit from a shared state.
     for (State s : {State::O, State::S}) {
         if (specSafe_)
@@ -90,14 +85,8 @@ SnoopingCache::chooseSnoop(State s, BusEvent ev, SnoopAction &slot,
                            const SnoopAction *&discard)
 {
     const SnoopCell &cell = table_.snoop(s, ev);
-    if (cell.empty()) {
-        if (faultTolerant_)
-            return nullptr;
-        fbsim_panic("%s cache %u: illegal bus event col %d on line "
-                    "in state %s",
-                    name_.c_str(), id_, busEventColumn(ev),
-                    std::string(stateName(s)).c_str());
-    }
+    if (cell.empty())
+        return nullptr;
     slot = chooser_->chooseSnoop(kind_, s, ev, cell);
     discard = nullptr;
     for (const SnoopAction &alt : cell) {
@@ -142,15 +131,12 @@ SnoopingCache::snoopAction(const CacheLine &line, BusEvent ev,
         action = chooseSnoop(line.state, ev, slot, discard);
     }
     // Section 5.2 refinement: discard instead of update when the line
-    // is nearing replacement and the cell offers an invalidate.  The
-    // recency probe draws under Random replacement, so its call count
-    // is output: a memoized cell without the alternative skips it, a
-    // fresh choice probes before looking.
-    if (action && discardNearReplacement_ && (discard || !memoize_) &&
-        !action->bs && action->next.resolve(true) != State::I &&
+    // is nearing replacement and the cell offers an invalidate.
+    if (action && discardNearReplacement_ && discard && !action->bs &&
+        action->next.resolve(true) != State::I &&
         (ev == BusEvent::BroadcastWriteCache ||
          ev == BusEvent::BroadcastWriteNoCache) &&
-        !isOwned(line.state) && store_->nearReplacement(line) && discard)
+        !isOwned(line.state) && store_->nearReplacement(line))
         return discard;
     return action;
 }
@@ -534,17 +520,11 @@ SnoopingCache::evict(CacheLine &victim, AccessOutcome &outcome)
 SnoopReply
 SnoopingCache::ignoredIllegalSnoop(State s, BusEvent ev, LineAddr la)
 {
-    // Fault-degraded: the protocol never generates this (state, event)
-    // pair, so reaching it means an injected fault already diverged
-    // the system (e.g. double ownership after a muted invalidate).
-    // Respond as if the address cycle was missed; the always-on
-    // checker reports the underlying divergence.
     ++stats_.illegalSnoops;
     if (!warnedIllegalSnoop_) {
         warnedIllegalSnoop_ = true;
         fbsim_warn("%s cache %u: ignoring illegal bus event col %d on "
-                 "line %llu in state %s (fault-degraded; counted in "
-                 "illegalSnoops)",
+                 "line %llu in state %s (counted in illegalSnoops)",
                  name_.c_str(), id_, busEventColumn(ev),
                  static_cast<unsigned long long>(la),
                  std::string(stateName(s)).c_str());

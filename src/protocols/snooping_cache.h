@@ -36,11 +36,8 @@ namespace fbsim {
 struct SnoopingCacheConfig
 {
     CacheGeometry geometry;
-    ReplacementKind replacement = ReplacementKind::LRU;
     /** CopyBack or WriteThrough (NonCaching uses NonCachingMaster). */
     ClientKind kind = ClientKind::CopyBack;
-    /** Seed for the replacement policy (Random). */
-    std::uint64_t seed = 1;
     /**
      * Section 5.2 refinement: when a broadcast-written line is nearing
      * replacement, discard it instead of updating it (requires the
@@ -168,17 +165,6 @@ class SnoopingCache : public BusClient, public Snooper
     bool reintegrate();
 
     /**
-     * Fault-degraded mode (set by the system layer when an injector is
-     * attached): a snooped bus event with no table cell for the line's
-     * state - reachable only after a fault has already driven the
-     * system into states the protocol never generates, e.g. divergent
-     * double ownership from a muted invalidate - is ignored like a
-     * missed address cycle (no response, no transition) and counted,
-     * instead of panicking.  The checker reports the divergence.
-     */
-    void setFaultTolerant(bool on) { faultTolerant_ = on; }
-
-    /**
      * Fault injection: flip one random bit in one random valid line's
      * data (victim chosen via `rng`).  Returns the corrupted line's
      * address, or nullopt if the cache holds no valid line.  Does NOT
@@ -199,13 +185,12 @@ class SnoopingCache : public BusClient, public Snooper
     /**
      * True when the engine may run this cache speculatively: the
      * devirtualized hit path is armed, snoop behaviour is independent
-     * of replacement recency (no near-replacement discard), the
-     * replacement touch can be deferred to commit (Noop, or the stamp
-     * table + clock; Custom policies like PLRU mutate opaque state),
-     * and bus-free writes need an exclusive (M/E) copy.  The last is
-     * what makes a speculated write invisible until the next bus
-     * transaction on its line: a table that writes S or O without the
-     * bus fails the gate and runs interleaved.
+     * of replacement recency (no near-replacement discard, so the LRU
+     * touches can be deferred to commit), and bus-free writes need an
+     * exclusive (M/E) copy.  The last is what makes a speculated write
+     * invisible until the next bus transaction on its line: a table
+     * that writes S or O without the bus fails the gate and runs
+     * interleaved.
      */
     bool specEligible() const { return fastLocal_ && specSafe_; }
 
@@ -341,8 +326,7 @@ class SnoopingCache : public BusClient, public Snooper
      * slot, so a nested dispatch - the read inside a read-then-write,
      * the eviction inside a fill - keeps its own).  Null for an empty
      * cell.  snoopAction() also applies the section 5.2
-     * near-replacement discard, and an empty snoop cell panics unless
-     * the cache is fault tolerant.
+     * near-replacement discard.
      */
     const LocalAction *localAction(State s, LocalEvent ev,
                                    LocalAction &slot);
@@ -353,7 +337,8 @@ class SnoopingCache : public BusClient, public Snooper
     const LocalAction *chooseLocal(State s, LocalEvent ev,
                                    LocalAction &slot);
     /** One chooser draw over the snoop cell, plus the cell's
-     *  invalidate alternative (`discard`, null when it has none). */
+     *  invalidate alternative (`discard`, null when it has none);
+     *  null if the cell is empty. */
     const SnoopAction *chooseSnoop(State s, BusEvent ev, SnoopAction &slot,
                                    const SnoopAction *&discard);
 
@@ -372,9 +357,14 @@ class SnoopingCache : public BusClient, public Snooper
      *  not converge (the victim keeps its state and data). */
     bool evict(CacheLine &victim, AccessOutcome &outcome);
 
-    /** Fault-degraded handling of a snooped event with no table cell:
-     *  count it, warn once, and respond as if the address cycle was
-     *  missed (empty reply, no latched action). */
+    /**
+     * A snooped bus event with no table cell for the line's state: the
+     * protocol never generates it, so an injected fault (divergent
+     * double ownership from a muted invalidate) or a broken table
+     * (CacheSpec::table) has already diverged the system.  Count it,
+     * warn once, and respond as if the address cycle was missed (empty
+     * reply, no latched action); the checker reports the divergence.
+     */
     SnoopReply ignoredIllegalSnoop(State s, BusEvent ev, LineAddr la);
 
     /**
@@ -408,7 +398,7 @@ class SnoopingCache : public BusClient, public Snooper
     struct SnoopMemo
     {
         bool filled = false;
-        bool empty = false;    ///< no cell; tolerated under faults
+        bool empty = false;    ///< no cell: an illegal snoop
         SnoopAction action;
         /** Invalidate alternative for the section 5.2 near-replacement
          *  discard, if the cell offers one (points into the table). */
@@ -507,7 +497,6 @@ class SnoopingCache : public BusClient, public Snooper
     bool fastLocal_ = false;
     CacheStats stats_;
     bool quarantined_ = false;
-    bool faultTolerant_ = false;
     bool warnedIllegalSnoop_ = false;   ///< one warning per cache
     TransitionCoverage *coverage_ = nullptr;
     std::string name_;

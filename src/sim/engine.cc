@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "bus/arbiter.h"
 #include "common/logging.h"
 #include "obs/latency.h"
 #include "obs/trace_sink.h"
@@ -143,7 +144,7 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
     std::vector<ProcState> procs(n);
     EngineResult result;
     result.procs.resize(n);
-    Arbiter arbiter(config_.arbitration, n);
+    Arbiter arbiter(n);
     Cycles bus_free = 0;
 
     // Compact mirror of each proc's next-ready time, scanned once per
@@ -312,7 +313,7 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
 
     EngineResult result;
     result.procs.resize(n);
-    Arbiter arbiter(config_.arbitration, n);
+    Arbiter arbiter(n);
     Cycles bus_free = 0;
 
     CoherenceChecker &ck = system_.checker();

@@ -18,7 +18,6 @@
 #include <chrono>
 #include <vector>
 
-#include "bus/arbiter.h"
 #include "obs/metrics.h"
 #include "sim/system.h"
 #include "trace/ref_stream.h"
@@ -119,7 +118,6 @@ inline constexpr Cycles kHitCycles = 1;
 /** Timed-engine configuration. */
 struct EngineConfig
 {
-    ArbitrationKind arbitration = ArbitrationKind::RoundRobin;
     /**
      * Optional per-master latency instrumentation (arbitration wait;
      * service time is recorded by the Bus itself when the recorder is

@@ -69,10 +69,8 @@ Fabric::addCacheOn(Bus &bus, MasterId bus_id, std::size_t board,
 {
     SnoopingCacheConfig cfg;
     cfg.geometry = {config_.lineBytes, spec.numSets, spec.assoc};
-    cfg.replacement = spec.replacement;
     cfg.kind = spec.writeThrough ? ClientKind::WriteThrough
                                  : ClientKind::CopyBack;
-    cfg.seed = spec.seed;
     cfg.discardNearReplacement = spec.discardNearReplacement;
     const ProtocolTable &table =
         spec.table ? *spec.table : protocolTable(spec.protocol);
@@ -89,8 +87,6 @@ MasterId
 Fabric::attachCache(std::unique_ptr<SnoopingCache> cache, Bus &bus,
                     std::size_t board)
 {
-    if (faults_)
-        cache->setFaultTolerant(true);
     bus.attach(cache.get());
     checker_->addCache(cache.get(), board);
     SnoopingCache *raw = cache.get();

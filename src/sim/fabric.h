@@ -97,10 +97,9 @@ struct CacheSpec
     MoesiPolicy policy;                  ///< used when chooser == Policy
     std::size_t numSets = 64;
     std::size_t assoc = 4;
-    ReplacementKind replacement = ReplacementKind::LRU;
     bool writeThrough = false;           ///< "*" client (MOESI only)
     bool discardNearReplacement = false; ///< section 5.2 refinement
-    std::uint64_t seed = 1;
+    std::uint64_t seed = 1;              ///< seeds the Random chooser
     /**
      * Explicit protocol table overriding `protocol` (testing: deliber-
      * ately perturbed tables for counterexample studies).  Must outlive

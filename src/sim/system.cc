@@ -77,8 +77,7 @@ System::addSectorCache(const CacheSpec &spec,
     geom.subsectorsPerSector = subsectors_per_sector;
     geom.numSets = spec.numSets;
     geom.assoc = spec.assoc;
-    auto store = std::make_unique<SectorStore>(geom, spec.replacement,
-                                               spec.seed);
+    auto store = std::make_unique<SectorStore>(geom);
     auto cache = std::make_unique<SnoopingCache>(
         id, bus(), protocolTable(spec.protocol),
         makeChooser(spec.chooser, spec.policy, spec.seed),

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "common/types.h"
 
@@ -47,42 +46,11 @@ class RefStream
     }
 };
 
-/** Replays a fixed vector, cycling when exhausted. */
-class VectorStream : public RefStream
-{
-  public:
-    explicit VectorStream(std::vector<ProcRef> refs)
-        : refs_(std::move(refs))
-    {
-    }
-
-    ProcRef
-    next() override
-    {
-        ProcRef r = refs_[pos_];
-        pos_ = (pos_ + 1) % refs_.size();
-        return r;
-    }
-
-    void
-    nextBatch(ProcRef *out, std::size_t n) override
-    {
-        for (std::size_t k = 0; k < n; ++k) {
-            out[k] = refs_[pos_];
-            pos_ = (pos_ + 1) % refs_.size();
-        }
-    }
-
-  private:
-    std::vector<ProcRef> refs_;
-    std::size_t pos_ = 0;
-};
-
 /**
- * Replays a borrowed span, cycling when exhausted.  Non-owning
- * VectorStream: campaign workers replay shared trace shards through
- * this to keep per-job allocation off the hot path; the span must
- * outlive the stream and must not be empty.
+ * Replays a borrowed span, cycling when exhausted.  Campaign workers
+ * replay shared trace shards through this to keep per-job allocation
+ * off the hot path; the span must outlive the stream and must not be
+ * empty.
  */
 class SpanStream : public RefStream
 {

@@ -64,9 +64,9 @@ void writeTraceFile(const std::string &path,
                     const std::vector<TraceRef> &refs);
 
 /**
- * Split a global trace into one per-processor VectorStream each
- * (processors with no references get an empty single-idle stream of
- * reads to address 0).
+ * Split a global trace into one reference vector per processor, each
+ * replayable through a SpanStream (processors with no references get
+ * a single idle read of address 0).
  * @param procs total processor count (>= max proc id + 1).
  */
 std::vector<std::vector<ProcRef>>

@@ -22,18 +22,9 @@ grant(Arbiter &arb, const std::vector<bool> &requesting)
     return arb.grantWhere([&](std::size_t i) { return requesting[i]; });
 }
 
-TEST(ArbiterTest, FixedPriorityPicksLowestId)
-{
-    Arbiter arb(ArbitrationKind::FixedPriority, 4);
-    EXPECT_EQ(grant(arb, {false, true, true, false}), MasterId{1});
-    EXPECT_EQ(grant(arb, {false, true, true, false}), MasterId{1});
-    EXPECT_EQ(grant(arb, {false, false, false, true}), MasterId{3});
-    EXPECT_EQ(grant(arb, {false, false, false, false}), std::nullopt);
-}
-
 TEST(ArbiterTest, RoundRobinIsFair)
 {
-    Arbiter arb(ArbitrationKind::RoundRobin, 3);
+    Arbiter arb(3);
     std::vector<bool> all{true, true, true};
     // Everyone requesting: grants rotate.
     EXPECT_EQ(grant(arb, all), MasterId{0});
@@ -44,10 +35,18 @@ TEST(ArbiterTest, RoundRobinIsFair)
 
 TEST(ArbiterTest, RoundRobinSkipsNonRequesters)
 {
-    Arbiter arb(ArbitrationKind::RoundRobin, 3);
+    Arbiter arb(3);
     EXPECT_EQ(grant(arb, {true, false, true}), MasterId{0});
     EXPECT_EQ(grant(arb, {true, false, true}), MasterId{2});
     EXPECT_EQ(grant(arb, {true, false, true}), MasterId{0});
+}
+
+TEST(ArbiterTest, NobodyRequestingGrantsNothing)
+{
+    Arbiter arb(3);
+    EXPECT_EQ(grant(arb, {false, false, false}), std::nullopt);
+    // An empty round leaves the token in place.
+    EXPECT_EQ(grant(arb, {true, true, true}), MasterId{0});
 }
 
 TEST(CostModelTest, ReadCostsDependOnSupplier)

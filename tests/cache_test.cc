@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests of the cache substrate: geometry arithmetic, replacement
- * policies, the set-associative tag store and its epoch-based bulk
- * invalidation.
+ * Tests of the cache substrate: geometry arithmetic, LRU stamps, the
+ * set-associative tag store and its epoch-based bulk invalidation.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +10,7 @@
 
 #include "cache/geometry.h"
 #include "cache/line_store.h"
-#include "cache/replacement.h"
+#include "cache/lru_stamps.h"
 #include "cache/tag_store.h"
 #include "sim/system.h"
 #include "test_util.h"
@@ -36,84 +35,56 @@ TEST(GeometryTest, AddressArithmetic)
     EXPECT_EQ(g.setOf(8), 0u);
 }
 
-class ReplacementTest
-    : public ::testing::TestWithParam<ReplacementKind>
+TEST(LruStampsTest, VictimIsTheLeastRecentlyUsedWay)
 {
-};
-
-TEST_P(ReplacementTest, VictimIsAValidWay)
-{
-    auto policy = makeReplacementPolicy(GetParam(), 4, 4, 99);
-    for (std::size_t set = 0; set < 4; ++set) {
-        for (std::size_t w = 0; w < 4; ++w)
-            policy->onFill(set, w);
-        for (int i = 0; i < 50; ++i)
-            EXPECT_LT(policy->victim(set), 4u);
-    }
-}
-
-TEST_P(ReplacementTest, NameMatchesKind)
-{
-    auto policy = makeReplacementPolicy(GetParam(), 2, 2, 1);
-    EXPECT_EQ(policy->name(), replacementKindName(GetParam()));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllPolicies, ReplacementTest,
-    ::testing::Values(ReplacementKind::LRU, ReplacementKind::FIFO,
-                      ReplacementKind::Random, ReplacementKind::PLRU),
-    [](const ::testing::TestParamInfo<ReplacementKind> &info) {
-        return std::string(replacementKindName(info.param));
-    });
-
-TEST(ReplacementTest, LruEvictsLeastRecentlyUsed)
-{
-    auto lru = makeReplacementPolicy(ReplacementKind::LRU, 1, 4, 1);
+    LruStamps lru(2, 4);
     for (std::size_t w = 0; w < 4; ++w)
-        lru->onFill(0, w);
-    lru->onAccess(0, 0);   // order now: 1 (oldest), 2, 3, 0
-    EXPECT_EQ(lru->victim(0), 1u);
-    lru->onAccess(0, 1);
-    EXPECT_EQ(lru->victim(0), 2u);
+        lru.touch(4 + w);   // fill set 1 in way order
+    lru.touch(4 + 0);       // order now: 1 (oldest), 2, 3, 0
+    EXPECT_EQ(lru.victim(1), 1u);
+    lru.touch(4 + 1);
+    EXPECT_EQ(lru.victim(1), 2u);
+    // Set 0 was never touched: every stamp ties, the lowest way goes.
+    EXPECT_EQ(lru.victim(0), 0u);
 }
 
-TEST(ReplacementTest, FifoIgnoresAccesses)
+TEST(LruStampsTest, TouchFramesStampsInOrder)
 {
-    auto fifo = makeReplacementPolicy(ReplacementKind::FIFO, 1, 3, 1);
-    for (std::size_t w = 0; w < 3; ++w)
-        fifo->onFill(0, w);
-    fifo->onAccess(0, 0);
-    fifo->onAccess(0, 0);
-    // Way 0 was filled first; accesses don't save it.
-    EXPECT_EQ(fifo->victim(0), 0u);
-    fifo->onFill(0, 0);
-    EXPECT_EQ(fifo->victim(0), 1u);
-}
-
-TEST(ReplacementTest, LruNearReplacementIsTheColdHalf)
-{
-    auto lru = makeReplacementPolicy(ReplacementKind::LRU, 1, 4, 1);
+    // A batch of deferred touches lands exactly as the same touches
+    // one by one would, in frame order (a repeated frame ends hottest
+    // at its last position).
+    LruStamps batch(1, 4), single(1, 4);
+    const std::uint32_t frames[] = {3, 1, 0, 3, 2};
+    batch.touchFrames(frames, std::size(frames));
+    for (std::uint32_t f : frames)
+        single.touch(f);
     for (std::size_t w = 0; w < 4; ++w)
-        lru->onFill(0, w);
+        EXPECT_EQ(batch.nearReplacement(0, w), single.nearReplacement(0, w));
+    // Recency order 1, 0, 3, 2 (2 hottest): way 1 is the victim.
+    EXPECT_EQ(batch.victim(0), 1u);
+    batch.touch(1);
+    EXPECT_EQ(batch.victim(0), 0u);
+}
+
+TEST(LruStampsTest, NearReplacementIsTheColdHalf)
+{
+    LruStamps lru(1, 4);
+    for (std::size_t w = 0; w < 4; ++w)
+        lru.touch(w);
     // Recency order 0,1,2,3 (3 hottest): 0 and 1 are the cold half.
-    EXPECT_TRUE(lru->isNearReplacement(0, 0));
-    EXPECT_TRUE(lru->isNearReplacement(0, 1));
-    EXPECT_FALSE(lru->isNearReplacement(0, 2));
-    EXPECT_FALSE(lru->isNearReplacement(0, 3));
-}
-
-TEST(ReplacementTest, PlruVictimAvoidsRecentWay)
-{
-    auto plru = makeReplacementPolicy(ReplacementKind::PLRU, 1, 4, 1);
-    for (std::size_t w = 0; w < 4; ++w)
-        plru->onFill(0, w);
-    plru->onAccess(0, 2);
-    EXPECT_NE(plru->victim(0), 2u);
+    EXPECT_TRUE(lru.nearReplacement(0, 0));
+    EXPECT_TRUE(lru.nearReplacement(0, 1));
+    EXPECT_FALSE(lru.nearReplacement(0, 2));
+    EXPECT_FALSE(lru.nearReplacement(0, 3));
+    // Touching the coldest way moves it to the hot half.
+    lru.touch(0);
+    EXPECT_FALSE(lru.nearReplacement(0, 0));
+    EXPECT_TRUE(lru.nearReplacement(0, 2));
 }
 
 TEST(TagStoreTest, FindAfterInstall)
 {
-    TagStore tags({32, 4, 2}, ReplacementKind::LRU, 1);
+    TagStore tags({32, 4, 2});
     EXPECT_EQ(tags.find(5), nullptr);
     CacheLine &line = tags.victimFor(5);
     tags.install(line, 5, State::E);
@@ -126,7 +97,7 @@ TEST(TagStoreTest, FindAfterInstall)
 
 TEST(TagStoreTest, InvalidWaysArePreferredVictims)
 {
-    TagStore tags({32, 1, 4}, ReplacementKind::LRU, 1);
+    TagStore tags({32, 1, 4});
     // Fill two of four ways.
     for (LineAddr la = 0; la < 2; ++la) {
         CacheLine &line = tags.victimFor(la);
@@ -140,7 +111,7 @@ TEST(TagStoreTest, InvalidWaysArePreferredVictims)
 
 TEST(TagStoreTest, SetConflictEvictsWithinTheSet)
 {
-    TagStore tags({32, 4, 1}, ReplacementKind::LRU, 1);
+    TagStore tags({32, 4, 1});
     // Lines 0 and 4 collide in set 0 of a 4-set direct-mapped store.
     CacheLine &a = tags.victimFor(0);
     tags.install(a, 0, State::S);
@@ -152,7 +123,7 @@ TEST(TagStoreTest, SetConflictEvictsWithinTheSet)
 
 TEST(TagStoreTest, ValidLineCountAndIteration)
 {
-    TagStore tags({32, 4, 2}, ReplacementKind::LRU, 1);
+    TagStore tags({32, 4, 2});
     for (LineAddr la = 0; la < 5; ++la) {
         CacheLine &line = tags.victimFor(la);
         tags.install(line, la, State::S);
@@ -168,7 +139,7 @@ TEST(TagStoreTest, ValidLineCountAndIteration)
 
 TEST(TagStoreTest, InvalidatedLinesDropOutOfLookup)
 {
-    TagStore tags({32, 4, 2}, ReplacementKind::LRU, 1);
+    TagStore tags({32, 4, 2});
     CacheLine &line = tags.victimFor(9);
     tags.install(line, 9, State::M);
     tags.setState(*tags.find(9), State::I);
@@ -189,8 +160,8 @@ TEST(LineStoreTest, EpochInvalidationMatchesPerLineWalk)
     // walk_store is invalidated through the generic per-line walk
     // (LineStore's own bulkInvalidate), the equivalence reference for
     // the O(1) epoch path.
-    TagStore epoch_store(geom, ReplacementKind::LRU, 1);
-    TagStore walk_store(geom, ReplacementKind::LRU, 1);
+    TagStore epoch_store(geom);
+    TagStore walk_store(geom);
 
     std::vector<LineAddr> lines;
     for (LineAddr la = 0; la < 12; ++la)

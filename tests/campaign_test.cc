@@ -395,7 +395,7 @@ TEST(CampaignRunnerTest, FaultFactoryCalledOncePerJobWithDerivedSeed)
 
 // ---------------------------------------------------------------- //
 // Trace-sharded workloads: the worker-cached shards replay exactly
-// like splitTraceByProc + VectorStream.
+// like splitTraceByProc + SpanStream.
 
 TEST(CampaignRunnerTest, TraceShardsMatchSplitTraceReplay)
 {
@@ -425,7 +425,7 @@ TEST(CampaignRunnerTest, TraceShardsMatchSplitTraceReplay)
     }
     std::vector<std::vector<ProcRef>> shards =
         splitTraceByProc(*trace, 2);
-    VectorStream s0(shards[0]), s1(shards[1]);
+    SpanStream s0(shards[0]), s1(shards[1]);
     std::vector<RefStream *> raw = {&s0, &s1};
     Engine engine(sys, {});
     engine.run(raw, 90);

@@ -59,7 +59,8 @@ TEST(EngineTest, HitsDontTouchTheBus)
     spec.numSets = 16;
     sys.addCache(spec);
     // A single line hammered by one processor: one miss, then hits.
-    VectorStream stream({{false, 0x100}});
+    const std::vector<ProcRef> refs = {{false, 0x100}};
+    SpanStream stream(refs);
     Engine engine(sys, {});
     EngineResult r = engine.run({&stream}, 100);
     EXPECT_EQ(sys.bus().stats().transactions, 1u);
@@ -116,31 +117,6 @@ TEST(EngineTest, DeterministicAcrossRuns)
     auto b = run_once();
     EXPECT_EQ(a.first, b.first);
     EXPECT_EQ(a.second, b.second);
-}
-
-TEST(EngineTest, ArbitrationKindsBothComplete)
-{
-    for (ArbitrationKind kind :
-         {ArbitrationKind::FixedPriority, ArbitrationKind::RoundRobin}) {
-        System sys(timedConfig());
-        for (int i = 0; i < 3; ++i) {
-            CacheSpec spec = test::smallCache();
-            spec.seed = i + 1;
-            sys.addCache(spec);
-        }
-        Arch85Params params;
-        params.pShared = 0.5;
-        auto streams = makeArch85Streams(params, 3, 2);
-        std::vector<RefStream *> raw;
-        for (auto &s : streams)
-            raw.push_back(s.get());
-        EngineConfig cfg;
-        cfg.arbitration = kind;
-        Engine engine(sys, cfg);
-        EngineResult r = engine.run(raw, 200);
-        for (const ProcTiming &p : r.procs)
-            EXPECT_EQ(p.refs, 200u);
-    }
 }
 
 TEST(EngineTest, WriteThroughLoadsTheBusMoreThanCopyBack)

@@ -664,8 +664,11 @@ TEST(EngineFaultTest, TimedRunReportsFaultOutcomes)
     sys.addCache(test::smallCache());
 
     // Disjoint lines so every reference wants the bus in the window.
-    VectorStream s0({{true, 0x000}, {true, 0x100}, {true, 0x200}});
-    VectorStream s1({{true, 0x300}, {true, 0x400}, {true, 0x500}});
+    const std::vector<ProcRef> refs0 = {
+        {true, 0x000}, {true, 0x100}, {true, 0x200}};
+    const std::vector<ProcRef> refs1 = {
+        {true, 0x300}, {true, 0x400}, {true, 0x500}};
+    SpanStream s0(refs0), s1(refs1);
     Engine engine(sys, {});
     EngineResult r = engine.run({&s0, &s1}, 60);
     EXPECT_GT(r.faultedRefs, 0u);

@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "sim/engine.h"
 #include "test_util.h"
+#include "trace/workloads.h"
 
 namespace fbsim {
 namespace {
@@ -248,29 +250,55 @@ TEST(ResolverPinTest, AllRandomMixIsExact)
     EXPECT_EQ(got, 0x9793398bac61277full) << "0x" << std::hex << got;
 }
 
-TEST(ResolverPinTest, RecencyProbeCountIsExact)
+TEST(MixedSystemTest, BrokenTableRunsToAVerdict)
 {
-    // Random replacement draws on every near-replacement probe, so the
-    // number of probes is output.  Dragon's S offers no invalidate on
-    // a snooped broadcast write: a memoized cell skips the probe there,
-    // a fresh choice probes before it looks.  One digest per chooser.
-    const ChooserKind kChoosers[] = {ChooserKind::Preferred,
-                                     ChooserKind::Random};
-    const std::uint64_t kPinned[] = {0xe9c5385dbc657618ull,
-                                     0x23e0922225fc47f0ull};
-    for (std::size_t k = 0; k < std::size(kChoosers); ++k) {
-        System sys(test::testConfig());
-        CacheSpec d = test::smallCache(ProtocolKind::Dragon);
-        d.discardNearReplacement = true;
-        d.replacement = ReplacementKind::Random;
-        d.chooser = kChoosers[k];
-        d.seed = 7;
-        sys.addCache(d);
-        sys.addCache(test::smallCache(ProtocolKind::Dragon));
-        sys.addCache(test::smallCache());
-        const std::uint64_t got = pinnedRun(sys, 23, 4000);
-        EXPECT_EQ(got, kPinned[k])
-            << "chooser " << k << ": 0x" << std::hex << got;
+    // A table is input (CacheSpec::table), so a broken one must end a
+    // fault-free run in a verdict, never an abort.  MOESI whose S
+    // ignores ReadForModify keeps stale sharers next to a new owner,
+    // and later snoops meet cells the protocol never reaches (an
+    // empty cell, a second DI or BS): each is counted and answered,
+    // and the checker reports the divergence.  Every ordering, since
+    // each drains a different interleaving into those cells.
+    ProtocolTable broken = moesiTable();
+    SnoopAction stay;
+    stay.next = toState(State::S);
+    broken.setSnoop(State::S, BusEvent::ReadForModify, {stay});
+    Arch85Params params;
+    params.sharedLines = 4;
+    params.pShared = 0.05;
+    for (std::uint64_t seed : {2u, 3u}) {
+        for (EngineOrdering ordering :
+             {EngineOrdering::Strict, EngineOrdering::PerLine,
+              EngineOrdering::Interleaved}) {
+            System sys(SystemConfig{});
+            for (std::size_t i = 0; i < 4; ++i) {
+                CacheSpec spec = test::smallCache();
+                spec.numSets = 16;
+                spec.seed = i + 1;
+                spec.table = &broken;
+                sys.addCache(spec);
+            }
+            auto streams = makeArch85Streams(params, 4, seed);
+            std::vector<RefStream *> raw;
+            for (auto &s : streams)
+                raw.push_back(s.get());
+            EngineConfig ec;
+            ec.ordering = ordering;
+            EngineResult r = Engine(sys, ec).run(raw, 2000);
+            const std::string at =
+                strprintf("seed %llu ordering %d",
+                          static_cast<unsigned long long>(seed),
+                          static_cast<int>(ordering));
+            for (const ProcTiming &p : r.procs)
+                EXPECT_EQ(p.refs, 2000u) << at;
+            EXPECT_GT(sys.cacheTotals().illegalSnoops +
+                          sys.bus().stats().responseConflicts,
+                      0u)
+                << at;
+            EXPECT_FALSE(sys.violations().empty() &&
+                         sys.checkNow().empty())
+                << at;
+        }
     }
 }
 

@@ -26,7 +26,7 @@ TEST(SectorStoreTest, GeometryArithmetic)
 
 TEST(SectorStoreTest, SubsectorsShareOneTag)
 {
-    SectorStore store({32, 4, 4, 2}, ReplacementKind::LRU, 1);
+    SectorStore store({32, 4, 4, 2});
     // Install three subsectors of sector 0 (lines 0..2).
     std::vector<CacheLine *> evict{nullptr};   // replaced, not appended
     for (LineAddr la = 0; la < 3; ++la) {
@@ -46,7 +46,7 @@ TEST(SectorStoreTest, SubsectorsCarryIndependentStates)
     // The paper: "Consistency status also appears to be necessarily
     // associated with the transfer subsector, rather than the address
     // sector."
-    SectorStore store({32, 4, 4, 2}, ReplacementKind::LRU, 1);
+    SectorStore store({32, 4, 4, 2});
     store.install(0, State::M);
     store.install(1, State::S);
     store.install(2, State::E);
@@ -59,7 +59,7 @@ TEST(SectorStoreTest, SectorEvictionCoversAllValidSubsectors)
 {
     // Direct-mapped single set: installing a third sector must evict
     // an entire resident sector.
-    SectorStore store({32, 4, 1, 2}, ReplacementKind::LRU, 1);
+    SectorStore store({32, 4, 1, 2});
     store.install(0, State::M);    // sector 0
     store.install(1, State::S);
     store.install(4, State::S);    // sector 1

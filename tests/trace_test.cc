@@ -267,9 +267,10 @@ TEST(WorkloadTest, PrivateWorkloadsDisjointAcrossProcs)
         EXPECT_EQ(lines_b.count(la), 0u);
 }
 
-TEST(WorkloadTest, VectorStreamCycles)
+TEST(WorkloadTest, SpanStreamCycles)
 {
-    VectorStream s({{false, 8}, {true, 16}});
+    const std::vector<ProcRef> refs = {{false, 8}, {true, 16}};
+    SpanStream s(refs);
     EXPECT_EQ(s.next().addr, 8u);
     EXPECT_EQ(s.next().addr, 16u);
     EXPECT_EQ(s.next().addr, 8u);
