@@ -217,9 +217,17 @@ Bus::execute(const BusRequest &req_in)
         result.converged = false;
         return result;
     }
-    fbsim_panic("bus transaction for line %llu did not converge after "
-                "%u retries",
-                static_cast<unsigned long long>(req.line), maxRetries_);
+    // Fault-free, only a table can keep drawing BS.  A table is input,
+    // like one with an empty cell or a second DI/BS, so the access
+    // comes back faulted instead of aborting the run.
+    if (!warnedExhausted_) {
+        warnedExhausted_ = true;
+        fbsim_warn("bus transaction for line %llu did not converge after "
+                   "%u retries (counted in retryExhausted)",
+                   static_cast<unsigned long long>(req.line), maxRetries_);
+    }
+    result.converged = false;
+    return result;
 }
 
 void

@@ -92,11 +92,11 @@ struct BusResult
     bool suppliedByCache = false; ///< read data came via DI
     /**
      * False when the transaction gave up after maxRetries abort
-     * rounds (possible only under fault injection; without it the bus
-     * panics instead, since a fault-free protocol must converge).  A
-     * non-converged transaction changed no snooper or memory state
-     * and carries no read data; masters surface it as a faulted
-     * access and the watchdog takes it from there.
+     * rounds: under fault injection, or fault-free when a table keeps
+     * answering BS (counted in BusStats::retryExhausted either way).
+     * No snooper commits a non-converged transaction and it carries
+     * no read data (only an owner's abort pushes ran); masters surface
+     * it as a faulted access and the watchdog takes it from there.
      */
     bool converged = true;
     /** BS abort/retry count; 64-bit like BusStats::aborts so long
@@ -206,7 +206,7 @@ class Bus
   public:
     /** @param slave the memory side (main memory or a bridge).
      *  @param cost timing model.
-     *  @param max_retries abort/retry bound before panicking. */
+     *  @param max_retries abort/retry bound before giving up. */
     Bus(MemorySlave &slave, const BusCostModel &cost,
         unsigned max_retries = 16);
 
@@ -282,10 +282,10 @@ class Bus
     /**
      * Attach a fault injector (not owned; null detaches).  With an
      * injector attached the bus draws spurious aborts, snooper mutes
-     * and response flips from it, and - because injected faults make
-     * retry exhaustion a legal outcome - a transaction that still
-     * draws BS after maxRetries rounds returns converged=false
-     * instead of panicking.
+     * and response flips from it, and warns with the injector's state
+     * on every transaction that still draws BS after maxRetries
+     * rounds; without one it warns on the first such transaction
+     * only.  Either way the transaction returns converged=false.
      */
     void setFaultInjector(FaultInjector *faults) { faults_ = faults; }
     FaultInjector *faultInjector() { return faults_; }
@@ -356,6 +356,8 @@ class Bus
     FaultInjector *faults_ = nullptr;  ///< not owned; null = fault-free
     unsigned depth_ = 0;   ///< nested-push depth guard
     bool warnedConflict_ = false;   ///< noteConflict() warned already
+    /** A fault-free transaction gave up and warned already. */
+    bool warnedExhausted_ = false;
 };
 
 } // namespace fbsim

@@ -28,9 +28,16 @@
  * leaf bus whose slave is that cluster's bridge; the bridges snoop the
  * root, whose slave is memory.
  *
- * Successor generation runs the executor once per enumerated
- * transition, so the clean path allocates nothing: table cells are read
- * in place and violation text is only formatted on failure.
+ * A step must stay line-local: an event on line l reads and writes only
+ * line l's copies, mem[l], image[l] and line l's filter bits, and no
+ * data value steers its control flow (values are only copied and
+ * compared by the invariants).  The explorer's transition memo
+ * (explorer.h) reuses one line column's edges for every node that
+ * shares the column, and each memo fill asserts that a clean
+ * successor's canonical key differs from its parent's in line l's
+ * bits alone.  Each fill runs the executor once per choice
+ * combination, so the clean path allocates nothing: table cells are
+ * read in place and violation text is only formatted on failure.
  *
  * This header holds what the executor, the model files, the search and
  * the replay share.
@@ -136,6 +143,17 @@ struct LineFacts
 /** The facts of one line of `st`. */
 LineFacts lineFacts(const ModelConfig &cfg, const ModelState &st,
                     std::size_t line);
+
+struct HierModelConfig;
+
+/** The bits of canonicalKey that describe `line`: every cache's state
+ *  on it and its memory-current bit. */
+std::uint64_t lineKeyMask(const ModelConfig &cfg, std::size_t line);
+
+/** The bits of canonicalHierKey that describe `line`: lineKeyMask's
+ *  and each bridge's two filter bits for it. */
+std::uint64_t lineHierKeyMask(const HierModelConfig &cfg,
+                              std::size_t line);
 
 } // namespace mc
 } // namespace fbsim

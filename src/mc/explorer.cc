@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <deque>
 #include <exception>
 
@@ -57,6 +58,9 @@ struct FlatOps
     { return checkInvariants(cfg, st); }
     std::uint64_t key(const State &st) const
     { return canonicalKey(cfg, st); }
+    std::size_t lines() const { return cfg.lines; }
+    std::uint64_t lineMask(std::size_t line) const
+    { return lineKeyMask(cfg, line); }
 };
 
 /** The two-level model as the search sees it. */
@@ -75,6 +79,9 @@ struct HierOps
     { return checkHierInvariants(cfg, st); }
     std::uint64_t key(const State &st) const
     { return canonicalHierKey(cfg, st); }
+    std::size_t lines() const { return cfg.base.lines; }
+    std::uint64_t lineMask(std::size_t line) const
+    { return lineHierKeyMask(cfg, line); }
 };
 
 constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
@@ -99,6 +106,115 @@ struct Node
     TraceStep via;
 };
 
+// ---- The transition memo (see explorer.h) ----
+//
+// A memo key packs, low to high and without overlap: the line's column
+// (its canonical-key bits, gathered), the line, the event's cache and
+// the local event.
+
+/** Bits of a column: 3 state bits per cache, the memory-current bit,
+ *  and two filter bits per cluster. */
+constexpr unsigned
+columnBits(std::size_t caches, std::size_t clusters)
+{
+    return static_cast<unsigned>(3 * caches + 1 + 2 * clusters);
+}
+
+constexpr unsigned
+fieldBits(std::size_t values)
+{
+    return static_cast<unsigned>(std::bit_width(values - 1));
+}
+
+constexpr unsigned
+memoKeyBits(std::size_t caches, std::size_t clusters)
+{
+    return columnBits(caches, clusters) + fieldBits(kMaxLines) +
+           fieldBits(caches) + fieldBits(kNumLocalEvents);
+}
+
+constexpr unsigned kLineShift = columnBits(kMaxCaches, kMaxClusters);
+constexpr unsigned kCacheShift = kLineShift + fieldBits(kMaxLines);
+constexpr unsigned kEventShift = kCacheShift + fieldBits(kMaxCaches);
+
+// Under 64 bits, so no memo key is FlatMap64's reserved ~0, with room
+// for a full bus of eight caches in four clusters.
+static_assert(memoKeyBits(kMaxCaches, kMaxClusters) < 64);
+static_assert(memoKeyBits(8, 4) < 64);
+
+/** The bits of `key` under `mask`, gathered into the low bits. */
+std::uint64_t
+gatherBits(std::uint64_t key, std::uint64_t mask)
+{
+    std::uint64_t out = 0;
+    unsigned at = 0;
+    for (std::uint64_t m = mask; m != 0; m &= m - 1)
+        out |= ((key >> std::countr_zero(m)) & 1u) << at++;
+    return out;
+}
+
+std::uint64_t
+memoKey(std::uint64_t column, const ModelEvent &ev)
+{
+    return column | std::uint64_t{ev.line} << kLineShift |
+           std::uint64_t{ev.cache} << kCacheShift |
+           static_cast<std::uint64_t>(ev.ev) << kEventShift;
+}
+
+/** One memoized edge: the step's draws and what it did to its line. */
+struct MemoEdge
+{
+    /** The successor's bits of the line, in place; unused when
+     *  violating. */
+    std::uint64_t bits;
+    /** The step's draws: [choicesAt, choicesEnd) of the table's. */
+    std::uint32_t choicesAt;
+    std::uint32_t choicesEnd;
+    bool violating;
+};
+
+/** A memo entry: [at, end) of its table's edges, in enumeration order,
+ *  up to and including the first violating edge. */
+struct MemoSpan
+{
+    std::uint32_t at = 0;
+    std::uint32_t end = 0;
+};
+
+/** Memo keys to their edges, whose draws share one arena. */
+struct MemoTable
+{
+    FlatMap64<MemoSpan> index;   ///< memo key -> its edges
+    std::vector<MemoEdge> edges;
+    std::vector<ChoiceRecord> choices;
+
+    /** Move `from`'s entries that this table lacks in, and empty it. */
+    void
+    fold(MemoTable &from)
+    {
+        from.index.forEach([&](std::uint64_t key, const MemoSpan &span) {
+            if (index.find(key))
+                return;   // another worker filled it too
+            const auto at = static_cast<std::uint32_t>(edges.size());
+            for (std::uint32_t k = span.at; k < span.end; ++k) {
+                MemoEdge e = from.edges[k];
+                const auto c = static_cast<std::uint32_t>(choices.size());
+                choices.insert(choices.end(),
+                               from.choices.begin() + e.choicesAt,
+                               from.choices.begin() + e.choicesEnd);
+                e.choicesAt = c;
+                e.choicesEnd = static_cast<std::uint32_t>(choices.size());
+                edges.push_back(e);
+            }
+            index[key] = {at, static_cast<std::uint32_t>(edges.size())};
+        });
+        if (!from.index.empty())
+            from.index.clear();
+        from.edges.clear();
+        from.choices.clear();
+    }
+};
+
 /** An edge a worker kept for the merge: its successor was unvisited
  *  when the batch began, or the step violated. */
 struct Candidate
@@ -116,15 +232,14 @@ struct Candidate
 };
 
 /** One thread's buffers for the whole search, on cache lines of their
- *  own: adjacent workers' feeds and logs would false-share. */
+ *  own: adjacent workers' feeds and tables would false-share. */
 struct alignas(64) Worker
 {
     OdoFeed odo;
-    std::vector<ChoiceRecord> choices;   ///< the current step's draws
+    /** This batch's memo misses, folded into the shared memo after it. */
+    MemoTable pending;
     std::vector<Candidate> candidates;   ///< this batch's, in edge order
     std::vector<ChoiceRecord> arena;     ///< the candidates' draws
-
-    Worker() { choices.reserve(64); }
 };
 
 /** What expanding one node leaves for the merge. */
@@ -140,43 +255,103 @@ struct Expansion
     std::uint64_t fp;
 };
 
+/** What the search's workers share: the memo, read-only while a batch
+ *  is expanded, and each line's canonical-key bits. */
+struct Memo
+{
+    MemoTable shared;
+    std::array<std::uint64_t, kMaxLines> lineMask{};
+};
+
 /**
- * Enumerate the edges of `node`, keeping the successors `visited` does
- * not hold as candidates, and stop at the first violating edge.
+ * Fill the memo entry `key` for `ev` from `node` into the worker's
+ * pending table: run every choice combination through the executor, in
+ * odometer order, up to the first violating step.
+ */
+template <class Ops>
+MemoSpan
+fill(const Ops &ops, const Node<typename Ops::State> &node,
+     const ModelEvent &ev, std::uint64_t mask, std::uint64_t key, Worker &w)
+{
+    MemoTable &t = w.pending;
+    MemoSpan span{static_cast<std::uint32_t>(t.edges.size()), 0};
+    do {
+        w.odo.rewind();
+        const auto at = static_cast<std::uint32_t>(t.choices.size());
+        typename Ops::State succ = node.state;
+        const StepResult r = ops.step(succ, ev, w.odo, &t.choices);
+        // Invariant-check BEFORE keying: the canonical key only
+        // abstracts clean states.
+        const bool violating = !r.ok || !ops.invariants(succ).empty();
+        std::uint64_t bits = 0;
+        if (!violating) {
+            const std::uint64_t succ_key = ops.key(succ);
+            // Line locality, which makes the entry exact for every
+            // clean node with this column.
+            fbsim_assert((succ_key & ~mask) == (node.key & ~mask));
+            bits = succ_key & mask;
+        }
+        t.edges.push_back({bits, at,
+                           static_cast<std::uint32_t>(t.choices.size()),
+                           violating});
+        if (violating) {
+            w.odo.reset();
+            break;
+        }
+    } while (w.odo.advance());
+    span.end = static_cast<std::uint32_t>(t.edges.size());
+    t.index[key] = span;
+    return span;
+}
+
+/**
+ * Enumerate the edges of `node` from the memo, keeping the successors
+ * `visited` does not hold as candidates, and stop at the first
+ * violating edge.
  */
 template <class Ops>
 Expansion
 expandNode(const Ops &ops, const Node<typename Ops::State> &node,
-           const FlatMap64<std::uint32_t> &visited, Worker &w)
+           const FlatMap64<std::uint32_t> &visited, const Memo &memo,
+           Worker &w)
 {
     Expansion x{0, w.candidates.size(), 0, 0, 0};
+    std::array<std::uint64_t, kMaxLines> column{};
+    for (std::size_t l = 0; l < ops.lines(); ++l)
+        column[l] = gatherBits(node.key, memo.lineMask[l]);
     for (const ModelEvent &ev : ops.events(node.state)) {
-        do {
-            w.odo.rewind();
-            w.choices.clear();
-            typename Ops::State succ = node.state;
-            const StepResult r = ops.step(succ, ev, w.odo, &w.choices);
-            // Invariant-check BEFORE dedup: the canonical key only
-            // abstracts clean states.
-            const bool violating = !r.ok || !ops.invariants(succ).empty();
-            const std::uint64_t key = violating ? 0 : ops.key(succ);
-            if (violating || !visited.find(key)) {
+        const std::uint64_t mask = memo.lineMask[ev.line];
+        const std::uint64_t key = memoKey(column[ev.line], ev);
+        const MemoTable *t = &memo.shared;
+        const MemoSpan *found = t->index.find(key);
+        if (!found) {
+            t = &w.pending;
+            found = t->index.find(key);
+        }
+        const MemoSpan span =
+            found ? *found : fill(ops, node, ev, mask, key, w);
+        const std::uint64_t rest = node.key & ~mask;
+        for (std::uint32_t k = span.at; k < span.end; ++k) {
+            const MemoEdge &e = t->edges[k];
+            const std::uint64_t succ = rest | e.bits;
+            if (e.violating || !visited.find(succ)) {
                 const auto at = static_cast<std::uint32_t>(w.arena.size());
-                w.arena.insert(w.arena.end(), w.choices.begin(),
-                               w.choices.end());
+                w.arena.insert(w.arena.end(),
+                               t->choices.begin() + e.choicesAt,
+                               t->choices.begin() + e.choicesEnd);
                 w.candidates.push_back(
-                    {key, x.fp, static_cast<std::uint32_t>(x.edges), at,
+                    {e.violating ? 0 : succ, x.fp,
+                     static_cast<std::uint32_t>(x.edges), at,
                      static_cast<std::uint32_t>(w.arena.size()), ev,
-                     violating});
+                     e.violating});
             }
-            if (violating) {
-                w.odo.reset();
+            if (e.violating) {
                 x.last = w.candidates.size();
                 return x;
             }
             ++x.edges;
-            x.fp += edgeTerm(node.key, key, ev);
-        } while (w.odo.advance());
+            x.fp += edgeTerm(node.key, succ, ev);
+        }
     }
     x.last = w.candidates.size();
     return x;
@@ -219,6 +394,12 @@ bfs(const Ops &ops, std::size_t max_nodes, const SearchTuning &tuning)
     // batch in place, and growth copies nothing.
     std::deque<Node<S>> nodes;
     FlatMap64<std::uint32_t> visited;   // canonical key -> node index
+    Memo memo;
+    for (std::size_t l = 0; l < ops.lines(); ++l) {
+        memo.lineMask[l] = ops.lineMask(l);
+        fbsim_assert(std::popcount(memo.lineMask[l]) <=
+                     static_cast<int>(kLineShift));
+    }
     std::vector<Worker> workers(
         tuning.workers ? tuning.workers : ThreadPool::hardwareJobs());
     std::vector<Expansion> expansions;
@@ -242,7 +423,7 @@ bfs(const Ops &ops, std::size_t max_nodes, const SearchTuning &tuning)
             const std::size_t lo = begin + c * kChunk;
             for (std::size_t i = lo; i < std::min(end, lo + kChunk); ++i) {
                 Expansion &x = expansions[i - begin];
-                x = expandNode(ops, nodes[i], visited, workers[w]);
+                x = expandNode(ops, nodes[i], visited, memo, workers[w]);
                 x.worker = w;
             }
         }
@@ -278,6 +459,8 @@ bfs(const Ops &ops, std::size_t max_nodes, const SearchTuning &tuning)
             for (std::exception_ptr &e : pool->drainExceptions())
                 std::rethrow_exception(e);
         }
+        for (Worker &w : workers)
+            memo.shared.fold(w.pending);
 
         // Merge in node order, each node's candidates in edge order.
         for (std::size_t i = begin; i < end; ++i) {

@@ -18,21 +18,39 @@
  * parent chain yields a minimal-length counterexample trace whose
  * recorded choice stream replays through the real engine (replay.h).
  *
+ * Successors come from a transition memo, so the executor runs once per
+ * line column and event, not once per transition.  An event on line l
+ * reads and writes only line l: every cache's copy of it, its memory
+ * and image words and, in a hierarchy, each bridge's two filter bits
+ * for it; and no value steers the executor's control flow
+ * (executor.h).  Every expanded node is invariant-clean, so its line l
+ * is fully described by l's canonical-key bits - the column: each
+ * cache's state on l, l's memory-current bit and the filter bits.  The
+ * event's ordered edges - each edge's recorded choices, whether it
+ * violates, and the successor's line-l key bits - are therefore a
+ * function of the column and the event alone.  The memo maps a packed
+ * key (column, line and event in fields that never overlap) to those
+ * edges; a successor's key is the node's key with line l's bits
+ * replaced.  The executor, the invariants and the key run only on a
+ * miss, which fills the entry and asserts that each clean successor's
+ * key differs from its parent's in line l's bits alone.
+ *
  * explore() and the hierarchical exploreHier() (hier_model.h) run the
  * same search, and it runs on every hardware thread.  It walks the
  * node array in batches of already-discovered nodes.  Worker threads
- * expand a batch's nodes against a visited set that stays read-only
- * meanwhile, keeping each successor that was unvisited when the batch
- * began as a candidate: its key, the event and the recorded choices.
- * The calling thread then merges the batch in node order, and each
- * node's candidates in edge order, exactly as a serial search would
- * meet them, and rebuilds each new node's state by replaying its
- * choices from the parent.  Node indices, parents, depths, both
- * fingerprints, the node cap and the counterexample are therefore the
- * serial search's, at any thread count.  The search allocates per node
- * or per batch, never per enumerated transition: each worker keeps one
- * odometer, one choice log and its candidate buffers for the whole
- * search.
+ * expand a batch's nodes against a visited set and a memo that stay
+ * read-only meanwhile, filling memo misses into tables of their own,
+ * and keep each successor that was unvisited when the batch began as a
+ * candidate: its key, the event and the recorded choices.  The calling
+ * thread then folds the workers' memo fills into the shared memo and
+ * merges the batch in node order, and each node's candidates in edge
+ * order, exactly as a serial search would meet them, and rebuilds each
+ * new node's state by replaying its choices from the parent.  Memo
+ * entries are pure functions of their keys, so node indices, parents,
+ * depths, both fingerprints, the node cap and the counterexample are
+ * the serial search's, at any thread count and batch size.  The search
+ * allocates per node, per batch or per memo miss, never per enumerated
+ * transition.
  */
 
 #ifndef FBSIM_MC_EXPLORER_H_

@@ -107,6 +107,19 @@ canonicalHierKey(const HierModelConfig &cfg, const HierModelState &st)
     return key;
 }
 
+std::uint64_t
+lineHierKeyMask(const HierModelConfig &cfg, std::size_t line)
+{
+    // canonicalHierKey's layout: canonicalKey's bits, then a
+    // localHeld/remoteShared pair per (cluster, line), cluster outer.
+    const std::size_t lines = cfg.base.lines;
+    const std::size_t filters = cfg.base.numCaches() * lines * 3 + lines;
+    std::uint64_t mask = lineKeyMask(cfg.base, line);
+    for (std::size_t k = 0; k < cfg.numClusters(); ++k)
+        mask |= std::uint64_t{3} << (filters + 2 * (k * lines + line));
+    return mask;
+}
+
 std::string
 renderHierFilters(const HierModelConfig &cfg, const HierModelState &st)
 {

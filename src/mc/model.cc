@@ -139,6 +139,18 @@ canonicalKey(const ModelConfig &cfg, const ModelState &st)
     return key;
 }
 
+std::uint64_t
+lineKeyMask(const ModelConfig &cfg, std::size_t line)
+{
+    // canonicalKey's layout: three state bits per copy, cache outer,
+    // then one memory-current bit per line.
+    std::uint64_t mask = 0;
+    for (std::size_t c = 0; c < cfg.numCaches(); ++c)
+        mask |= std::uint64_t{7} << (3 * (c * cfg.lines + line));
+    return mask |
+           std::uint64_t{1} << (3 * cfg.numCaches() * cfg.lines + line);
+}
+
 std::string
 renderLines(const ModelConfig &cfg, const ModelState &st,
             const std::uint8_t *cluster_of)

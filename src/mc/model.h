@@ -24,6 +24,13 @@
  * (V1), which makes the canonical key - per-copy consistency state
  * plus a per-line memory-current bit - a sound and complete
  * abstraction of the concrete state for reachability purposes.
+ *
+ * A step is line-local: an event on line l touches only line l's
+ * copies, memory and image words (and, in the hierarchy, line l's
+ * filter bits), and no value steers it.  With the clean-state
+ * argument above, an event's successors from a clean state depend only
+ * on line l's part of the canonical key, which lets the explorer
+ * memoize them per line (explorer.h).
  */
 
 #ifndef FBSIM_MC_MODEL_H_
@@ -58,7 +65,8 @@ struct ModelConfig
 
     /** Retry cap mirroring Bus::maxRetries_: a transaction still
      *  aborting after this many rounds is a nonconvergence violation
-     *  (the fault-free engine panics there). */
+     *  (the fault-free engine counts it in BusStats::retryExhausted
+     *  and fails the access). */
     unsigned maxBusRetries = 16;
 
     std::size_t numCaches() const { return tables.size(); }
@@ -148,9 +156,11 @@ struct StepResult
 {
     /** False: the step itself was illegal (empty snooped cell, double
      *  DI/BS, nonconvergence, undispatchable local event).  The engine
-     *  counts and answers an empty cell or a second DI/BS and panics
-     *  on the other two; the model rejects them all.  The state is left
-     *  partially advanced, exactly as far as the step got. */
+     *  counts and answers an empty cell or a second DI/BS, counts a
+     *  nonconvergence and fails its access, and panics on an
+     *  undispatchable local event; the model rejects them all.  The
+     *  state is left partially advanced, exactly as far as the step
+     *  got. */
     bool ok = true;
 
     /** Value the access returned (reads; writes echo the new value). */

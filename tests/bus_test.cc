@@ -1,8 +1,8 @@
 /**
  * @file
  * Bus-level tests: wired-OR response resolution, intervention and
- * memory inhibition, broadcast memory update, arbitration and the
- * cost model.
+ * memory inhibition, broadcast memory update, arbitration, the cost
+ * model and a transaction that never converges.
  */
 
 #include <gtest/gtest.h>
@@ -174,6 +174,43 @@ TEST(BusTest, AbortsAreCharged)
     AccessOutcome plain = sys2->read(1, 0x100);
     EXPECT_GT(r.busCycles, plain.busCycles);
     EXPECT_EQ(sys->bus().stats().aborts, 1u);
+}
+
+// An Illinois M that answers a plain read with BS and pushes into M
+// again aborts every retry (mc_test's FlatNonConvergencePinned table).
+// Fault-free, that is the table's verdict, not an engine bug: the read
+// comes back faulted and counted, with one warning per bus.
+TEST(BusTest, NonConvergingTableFaultsTheAccess)
+{
+    ProtocolTable bad = illinoisTable();
+    SnoopAction abort;
+    abort.bs = true;
+    abort.pushState = State::M;
+    bad.setSnoop(State::M, BusEvent::ReadByCache, {abort});
+    SystemConfig cfg = test::testConfig();
+    cfg.allowIncompatibleMix = true;
+    System sys(cfg);
+    for (std::size_t i = 0; i < 2; ++i) {
+        CacheSpec spec = test::smallCache();
+        spec.table = &bad;
+        sys.addCache(spec);
+    }
+
+    resetWarnStats();
+    EXPECT_FALSE(sys.write(0, 0x100, 7).faulted);
+    EXPECT_TRUE(sys.read(1, 0x100).faulted);
+    EXPECT_EQ(sys.bus().stats().retryExhausted, 1u);
+    EXPECT_EQ(warnStats().emitted, 1u);
+
+    // The next give-up is counted without a second warning, and no
+    // attempt committed: the owner still holds the written word.
+    EXPECT_TRUE(sys.read(1, 0x100).faulted);
+    EXPECT_EQ(sys.bus().stats().retryExhausted, 2u);
+    EXPECT_EQ(warnStats().emitted, 1u);
+    EXPECT_EQ(sys.cacheOf(0)->lineState(0x100), State::M);
+    EXPECT_EQ(sys.read(0, 0x100).value, 7u);
+    EXPECT_TRUE(sys.violations().empty());
+    EXPECT_TRUE(sys.checkNow().empty());
 }
 
 } // namespace

@@ -6,10 +6,10 @@
  * The exhaustive explorer's successor generation must not touch the
  * heap: each search may allocate a bounded amount per discovered node
  * (the node's state and first-reaching step, the visited set and the
- * event list it expands) or per batch (the worker threads' tasks and
- * candidate buffers) but nothing per enumerated transition - a search
- * walks ~25-60 edges per node, so a per-edge allocation blows the
- * bound immediately.
+ * event list it expands), per batch (the worker threads' tasks and
+ * candidate buffers) or per transition-memo fill, but nothing per
+ * enumerated transition - a search walks ~25-60 edges per node, so a
+ * per-edge allocation blows the bound immediately.
  *
  * The hierarchical timed engine must not allocate per reference: its
  * allocations are bounded by set-up and the caches' working set,

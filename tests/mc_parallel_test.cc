@@ -19,6 +19,7 @@ namespace fbsim {
 namespace {
 
 using test::doubleInterventionMoesi;
+using test::renderExploreResult;
 
 constexpr mc::SearchTuning kSerial{1, 1};
 
@@ -45,26 +46,6 @@ const std::vector<mc::SearchTuning> kFullMatrix =
 const std::vector<mc::SearchTuning> kParallelMatrix =
     tunings({2, 3, 4}, {64, mc::kSearchBatch});
 
-/** Everything a search returns, rendered: the graph, the cut and the
- *  counterexample in mc_explore's trace format. */
-template <class Result, class RenderState>
-std::string
-renderResult(const Result &r, RenderState render_state)
-{
-    std::string out = strprintf(
-        "nodes %zu edges %zu depth %zu fp %016llx/%016llx complete %d\n",
-        r.nodes, r.edges, r.depth,
-        static_cast<unsigned long long>(r.nodeFingerprint),
-        static_cast<unsigned long long>(r.edgeFingerprint),
-        static_cast<int>(r.complete));
-    if (!r.counterexample)
-        return out;
-    out += test::renderSteps(r.counterexample->steps);
-    for (const std::string &v : r.counterexample->violations)
-        out += v + '\n';
-    return out + render_state(r.counterexample->finalState) + '\n';
-}
-
 /** Run `cfg` at every tuning of `matrix`; each result must equal the
  *  serial one.  Returns the serial result. */
 template <class Cfg, class Explore, class RenderState>
@@ -75,10 +56,10 @@ expectSameAtEveryTuning(const Cfg &cfg, Explore explore,
                         const std::string &what)
 {
     const auto want = explore(cfg, kSerial);
-    const std::string want_text = renderResult(want, render_state);
+    const std::string want_text = renderExploreResult(want, render_state);
     for (const mc::SearchTuning &t : matrix) {
         const auto got = explore(cfg, t);
-        EXPECT_EQ(renderResult(got, render_state), want_text)
+        EXPECT_EQ(renderExploreResult(got, render_state), want_text)
             << what << " at " << t.workers << " worker(s), batch "
             << t.batch;
         if (got.counterexample && want.counterexample) {

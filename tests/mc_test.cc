@@ -7,6 +7,8 @@
  * engine.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
@@ -575,6 +577,78 @@ TEST(McGolden, AbortPushMixFingerprint)
     EXPECT_FALSE(res.counterexample);
     expectGraph(res, 529, 12558, 6, 0x275a90a38dfcd2f1ull,
                 0x92eb1e5a7513fe86ull);
+}
+
+/** Every mix of `n` of the six protocols, with repetition, each in
+ *  kAllProtocolKinds order. */
+std::vector<std::vector<const ProtocolTable *>>
+classMixes(std::size_t n)
+{
+    std::vector<std::vector<const ProtocolTable *>> out;
+    std::vector<std::size_t> pick(n, 0);
+    const std::size_t kinds = std::size(kAllProtocolKinds);
+    for (;;) {
+        std::vector<const ProtocolTable *> tables;
+        for (std::size_t k : pick)
+            tables.push_back(&protocolTable(kAllProtocolKinds[k]));
+        out.push_back(std::move(tables));
+        // Next non-decreasing index tuple.
+        std::size_t i = n;
+        while (i > 0 && pick[i - 1] + 1 == kinds)
+            --i;
+        if (i == 0)
+            return out;
+        ++pick[i - 1];
+        std::fill(pick.begin() + static_cast<std::ptrdiff_t>(i),
+                  pick.end(), pick[i - 1]);
+    }
+}
+
+// One digest over every flat mix of the class at 2 and 3 caches x 1 and
+// 2 lines, and every 3-cache mix as a 2 + 1 hierarchy at 1 and 2 lines:
+// each search's graph, cut and counterexample (steps, choices,
+// violations, final-state render).  The mixes that pair Write-Once with
+// an owner, and the abort protocols under a bridge, end in
+// counterexamples, so the pin covers where a search stops as well as
+// the complete graphs.
+TEST(McGolden, ClassSweepIsPinned)
+{
+    std::string all;
+    std::size_t explores = 0;
+    std::size_t counterexamples = 0;
+    for (std::size_t lines : {1u, 2u}) {
+        for (std::size_t caches : {2u, 3u}) {
+            for (const auto &tables : classMixes(caches)) {
+                mc::ExploreConfig cfg;
+                cfg.model.tables = tables;
+                cfg.model.lines = lines;
+                const mc::ExploreResult res = mc::explore(cfg);
+                all += test::renderExploreResult(
+                    res, [&](const mc::ModelState &st) {
+                        return mc::renderStateVector(cfg.model, st);
+                    });
+                ++explores;
+                counterexamples += res.counterexample.has_value();
+            }
+        }
+        for (const auto &tables : classMixes(3)) {
+            mc::HierExploreConfig cfg;
+            cfg.model.base.tables = tables;
+            cfg.model.base.lines = lines;
+            cfg.model.clusterOf = {0, 0, 1};
+            const mc::HierExploreResult res = mc::exploreHier(cfg);
+            all += test::renderExploreResult(
+                res, [&](const mc::HierModelState &st) {
+                    return mc::renderHierStateVector(cfg.model, st);
+                });
+            ++explores;
+            counterexamples += res.counterexample.has_value();
+        }
+    }
+    EXPECT_EQ(explores, 266u);
+    EXPECT_EQ(counterexamples, 128u);
+    EXPECT_EQ(test::fnv1a(all), 0xe221bcac2ddff5dcull)
+        << all.size() << " bytes";
 }
 
 } // namespace

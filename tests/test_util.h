@@ -135,6 +135,27 @@ renderSteps(const std::vector<mc::TraceStep> &steps)
     return out;
 }
 
+/** Everything a search returns, rendered: the graph, the cut and the
+ *  counterexample in mc_explore's trace format, its final state through
+ *  `render_state`. */
+template <class Result, class RenderState>
+std::string
+renderExploreResult(const Result &r, RenderState render_state)
+{
+    std::string out = strprintf(
+        "nodes %zu edges %zu depth %zu fp %016llx/%016llx complete %d\n",
+        r.nodes, r.edges, r.depth,
+        static_cast<unsigned long long>(r.nodeFingerprint),
+        static_cast<unsigned long long>(r.edgeFingerprint),
+        static_cast<int>(r.complete));
+    if (!r.counterexample)
+        return out;
+    out += renderSteps(r.counterexample->steps);
+    for (const std::string &v : r.counterexample->violations)
+        out += v + '\n';
+    return out + render_state(r.counterexample->finalState) + '\n';
+}
+
 /** MOESI whose S also intervenes on a plain read (column 5: S,CH,DI),
  *  so two sharers answer one read with DI. */
 inline ProtocolTable
