@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "bench_util.h"
 #include "common/random.h"
 #include "hier/hier_system.h"
@@ -135,6 +137,33 @@ BM_PrivateMissFanoutExhaustive(benchmark::State &state)
     privateMissFanout(state, false);
 }
 BENCHMARK(BM_PrivateMissFanoutExhaustive)->Arg(2)->Arg(8)->Arg(32);
+
+/**
+ * Reference generation alone: 8 default-parameter [Arch85] streams of
+ * 20,000 refs each, read through nextBatch(64) as the speculative
+ * engine fetches them (items = refs).
+ */
+void
+BM_Arch85Generate(benchmark::State &state)
+{
+    constexpr std::size_t kProcs = 8;
+    constexpr std::size_t kRefs = 20000;
+    constexpr std::size_t kBatch = 64;
+    Arch85Params params;
+    std::vector<ProcRef> buf(kBatch);
+    for (auto _ : state) {
+        auto streams = makeArch85Streams(params, kProcs, 1);
+        for (auto &s : streams) {
+            for (std::size_t at = 0; at < kRefs; at += kBatch) {
+                s->nextBatch(buf.data(), std::min(kBatch, kRefs - at));
+                benchmark::DoNotOptimize(buf.data());
+                benchmark::ClobberMemory();
+            }
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * kProcs * kRefs);
+}
+BENCHMARK(BM_Arch85Generate);
 
 /** End-to-end timed engine throughput (references per second). */
 void

@@ -44,7 +44,7 @@ class ScatteredBlockWorkload : public RefStream
     ProcRef
     next() override
     {
-        std::size_t depth = rng_.geometric(0.5);
+        std::size_t depth = depth_.draw(rng_);
         std::size_t block = depth % blocks_;
         Addr base = (1ull << 30) + proc_ * blocks_ * 256 + block * 256;
         ProcRef ref;
@@ -57,6 +57,7 @@ class ScatteredBlockWorkload : public RefStream
     std::size_t blocks_;
     double pWrite_;
     std::size_t proc_;
+    Geometric depth_{0.5};
     Rng rng_;
 };
 

@@ -79,39 +79,24 @@ warnLimiter()
 
 } // namespace
 
-void
-warnImpl(const char *fmt, ...)
+bool
+warnSiteAdmit(const char *file, int line)
 {
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrprintf(fmt, ap);
-    va_end(ap);
-    {
-        WarnLimiter &wl = warnLimiter();
-        std::lock_guard<std::mutex> lock(wl.mu);
-        ++wl.stats.emitted;
+    WarnLimiter &wl = warnLimiter();
+    std::lock_guard<std::mutex> lock(wl.mu);
+    std::uint64_t &count = wl.perSite[{file, line}];
+    ++count;
+    if (wl.limit != 0 && count > wl.limit) {
+        ++wl.stats.suppressed;
+        return false;
     }
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    ++wl.stats.emitted;
+    return true;
 }
 
 void
-warnAtImpl(const char *file, int line, const char *fmt, ...)
+warnPrint(const char *fmt, ...)
 {
-    bool print = true;
-    {
-        WarnLimiter &wl = warnLimiter();
-        std::lock_guard<std::mutex> lock(wl.mu);
-        std::uint64_t &count = wl.perSite[{file, line}];
-        ++count;
-        if (wl.limit != 0 && count > wl.limit) {
-            ++wl.stats.suppressed;
-            print = false;
-        } else {
-            ++wl.stats.emitted;
-        }
-    }
-    if (!print)
-        return;
     va_list ap;
     va_start(ap, fmt);
     std::string msg = vstrprintf(fmt, ap);

@@ -28,17 +28,19 @@ namespace fbsim {
 [[noreturn]] void fatalImpl(const char *file, int line, const char *fmt, ...)
     __attribute__((format(printf, 3, 4)));
 
-void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
 /**
- * Rate-limited warning keyed by emitting site (file:line).  Once a
- * site has emitted warnSiteLimit() messages (kDefaultWarnSiteLimit
- * unless changed), further ones from the same site are counted but not
- * printed; warnSuppressionSummary() reports "suppressed N similar
- * messages" per muted site.  A limit of 0 disables suppression.
+ * Rate-limited warnings keyed by emitting site (file:line), the two
+ * halves of fbsim_warn.  warnSiteAdmit() counts one call at the site
+ * and says whether it may print: once a site has emitted
+ * warnSiteLimit() messages (kDefaultWarnSiteLimit unless changed),
+ * further calls are counted as suppressed, and
+ * warnSuppressionSummary() reports "suppressed N similar messages" per
+ * muted site.  A limit of 0 disables suppression.  warnPrint()
+ * formats and prints an admitted message.
  */
-void warnAtImpl(const char *file, int line, const char *fmt, ...)
-    __attribute__((format(printf, 3, 4)));
+bool warnSiteAdmit(const char *file, int line);
+
+void warnPrint(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
@@ -79,7 +81,13 @@ std::string strprintf(const char *fmt, ...)
 
 #define fbsim_panic(...) ::fbsim::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define fbsim_fatal(...) ::fbsim::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
-#define fbsim_warn(...) ::fbsim::warnAtImpl(__FILE__, __LINE__, __VA_ARGS__)
+/** Rate-limited warning: the site's budget is taken first, so a muted
+ *  site neither evaluates nor formats its arguments. */
+#define fbsim_warn(...)                                                      \
+    do {                                                                     \
+        if (::fbsim::warnSiteAdmit(__FILE__, __LINE__))                      \
+            ::fbsim::warnPrint(__VA_ARGS__);                                 \
+    } while (0)
 
 /** Assert a simulator invariant; on failure panic with the condition. */
 #define fbsim_assert(cond, ...)                                              \

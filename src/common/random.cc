@@ -28,40 +28,44 @@ Rng::Rng(std::uint64_t seed)
         s = splitmix64(x);
 }
 
-void
-Rng::geometricRetune(double p)
+Rng
+Rng::fork()
+{
+    return Rng(next() ^ 0xd1b54a32d192ed03ull);
+}
+
+Geometric::Geometric(double p)
 {
     fbsim_assert(p > 0.0 && p <= 1.0);
-    geomP_ = p;
-    if (p >= 1.0)
+    certain_ = p >= 1.0;
+    if (certain_)
         return;
-    geomLogDenom_ = std::log1p(-p);
+    logDenom_ = std::log1p(-p);
     // cdf[k] = P(K <= k) = 1 - (1-p)^(k+1), stored as the smallest
-    // 53-bit draw NOT accepted at k (see geometric()).
+    // 53-bit draw NOT accepted at k (see the class comment).
     double q = 1.0 - p;
     double qk = 1.0;
-    for (std::size_t k = 0; k < kGeomTable; ++k) {
+    for (std::size_t k = 0; k < kTable; ++k) {
         qk *= q;
-        geomThresh_[k] = static_cast<std::uint64_t>(
+        thresh_[k] = static_cast<std::uint64_t>(
             std::ceil((1.0 - qk) * 0x1.0p53));
     }
 }
 
 std::uint64_t
-Rng::geometricTail(double u)
+Geometric::walk(std::uint64_t r) const
 {
+    for (std::size_t k = kHead; k < kTable; ++k) {
+        if (r < thresh_[k])
+            return k;
+    }
     // Inverse transform; u in [0,1) keeps the log argument positive.
-    double k = std::floor(std::log1p(-u) / geomLogDenom_);
-    double floor_table = static_cast<double>(kGeomTable);
+    const double u = static_cast<double>(r) * 0x1.0p-53;
+    double k = std::floor(std::log1p(-u) / logDenom_);
+    const double floor_table = static_cast<double>(kTable);
     if (k < floor_table)
         k = floor_table;
     return static_cast<std::uint64_t>(k);
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next() ^ 0xd1b54a32d192ed03ull);
 }
 
 } // namespace fbsim

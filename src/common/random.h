@@ -105,26 +105,6 @@ class Rng
         return next() < static_cast<std::uint64_t>(p * 0x1.0p64);
     }
 
-    /**
-     * Geometric re-reference distance: returns k >= 0 with
-     * P(k) = p * (1-p)^k; used for temporal locality in workloads.
-     */
-    std::uint64_t geometric(double p)
-    {
-        if (p != geomP_)
-            geometricRetune(p);
-        if (p >= 1.0)
-            return 0;
-        // r/2^53 is the uniform draw; r < ceil(cdf * 2^53) is exactly
-        // u < cdf for integer r, so the walk never touches a double.
-        const std::uint64_t r = next() >> 11;
-        for (std::size_t k = 0; k < kGeomTable; ++k) {
-            if (r < geomThresh_[k])
-                return k;
-        }
-        return geometricTail(static_cast<double>(r) * 0x1.0p-53);
-    }
-
     /** Fork an independent stream (e.g., one per processor). */
     Rng fork();
 
@@ -168,18 +148,62 @@ class Rng
         return (x << k) | (x >> (64 - k));
     }
 
-    void geometricRetune(double p);
-    std::uint64_t geometricTail(double u);
-
     std::uint64_t s_[4];
-    // geometric() inverts the CDF by walking a memoized threshold
-    // table (thresh[k] = ceil((1 - (1-p)^(k+1)) * 2^53)): one raw
-    // draw per call and no per-draw transcendental.  Draws landing
-    // beyond the table fall back to the log-based inversion.
-    static constexpr std::size_t kGeomTable = 32;
-    double geomP_ = -1.0;
-    double geomLogDenom_ = 0.0;
-    std::array<std::uint64_t, kGeomTable> geomThresh_{};
+};
+
+/**
+ * Geometric re-reference distance: k >= 0 with P(k) = p * (1-p)^k,
+ * the workloads' temporal-locality depth.  Built once per stream for
+ * its fixed p and immutable after, so the draw reads a table and
+ * never re-tunes it.
+ *
+ * A draw inverts the CDF on the top 53 bits r of one raw word: k is
+ * the first index with r < t_k, where t_k = ceil((1 - (1-p)^(k+1)) *
+ * 2^53) is the smallest draw not accepted at k (for integer r that is
+ * exactly u < cdf, so no double is touched).  Because t_k never
+ * decreases in k, the number of t_0..t_3 that r reaches equals that
+ * first index whenever it is below 4: index() adds four compares
+ * without a branch, and only the draws past all four ((1-p)^4 of
+ * them, 2.6% at p = 0.6) resume the walk at entry 4.  Draws past the
+ * table fall back to the log-based inversion.
+ */
+class Geometric
+{
+  public:
+    /** @param p success probability, in (0, 1]. */
+    explicit Geometric(double p);
+
+    /** One draw from `rng`; p == 1 gives 0 and consumes no word. */
+    std::uint64_t draw(Rng &rng) const
+    {
+        if (certain_)
+            return 0;
+        return index(rng.next() >> 11);
+    }
+
+    /** The depth the 53-bit uniform draw `r` maps to. */
+    std::uint64_t index(std::uint64_t r) const
+    {
+        const std::uint64_t k = std::uint64_t{r >= thresh_[0]} +
+                                std::uint64_t{r >= thresh_[1]} +
+                                std::uint64_t{r >= thresh_[2]} +
+                                std::uint64_t{r >= thresh_[3]};
+        if (k < kHead) [[likely]]
+            return k;
+        return walk(r);
+    }
+
+  private:
+    static constexpr std::size_t kHead = 4;
+    static constexpr std::size_t kTable = 32;
+
+    /** index() past the head: the walk from entry kHead, then the
+     *  log tail. */
+    std::uint64_t walk(std::uint64_t r) const;
+
+    std::array<std::uint64_t, kTable> thresh_{};
+    double logDenom_ = 0.0;
+    bool certain_ = false;
 };
 
 } // namespace fbsim

@@ -275,6 +275,9 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
     };
     struct SpecProc
     {
+        /** Fetched refs [bufBase, fetched) at the front; the rest is
+         *  spare room the fetches write into, so a fetch never
+         *  value-initializes a slot. */
         std::vector<ProcRef> buf;
         /** Frame each executed ref hit, parallel to buf: the deferred
          *  replacement touches commitRange applies. */
@@ -409,14 +412,20 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
                 }
             }
             if (g == fetched) {
-                std::uint64_t batch = std::min<std::uint64_t>(
+                const std::uint64_t batch = std::min<std::uint64_t>(
                     kFetchBatch, refs_per_proc - fetched);
-                std::size_t at = p.buf.size();
-                p.buf.resize(at + batch);
-                p.frames.resize(at + batch);
+                const std::size_t at = fetched - bufBase;
+                if (at + batch > p.buf.size()) {
+                    // The buffers only grow, geometrically; slots past
+                    // `fetched` are scratch the next fetch overwrites.
+                    const std::size_t cap = std::max<std::size_t>(
+                        2 * p.buf.size(), at + kFetchBatch);
+                    p.buf.resize(cap);
+                    p.frames.resize(cap);
+                    buf = p.buf.data();
+                    frames = p.frames.data();
+                }
                 stream.nextBatch(p.buf.data() + at, batch);
-                buf = p.buf.data();
-                frames = p.frames.data();
                 fetched += batch;
             }
             const ProcRef ref = buf[g - bufBase];
@@ -579,10 +588,16 @@ Engine::runSpeculative(const std::vector<RefStream *> &streams,
             p.pendHead = 0;
         }
         if (p.commitPos - p.bufBase >= kCompactAt) {
+            // Slide the live refs [commitPos, fetched) to the front;
+            // the buffers keep their size.
             const auto dead =
                 static_cast<std::ptrdiff_t>(p.commitPos - p.bufBase);
-            p.buf.erase(p.buf.begin(), p.buf.begin() + dead);
-            p.frames.erase(p.frames.begin(), p.frames.begin() + dead);
+            const auto live =
+                static_cast<std::ptrdiff_t>(p.fetched - p.bufBase);
+            std::copy(p.buf.begin() + dead, p.buf.begin() + live,
+                      p.buf.begin());
+            std::copy(p.frames.begin() + dead, p.frames.begin() + live,
+                      p.frames.begin());
             p.bufBase = p.commitPos;
         }
     };

@@ -8,6 +8,7 @@
 #ifndef FBSIM_TRACE_REF_STREAM_H_
 #define FBSIM_TRACE_REF_STREAM_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 
@@ -61,16 +62,23 @@ class SpanStream : public RefStream
     next() override
     {
         ProcRef r = refs_[pos_];
-        pos_ = (pos_ + 1) % refs_.size();
+        if (++pos_ == refs_.size())
+            pos_ = 0;
         return r;
     }
 
+    /** Copies contiguous runs up to the span's end, wrapping by
+     *  compare (no division per reference). */
     void
     nextBatch(ProcRef *out, std::size_t n) override
     {
-        for (std::size_t k = 0; k < n; ++k) {
-            out[k] = refs_[pos_];
-            pos_ = (pos_ + 1) % refs_.size();
+        while (n > 0) {
+            const std::size_t run = std::min(n, refs_.size() - pos_);
+            out = std::copy_n(refs_.data() + pos_, run, out);
+            n -= run;
+            pos_ += run;
+            if (pos_ == refs_.size())
+                pos_ = 0;
         }
     }
 

@@ -29,7 +29,7 @@ chanceThreshold(double p)
 
 Arch85Workload::Arch85Workload(const Arch85Params &params,
                                std::size_t proc, std::uint64_t seed)
-    : params_(params), proc_(proc),
+    : params_(params), proc_(proc), depth_(params.pLocality),
       rng_(seed ^ (0x51ed2701ull * (proc + 1)))
 {
     fbsim_assert(params.sharedLines > 0);
@@ -60,7 +60,7 @@ Arch85Workload::next()
         ref.write = rng_.next() < sharedWriteThresh_;
     } else {
         // Geometric stack distance approximates LRU temporal locality.
-        std::size_t depth = rng_.geometric(params_.pLocality);
+        std::size_t depth = depth_.draw(rng_);
         // Nearly every draw is shallower than the pool, so the wrap
         // division is skipped unless actually needed.
         std::size_t line = depth < params_.privateLines
@@ -76,27 +76,38 @@ Arch85Workload::next()
 void
 Arch85Workload::nextBatch(ProcRef *out, std::size_t n)
 {
-    // Same draw sequence as n calls to next(); the generator state,
-    // thresholds and bases live in registers across the loop.
-    const std::size_t words = params_.lineBytes / kWordBytes;
+    // Same draw sequence as n calls to next().  Everything the loop
+    // reads but the depth table is a local, the generator state
+    // included: a store through `out` could alias a member, so members
+    // would reload (and the generator state round-trip through memory)
+    // every reference.
+    Rng rng = rng_;
+    const std::uint64_t sharedThresh = sharedThresh_;
+    const std::uint64_t sharedWriteThresh = sharedWriteThresh_;
+    const std::uint64_t privateWriteThresh = privateWriteThresh_;
+    const std::size_t sharedLines = params_.sharedLines;
+    const std::size_t privateLines = params_.privateLines;
+    const std::size_t lineBytes = params_.lineBytes;
+    const Addr privateBase = privateBase_;
+    const std::size_t words = lineBytes / kWordBytes;
     for (std::size_t k = 0; k < n; ++k) {
         ProcRef ref;
-        if (rng_.next() < sharedThresh_) {
-            std::size_t line = rng_.below(params_.sharedLines);
-            Addr base = sharedBase() + line * params_.lineBytes;
-            ref.addr = base + rng_.below(words) * kWordBytes;
-            ref.write = rng_.next() < sharedWriteThresh_;
+        if (rng.next() < sharedThresh) {
+            std::size_t line = rng.below(sharedLines);
+            Addr base = sharedBase() + line * lineBytes;
+            ref.addr = base + rng.below(words) * kWordBytes;
+            ref.write = rng.next() < sharedWriteThresh;
         } else {
-            std::size_t depth = rng_.geometric(params_.pLocality);
-            std::size_t line = depth < params_.privateLines
-                                   ? depth
-                                   : depth % params_.privateLines;
-            Addr base = privateBase_ + line * params_.lineBytes;
-            ref.addr = base + rng_.below(words) * kWordBytes;
-            ref.write = rng_.next() < privateWriteThresh_;
+            std::size_t depth = depth_.draw(rng);
+            std::size_t line =
+                depth < privateLines ? depth : depth % privateLines;
+            Addr base = privateBase + line * lineBytes;
+            ref.addr = base + rng.below(words) * kWordBytes;
+            ref.write = rng.next() < privateWriteThresh;
         }
         out[k] = ref;
     }
+    rng_ = rng;
 }
 
 PingPongWorkload::PingPongWorkload(std::size_t line_bytes,

@@ -84,6 +84,7 @@ class Arch85Workload : public RefStream
     std::uint64_t sharedThresh_;
     std::uint64_t sharedWriteThresh_;
     std::uint64_t privateWriteThresh_;
+    Geometric depth_;   ///< private stack distance, P = pLocality
     Rng rng_;
 };
 

@@ -142,6 +142,50 @@ TEST(EngineTest, WriteThroughLoadsTheBusMoreThanCopyBack)
     EXPECT_GT(bus_util(true), bus_util(false));
 }
 
+TEST(EngineTest, StreamsEndExactlyRefsPerProcDeep)
+{
+    // The speculative loop fetches references 64 at a time; no loop
+    // may read past refs_per_proc.  After a run each stream's next
+    // next() is element refs_per_proc of its sequence (read from a
+    // twin stream of the same seed).
+    for (EngineOrdering ordering :
+         {EngineOrdering::Strict, EngineOrdering::PerLine,
+          EngineOrdering::Interleaved}) {
+        for (std::uint64_t refs : {1u, 63u, 64u, 65u, 130u}) {
+            System sys(timedConfig());
+            for (std::size_t i = 0; i < 4; ++i) {
+                CacheSpec spec = test::smallCache();
+                spec.numSets = 16;
+                spec.seed = i + 1;
+                sys.addCache(spec);
+            }
+            Arch85Params params;
+            auto streams = makeArch85Streams(params, 4, 13);
+            auto twins = makeArch85Streams(params, 4, 13);
+            std::vector<RefStream *> raw;
+            for (auto &s : streams)
+                raw.push_back(s.get());
+
+            EngineConfig ec;
+            ec.ordering = ordering;
+            Engine engine(sys, ec);
+            EngineResult r = engine.run(raw, refs);
+            ASSERT_EQ(r.procs.size(), 4u);
+            for (std::size_t i = 0; i < 4; ++i) {
+                EXPECT_EQ(r.procs[i].refs, refs);
+                for (std::uint64_t k = 0; k < refs; ++k)
+                    twins[i]->next();
+                const ProcRef want = twins[i]->next();
+                const ProcRef got = streams[i]->next();
+                EXPECT_EQ(got.addr, want.addr)
+                    << "ordering " << static_cast<int>(ordering)
+                    << " refs " << refs << " proc " << i;
+                EXPECT_EQ(got.write, want.write);
+            }
+        }
+    }
+}
+
 TEST(EngineTest, ExpiredDeadlineStopsBeforeAnyReference)
 {
     // Every loop polls before its first access, so an already-expired

@@ -374,6 +374,37 @@ TEST(WarnLimiterTest, SuppressesPerSiteBeyondLimitAndSummarizes)
     resetWarnStats();
 }
 
+TEST(WarnLimiterTest, MutedSiteEvaluatesNoArguments)
+{
+    // A site's budget is taken before its arguments are evaluated, so
+    // a muted call neither evaluates nor formats them; the counts and
+    // the summary (one line per muted site, in file:line order) are
+    // as before.
+    resetWarnStats();
+    setWarnSiteLimit(2);
+    int evaluated = 0;
+    auto arg = [&evaluated] { return ++evaluated; };
+    // The later site warns first in every round; the summary still
+    // lists the earlier line first.
+    int early = 0, late = 0;
+    auto warnEarly = [&] {
+        fbsim_warn("early site %d", arg()); early = __LINE__;
+    };
+    for (int i = 0; i < 5; ++i) {
+        fbsim_warn("late site %d", arg()); late = __LINE__;
+        warnEarly();
+    }
+    EXPECT_EQ(evaluated, 4);
+    EXPECT_EQ(warnStats().emitted, 4u);
+    EXPECT_EQ(warnStats().suppressed, 6u);
+    EXPECT_EQ(warnSuppressionSummary(),
+              strprintf("warn: suppressed 3 similar messages from %s:%d\n"
+                        "warn: suppressed 3 similar messages from %s:%d\n",
+                        __FILE__, early, __FILE__, late));
+    setWarnSiteLimit(kDefaultWarnSiteLimit);
+    resetWarnStats();
+}
+
 // ---------------------------------------------------------------- //
 // Perfetto trace export
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "trace/trace_io.h"
@@ -274,6 +275,93 @@ TEST(WorkloadTest, SpanStreamCycles)
     EXPECT_EQ(s.next().addr, 8u);
     EXPECT_EQ(s.next().addr, 16u);
     EXPECT_EQ(s.next().addr, 8u);
+
+    // Batches that end short of, exactly at and past the span's end
+    // reproduce the cyclic sequence, also interleaved with next().
+    for (std::size_t len : {1u, 3u, 64u, 100u}) {
+        std::vector<ProcRef> span(len);
+        for (std::size_t i = 0; i < len; ++i)
+            span[i] = {i % 3 == 0, 8 * i};
+        for (std::size_t batch : {1u, 63u, 64u, 65u}) {
+            SpanStream stream(span);
+            std::vector<ProcRef> out(batch);
+            std::size_t at = 0;
+            for (int round = 0; round < 5; ++round) {
+                stream.nextBatch(out.data(), batch);
+                for (std::size_t k = 0; k < batch; ++k, ++at) {
+                    ASSERT_EQ(out[k].addr, span[at % len].addr)
+                        << "len " << len << " batch " << batch;
+                    ASSERT_EQ(out[k].write, span[at % len].write);
+                }
+                ASSERT_EQ(stream.next().addr, span[at++ % len].addr);
+            }
+        }
+    }
+}
+
+/** FNV-1a over the eight little-endian bytes of `v`. */
+std::uint64_t
+foldWord(std::uint64_t h, std::uint64_t v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(WorkloadTest, Arch85StreamsArePinned)
+{
+    // makeArch85Streams at seed 1, 8 processors x 20,000 refs, at the
+    // default parameters and at the fault campaign's sharing (pShared
+    // 0.3 over 12 lines).  The digests of the pure next() streams were
+    // recorded before the geometric draw moved into Geometric; a twin
+    // read through a mix of next() and nextBatch() of 1, 7, 64 and 65
+    // must yield the same references.
+    struct Case
+    {
+        double pShared;
+        std::size_t sharedLines;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {{0.05, 16, 0x5a93cb6c2ca066a9ull},
+                          {0.3, 12, 0xe46e28759e075ecbull}};
+    constexpr std::size_t kProcs = 8;
+    constexpr std::size_t kRefs = 20000;
+    const std::size_t batches[] = {1, 7, 64, 65};
+    for (const Case &c : cases) {
+        Arch85Params params;
+        params.pShared = c.pShared;
+        params.sharedLines = c.sharedLines;
+        auto pure = makeArch85Streams(params, kProcs, 1);
+        auto mixed = makeArch85Streams(params, kProcs, 1);
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (std::size_t p = 0; p < kProcs; ++p) {
+            std::vector<ProcRef> want(kRefs), got(kRefs);
+            for (ProcRef &r : want) {
+                r = pure[p]->next();
+                h = foldWord(h, (r.addr << 1) | (r.write ? 1 : 0));
+            }
+            std::size_t at = 0;
+            for (std::size_t turn = p; at < kRefs; ++turn) {
+                if (turn % 5 == 4) {
+                    got[at++] = mixed[p]->next();
+                    continue;
+                }
+                const std::size_t n =
+                    std::min(batches[turn % 5], kRefs - at);
+                mixed[p]->nextBatch(got.data() + at, n);
+                at += n;
+            }
+            std::size_t differ = 0;
+            for (std::size_t k = 0; k < kRefs; ++k)
+                differ += got[k].addr != want[k].addr ||
+                          got[k].write != want[k].write;
+            EXPECT_EQ(differ, 0u) << "pShared " << c.pShared << " proc "
+                                  << p;
+        }
+        EXPECT_EQ(h, c.digest) << "pShared " << c.pShared;
+    }
 }
 
 } // namespace
