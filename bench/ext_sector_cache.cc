@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "cache/sector_store.h"
 #include "common/random.h"
 
 using namespace fbsim;

@@ -189,6 +189,40 @@ BM_EngineThroughput(benchmark::State &state)
 }
 BENCHMARK(BM_EngineThroughput)->Arg(2)->Arg(8)->Arg(32);
 
+/**
+ * BM_EngineThroughput's workload on sector caches (Strict): K = 4,
+ * 16 sets x 2 ways, the 128-line capacity of the 64 x 2 plain caches.
+ */
+void
+BM_SectorEngineThroughput(benchmark::State &state)
+{
+    std::size_t procs = state.range(0);
+    Arch85Params params;
+    std::uint64_t total = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        System sys{SystemConfig{}};
+        for (std::size_t i = 0; i < procs; ++i) {
+            CacheSpec spec;
+            spec.numSets = 16;
+            spec.assoc = 2;
+            spec.seed = i + 1;
+            sys.addSectorCache(spec, 4);
+        }
+        auto streams = makeArch85Streams(params, procs, 3);
+        std::vector<RefStream *> raw;
+        for (auto &s : streams)
+            raw.push_back(s.get());
+        state.ResumeTiming();
+        Engine engine(sys, {});
+        EngineResult r = engine.run(raw, 2000);
+        benchmark::DoNotOptimize(r.elapsed);
+        total += 2000 * procs;
+    }
+    state.SetItemsProcessed(total);
+}
+BENCHMARK(BM_SectorEngineThroughput)->Arg(8);
+
 /** Engine throughput pinned to one ordering mode. */
 void
 engineThroughputOrdered(benchmark::State &state, EngineOrdering ordering)

@@ -24,6 +24,9 @@ CacheGeometry::validate() const
         fbsim_fatal("set count %zu must be a power of two", numSets);
     if (assoc == 0)
         fbsim_fatal("associativity must be at least 1");
+    if (!isPow2(linesPerSector))
+        fbsim_fatal("subsector count %zu must be a power of two",
+                    linesPerSector);
 }
 
 } // namespace fbsim

@@ -1,7 +1,15 @@
 /**
  * @file
- * Set-associative tag/data store with MOESI per-line state: the
- * conventional LineStore.
+ * The cache's line store: a set-associative array of frames, each
+ * holding one tag's linesPerSector (K) consecutive lines with a MOESI
+ * state per line.
+ *
+ * K = 1 is the conventional cache.  K > 1 is section 5.1's sector
+ * cache [Hill84]: one address tag per sector of K transfer subsectors
+ * (each a system line), so consistency status lives with the transfer
+ * subsector exactly as the paper concludes it must, and allocation is
+ * sector-granular - a new sector evicts every valid line of its frame.
+ * LRU recency and the section 5.2 near-replacement test are per frame.
  *
  * The tag store is purely mechanical: lookup, LRU victim selection
  * and fills.  All protocol decisions (what state to enter, when to
@@ -9,11 +17,13 @@
  *
  * Layout is data-oriented: alongside the CacheLine objects (which own
  * the data words) the store keeps struct-of-arrays metadata - packed
- * tags, packed u8 states and per-frame epochs - so the per-access scan
+ * tags, packed u8 states and per-line epochs - so the per-access scan
  * touches a few contiguous words instead of striding over CacheLine
- * objects.  The epoch counter makes bulk invalidation (quarantine
- * reintegration) O(1): bumping it invalidates every frame at once, and
- * stale frames are repaired lazily the next time victimFor() meets
+ * objects.  Line slot (frame << log2 K) + subsector holds a frame's
+ * lines in line order; at K = 1 that is a shift by 0 and a mask of 0.
+ * The epoch counter makes bulk invalidation (quarantine
+ * reintegration) O(1): bumping it invalidates every line at once, and
+ * stale slots are repaired lazily the next time victimFor() meets
  * them.  All consistency-state changes must go through setState() /
  * install() so the packed mirrors never diverge from CacheLine::state.
  */
@@ -25,17 +35,23 @@
 #include <vector>
 
 #include "cache/geometry.h"
-#include "cache/line_store.h"
 #include "cache/lru_stamps.h"
+#include "core/state.h"
 
 namespace fbsim {
 
-/**
- * A set-associative array of CacheLine with LRU replacement.  Final,
- * so calls through a TagStore pointer or reference bind directly and
- * the hot lookups inline.
- */
-class TagStore final : public LineStore
+/** One cache line: tag, consistency state and data words. */
+struct CacheLine
+{
+    LineAddr addr = 0;        ///< full line address (tag + index)
+    State state = State::I;
+    std::vector<Word> data;   ///< wordsPerLine() words once allocated
+
+    bool valid() const { return isValid(state); }
+};
+
+/** A set-associative array of CacheLine frames with LRU replacement. */
+class TagStore
 {
   public:
     /** @param geometry cache shape (validated here). */
@@ -44,31 +60,27 @@ class TagStore final : public LineStore
     TagStore(const TagStore &) = delete;
     TagStore &operator=(const TagStore &) = delete;
 
-    const CacheGeometry &geometry() const { return geom_; }
-
-    std::size_t
-    wordsPerLine() const override
-    {
-        return geom_.wordsPerLine();
-    }
+    /** Words per line (the system line size). */
+    std::size_t wordsPerLine() const { return geom_.wordsPerLine(); }
 
     /** Find the line holding `la` in any valid state; null on miss. */
     CacheLine *
-    find(LineAddr la) override
+    find(LineAddr la)
     {
         // Last-hit shortcut: lookups cluster heavily on the line just
         // touched (snoop + commit of one transaction, read-then-write
         // sequences).  lines_ never reallocates; the shortcut can only
-        // hold a frame that was current when cached, and setState()
-        // flips CacheLine::state to I before a frame ever goes stale
+        // hold a line that was current when cached, and setState()
+        // flips CacheLine::state to I before a line ever goes stale
         // through it, while bulkInvalidate() drops the shortcut
         // entirely - so the valid + tag check cannot lie.
         if (lastHit_ && lastHit_->valid() && lastHit_->addr == la)
             return lastHit_;
-        std::size_t base = geom_.setOf(la) * geom_.assoc;
-        for (std::size_t w = 0; w < geom_.assoc; ++w) {
-            if (tags_[base + w] == la && epochOf_[base + w] == epoch_) {
-                lastHit_ = &lines_[base + w];
+        std::size_t idx = slot(firstFrame(la), la);
+        for (std::size_t w = 0; w < geom_.assoc;
+             ++w, idx += geom_.linesPerSector) {
+            if (tags_[idx] == la && epochOf_[idx] == epoch_) {
+                lastHit_ = &lines_[idx];
                 return lastHit_;
             }
         }
@@ -77,7 +89,7 @@ class TagStore final : public LineStore
 
     /** Const lookup for checkers/inspection; null on miss. */
     const CacheLine *
-    peek(LineAddr la) const override
+    peek(LineAddr la) const
     {
         return const_cast<TagStore *>(this)->find(la);
     }
@@ -89,29 +101,38 @@ class TagStore final : public LineStore
      * a couple of contiguous loads.
      */
     State
-    stateOf(LineAddr la) const override
+    stateOf(LineAddr la) const
     {
-        std::size_t base = geom_.setOf(la) * geom_.assoc;
-        for (std::size_t w = 0; w < geom_.assoc; ++w) {
-            if (tags_[base + w] == la && epochOf_[base + w] == epoch_)
-                return static_cast<State>(states_[base + w]);
+        std::size_t idx = slot(firstFrame(la), la);
+        for (std::size_t w = 0; w < geom_.assoc;
+             ++w, idx += geom_.linesPerSector) {
+            if (tags_[idx] == la && epochOf_[idx] == epoch_)
+                return static_cast<State>(states_[idx]);
         }
         return State::I;
     }
 
     /**
-     * Line that a fill of `la` would use: an invalid way if the set has
-     * one, otherwise the replacement victim (which the controller must
-     * flush first if it is owned).  A frame invalidated wholesale by
-     * bulkInvalidate() is repaired (state forced to I) before being
-     * returned, so the caller may trust CacheLine::valid() on the
-     * result.  Never returns a valid line holding a different address
-     * than the victim's own.
+     * Slot that a fill of `la` (not resident) would use, in the frame
+     * chosen by: the frame already holding a valid line of la's
+     * sector (K > 1 only); else the first frame holding no valid line;
+     * else the set's LRU victim, whose valid lines evictionSet()
+     * names.  A slot invalidated wholesale by bulkInvalidate() is
+     * repaired (state forced to I) before being returned, so the
+     * caller may trust CacheLine::valid() on the result.
      */
     CacheLine &victimFor(LineAddr la);
 
-    /** The replacement victim when it is valid (one line at most). */
-    void evictionSet(LineAddr la, std::vector<CacheLine *> &out) override;
+    /**
+     * Replace `out`'s contents with the valid lines that must be
+     * evicted before `la` can be installed: every valid line of the
+     * LRU victim frame, in line order, or none when a frame is free
+     * or already holds la's sector.  The controller flushes each
+     * (pushing owned data) and invalidates it, then calls install().
+     * `out` is the caller's reusable scratch, so steady-state misses
+     * allocate nothing.
+     */
+    void evictionSet(LineAddr la, std::vector<CacheLine *> &out);
 
     /**
      * Install `la` into `line` (obtained from victimFor): resets tag,
@@ -121,7 +142,7 @@ class TagStore final : public LineStore
 
     /** install() into victimFor(la). */
     CacheLine &
-    install(LineAddr la, State s) override
+    install(LineAddr la, State s)
     {
         CacheLine &line = victimFor(la);
         install(line, la, s);
@@ -131,13 +152,14 @@ class TagStore final : public LineStore
     /**
      * Change a resident line's consistency state, keeping the packed
      * tag/state mirrors in sync.  This is the only legal way to mutate
-     * CacheLine::state outside install().
+     * CacheLine::state outside install().  The controller owns the
+     * bus-side bookkeeping (snoop-filter presence).
      */
     void
-    setState(CacheLine &line, State next) override
+    setState(CacheLine &line, State next)
     {
         std::size_t idx = static_cast<std::size_t>(&line - lines_.data());
-        bool was = frameValid(idx);
+        bool was = lineValid(idx);
         bool now = isValid(next);
         line.state = next;
         states_[idx] = static_cast<std::uint8_t>(next);
@@ -149,28 +171,33 @@ class TagStore final : public LineStore
 
     /**
      * Invalidate every line at once, in O(1): the epoch bump makes all
-     * frames stale without walking them.  Stale frames keep their old
-     * CacheLine::state until victimFor() repairs them, so callers must
-     * only observe lines through the store's epoch-aware API and must
-     * drop any raw CacheLine pointers they cached before the call.
+     * lines stale, and so every frame free, without walking them.
+     * Stale slots keep their old CacheLine::state until victimFor()
+     * repairs them, so callers must only observe lines through the
+     * store's epoch-aware API and must drop any raw CacheLine pointers
+     * they cached before the call.  No presence notifications are
+     * issued (the caller bulk-clears the bus side).
      */
-    void bulkInvalidate() override;
+    void bulkInvalidate();
 
     /** Record a hit for replacement bookkeeping. */
     void
-    touch(const CacheLine &line) override
+    touch(const CacheLine &line)
     {
         lru_.touch(frameOf(line));
     }
 
-    /** Near-replacement test for the section 5.2 refinement. */
-    bool nearReplacement(const CacheLine &line) const override;
+    /** Section 5.2 near-replacement probe: the line's frame is in the
+     *  cold half of its set by LRU recency.  Reads stamps only. */
+    bool nearReplacement(const CacheLine &line) const;
 
     /** Frame index of a resident line, for deferred touchFrames(). */
     std::uint32_t
     frameOf(const CacheLine &line) const
     {
-        return static_cast<std::uint32_t>(&line - lines_.data());
+        return static_cast<std::uint32_t>(
+            static_cast<std::size_t>(&line - lines_.data()) >>
+            geom_.sectorShift());
     }
 
     /** touch() each frame in order - speculated hits record their
@@ -183,31 +210,51 @@ class TagStore final : public LineStore
 
     /** Visit every valid line (for checkers and statistics). */
     void forEachValidLine(
-        const std::function<void(const CacheLine &)> &fn) const override;
+        const std::function<void(const CacheLine &)> &fn) const;
 
     /** Count of currently valid lines. */
-    std::size_t validLineCount() const override
+    std::size_t validLineCount() const
     { return static_cast<std::size_t>(validCount_); }
 
     /** Bulk-invalidation epoch (tests: proves reintegration is O(1)). */
     std::uint32_t epoch() const { return epoch_; }
 
   private:
-    /** Packed-tag sentinel: frame holds no valid line. */
+    /** Packed-tag sentinel: slot holds no valid line. */
     static constexpr LineAddr kNoTag = ~LineAddr{0};
 
+    /** Frame of way 0 in la's set. */
+    std::size_t
+    firstFrame(LineAddr la) const
+    {
+        return geom_.setOf(geom_.sectorOf(la)) * geom_.assoc;
+    }
+
+    /** la's line slot within `frame`. */
+    std::size_t
+    slot(std::size_t frame, LineAddr la) const
+    {
+        return (frame << geom_.sectorShift()) | geom_.subOf(la);
+    }
+
     bool
-    frameValid(std::size_t idx) const
+    lineValid(std::size_t idx) const
     {
         return tags_[idx] != kNoTag && epochOf_[idx] == epoch_;
     }
 
+    /** True when no line of `frame` is valid. */
+    bool frameFree(std::size_t frame) const;
+
+    /** True when `frame` holds a valid line of la's sector. */
+    bool holdsSectorOf(std::size_t frame, LineAddr la) const;
+
     CacheGeometry geom_;
-    LruStamps lru_;                  // one stamp per frame of lines_
-    std::vector<CacheLine> lines_;   // sets x ways, row-major
+    LruStamps lru_;                  // one stamp per frame
+    std::vector<CacheLine> lines_;   // sets x ways x K, row-major
     /** SoA metadata, parallel to lines_: packed tag (kNoTag when the
-     *  frame is invalid), packed u8 state, and the epoch the entry
-     *  belongs to.  A frame is valid iff its tag is real AND its epoch
+     *  line is invalid), packed u8 state, and the epoch the entry
+     *  belongs to.  A line is valid iff its tag is real AND its epoch
      *  is current. */
     std::vector<LineAddr> tags_;
     std::vector<std::uint8_t> states_;

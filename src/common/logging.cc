@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -59,15 +60,14 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
 
 namespace {
 
-// Per-site (file:line) emission bookkeeping for fbsim_warn.  Guarded
-// by a mutex because campaign workers warn concurrently; an ordered
-// map keeps the suppression summary deterministic.
+// Registry of fbsim_warn sites.  The mutex guards the site list;
+// campaign workers warn concurrently, and a site's counts are atomics
+// so that only its first call takes the lock.
 struct WarnLimiter
 {
     std::mutex mu;
-    unsigned limit = kDefaultWarnSiteLimit;   // 0 = unlimited
-    WarnStats stats;
-    std::map<std::pair<std::string, int>, std::uint64_t> perSite;
+    std::vector<WarnSite *> sites;
+    std::atomic<unsigned> limit{kDefaultWarnSiteLimit};   // 0 = unlimited
 };
 
 WarnLimiter &
@@ -79,18 +79,24 @@ warnLimiter()
 
 } // namespace
 
-bool
-warnSiteAdmit(const char *file, int line)
+WarnSite::WarnSite(const char *site_file, int site_line)
+    : file(site_file), line(site_line)
 {
     WarnLimiter &wl = warnLimiter();
     std::lock_guard<std::mutex> lock(wl.mu);
-    std::uint64_t &count = wl.perSite[{file, line}];
-    ++count;
-    if (wl.limit != 0 && count > wl.limit) {
-        ++wl.stats.suppressed;
+    wl.sites.push_back(this);
+}
+
+bool
+warnSiteAdmit(WarnSite &site)
+{
+    const std::uint64_t n =
+        site.calls.fetch_add(1, std::memory_order_relaxed) + 1;
+    const unsigned limit =
+        warnLimiter().limit.load(std::memory_order_relaxed);
+    if (limit != 0 && n > limit)
         return false;
-    }
-    ++wl.stats.emitted;
+    site.emitted.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
 
@@ -107,17 +113,13 @@ warnPrint(const char *fmt, ...)
 void
 setWarnSiteLimit(unsigned limit)
 {
-    WarnLimiter &wl = warnLimiter();
-    std::lock_guard<std::mutex> lock(wl.mu);
-    wl.limit = limit;
+    warnLimiter().limit.store(limit, std::memory_order_relaxed);
 }
 
 unsigned
 warnSiteLimit()
 {
-    WarnLimiter &wl = warnLimiter();
-    std::lock_guard<std::mutex> lock(wl.mu);
-    return wl.limit;
+    return warnLimiter().limit.load(std::memory_order_relaxed);
 }
 
 WarnStats
@@ -125,7 +127,13 @@ warnStats()
 {
     WarnLimiter &wl = warnLimiter();
     std::lock_guard<std::mutex> lock(wl.mu);
-    return wl.stats;
+    WarnStats stats;
+    for (const WarnSite *site : wl.sites) {
+        const std::uint64_t emitted = site->emitted.load();
+        stats.emitted += emitted;
+        stats.suppressed += site->calls.load() - emitted;
+    }
+    return stats;
 }
 
 void
@@ -133,8 +141,10 @@ resetWarnStats()
 {
     WarnLimiter &wl = warnLimiter();
     std::lock_guard<std::mutex> lock(wl.mu);
-    wl.stats = WarnStats();
-    wl.perSite.clear();
+    for (WarnSite *site : wl.sites) {
+        site->calls = 0;
+        site->emitted = 0;
+    }
 }
 
 std::string
@@ -143,15 +153,19 @@ warnSuppressionSummary()
     WarnLimiter &wl = warnLimiter();
     std::lock_guard<std::mutex> lock(wl.mu);
     std::string out;
-    if (wl.limit == 0)
+    const unsigned limit = wl.limit.load();
+    if (limit == 0)
         return out;
-    for (const auto &[site, count] : wl.perSite) {
-        if (count > wl.limit) {
+    // Ordered by (file, line), whatever order the sites first ran in.
+    std::map<std::pair<std::string_view, int>, std::uint64_t> calls;
+    for (const WarnSite *site : wl.sites)
+        calls[{site->file, site->line}] += site->calls.load();
+    for (const auto &[site, count] : calls) {
+        if (count > limit) {
             out += strprintf("warn: suppressed %llu similar messages "
                              "from %s:%d\n",
-                             static_cast<unsigned long long>(count -
-                                                             wl.limit),
-                             site.first.c_str(), site.second);
+                             static_cast<unsigned long long>(count - limit),
+                             site.first.data(), site.second);
         }
     }
     return out;

@@ -16,6 +16,7 @@
 #ifndef FBSIM_COMMON_LOGGING_H_
 #define FBSIM_COMMON_LOGGING_H_
 
+#include <atomic>
 #include <cstdarg>
 #include <cstdint>
 #include <string>
@@ -29,16 +30,32 @@ namespace fbsim {
     __attribute__((format(printf, 3, 4)));
 
 /**
- * Rate-limited warnings keyed by emitting site (file:line), the two
- * halves of fbsim_warn.  warnSiteAdmit() counts one call at the site
- * and says whether it may print: once a site has emitted
- * warnSiteLimit() messages (kDefaultWarnSiteLimit unless changed),
- * further calls are counted as suppressed, and
- * warnSuppressionSummary() reports "suppressed N similar messages" per
- * muted site.  A limit of 0 disables suppression.  warnPrint()
- * formats and prints an admitted message.
+ * One fbsim_warn site (file:line) and its call counts.  Each
+ * fbsim_warn expansion holds one as a function-local static, whose
+ * constructor registers it under the limiter's lock on the site's
+ * first call; every later call touches only these atomics.
  */
-bool warnSiteAdmit(const char *file, int line);
+struct WarnSite
+{
+    WarnSite(const char *site_file, int site_line);
+
+    const char *const file;
+    const int line;
+    std::atomic<std::uint64_t> calls{0};
+    std::atomic<std::uint64_t> emitted{0};
+};
+
+/**
+ * Rate-limited warnings keyed by emitting site, the two halves of
+ * fbsim_warn.  warnSiteAdmit() counts one call at the site and says
+ * whether it may print: once a site has emitted warnSiteLimit()
+ * messages (kDefaultWarnSiteLimit unless changed), further calls are
+ * counted as suppressed - one atomic increment, no lock and no
+ * allocation - and warnSuppressionSummary() reports "suppressed N
+ * similar messages" per muted site.  A limit of 0 disables
+ * suppression.  warnPrint() formats and prints an admitted message.
+ */
+bool warnSiteAdmit(WarnSite &site);
 
 void warnPrint(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
@@ -85,7 +102,8 @@ std::string strprintf(const char *fmt, ...)
  *  site neither evaluates nor formats its arguments. */
 #define fbsim_warn(...)                                                      \
     do {                                                                     \
-        if (::fbsim::warnSiteAdmit(__FILE__, __LINE__))                      \
+        static ::fbsim::WarnSite fbsim_warn_site_(__FILE__, __LINE__);       \
+        if (::fbsim::warnSiteAdmit(fbsim_warn_site_))                        \
             ::fbsim::warnPrint(__VA_ARGS__);                                 \
     } while (0)
 

@@ -11,32 +11,16 @@ SnoopingCache::SnoopingCache(MasterId id, Bus &bus,
                              const ProtocolTable &table,
                              std::unique_ptr<ActionChooser> chooser,
                              const SnoopingCacheConfig &config)
-    : SnoopingCache(id, bus, table, std::move(chooser),
-                    std::make_unique<TagStore>(config.geometry),
-                    config.geometry.lineBytes, config.kind,
-                    config.discardNearReplacement)
-{
-}
-
-SnoopingCache::SnoopingCache(MasterId id, Bus &bus,
-                             const ProtocolTable &table,
-                             std::unique_ptr<ActionChooser> chooser,
-                             std::unique_ptr<LineStore> store,
-                             std::size_t line_bytes, ClientKind kind,
-                             bool discard_near_replacement)
     : id_(id), bus_(bus), table_(table), chooser_(std::move(chooser)),
-      kind_(kind), discardNearReplacement_(discard_near_replacement),
-      lineBytes_(line_bytes), store_(std::move(store))
+      kind_(config.kind),
+      discardNearReplacement_(config.discardNearReplacement),
+      lineBytes_(config.geometry.lineBytes), store_(config.geometry)
 {
     fbsim_assert(chooser_ != nullptr);
-    fbsim_assert(store_ != nullptr);
     fbsim_assert(kind_ != ClientKind::NonCaching);
-    fbsim_assert(store_->wordsPerLine() == bus_.wordsPerLine());
-    fbsim_assert(lineBytes_ / kWordBytes == store_->wordsPerLine());
-    fbsim_assert((lineBytes_ & (lineBytes_ - 1)) == 0);
+    fbsim_assert(store_.wordsPerLine() == bus_.wordsPerLine());
     lineShift_ = static_cast<unsigned>(std::countr_zero(lineBytes_));
     memoize_ = chooser_->deterministic();
-    plain_ = dynamic_cast<TagStore *>(store_.get());
     updateFastPath();
     name_ = table_.name();
     if (kind_ == ClientKind::WriteThrough)
@@ -44,7 +28,7 @@ SnoopingCache::SnoopingCache(MasterId id, Bus &bus,
     std::vector<std::string> problems = table_.validate();
     if (!problems.empty())
         fbsim_fatal("protocol table invalid: %s", problems[0].c_str());
-    specSafe_ = memoize_ && plain_ != nullptr && !discardNearReplacement_;
+    specSafe_ = memoize_ && !discardNearReplacement_;
     // The exclusivity gate: no pure write hit from a shared state.
     for (State s : {State::O, State::S}) {
         if (specSafe_)
@@ -136,7 +120,7 @@ SnoopingCache::snoopAction(const CacheLine &line, BusEvent ev,
         action->next.resolve(true) != State::I &&
         (ev == BusEvent::BroadcastWriteCache ||
          ev == BusEvent::BroadcastWriteNoCache) &&
-        !isOwned(line.state) && store_->nearReplacement(line))
+        !isOwned(line.state) && store_.nearReplacement(line))
         return discard;
     return action;
 }
@@ -146,7 +130,7 @@ SnoopingCache::setLineState(CacheLine &line, State next)
 {
     bool was = isValid(line.state);
     bool now = isValid(next);
-    store_->setState(line, next);
+    store_.setState(line, next);
     if (was != now)
         bus_.notePresence(id_, line.addr, now);
 }
@@ -155,8 +139,7 @@ void
 SnoopingCache::updateFastPath()
 {
     fastLocal_ =
-        memoize_ && plain_ != nullptr && coverage_ == nullptr &&
-        !quarantined_;
+        memoize_ && coverage_ == nullptr && !quarantined_;
 }
 
 void
@@ -193,7 +176,7 @@ SnoopingCache::read(Addr addr)
             ++stats_.readHits;
             AccessOutcome o;
             o.value = l->data[wordIndexOf(addr)];
-            plain_->touch(*l);
+            store_.touch(*l);
             return o;
         }
     }
@@ -225,8 +208,8 @@ SnoopingCache::write(Addr addr, Word value)
             ++stats_.writeHits;
             l->data[wordIndexOf(addr)] = value;
             if (next != l->state)
-                plain_->setState(*l, next);
-            plain_->touch(*l);
+                store_.setState(*l, next);
+            store_.touch(*l);
             AccessOutcome o;
             o.value = value;
             return o;
@@ -335,7 +318,7 @@ SnoopingCache::executeLocal(const LocalAction &action, LocalEvent ev,
             ++stats_.evictions;
         setLineState(*line, ns);
         if (isValid(ns))
-            store_->touch(*line);
+            store_.touch(*line);
         return outcome;
     }
 
@@ -373,7 +356,7 @@ SnoopingCache::executeLocal(const LocalAction &action, LocalEvent ev,
         nl->data.swap(r.line);
         bus_.recycleLineBuffer(std::move(r.line));
         setLineState(*nl, action.next.resolve(r.resp.ch));
-        store_->touch(*nl);
+        store_.touch(*nl);
         if (r.suppliedByCache)
             ++stats_.dirtyFills;
         if (ev == LocalEvent::Write && isValid(nl->state))
@@ -399,7 +382,7 @@ SnoopingCache::executeLocal(const LocalAction &action, LocalEvent ev,
             line->data[wi] = value;
             setLineState(*line, action.next.resolve(r.resp.ch));
             if (isValid(line->state))
-                store_->touch(*line);
+                store_.touch(*line);
         }
         return outcome;
       }
@@ -447,7 +430,7 @@ SnoopingCache::executeLocal(const LocalAction &action, LocalEvent ev,
         if (ev == LocalEvent::Write)
             line->data[wi] = value;
         setLineState(*line, action.next.resolve(r.resp.ch));
-        store_->touch(*line);
+        store_.touch(*line);
         outcome.value = line->data[wi];
         return outcome;
       }
@@ -458,9 +441,8 @@ SnoopingCache::executeLocal(const LocalAction &action, LocalEvent ev,
 CacheLine *
 SnoopingCache::allocateFor(LineAddr la, AccessOutcome &outcome)
 {
-    // The store may demand several evictions (a sector cache replaces
-    // a whole sector's subsectors at once).
-    store_->evictionSet(la, victims_);
+    // A sector cache replaces every valid line of a sector at once.
+    store_.evictionSet(la, victims_);
     for (CacheLine *victim : victims_) {
         fbsim_assert(victim->valid());
         if (!evict(*victim, outcome)) {
@@ -471,7 +453,7 @@ SnoopingCache::allocateFor(LineAddr la, AccessOutcome &outcome)
             return nullptr;
         }
     }
-    return &store_->install(la, State::I);
+    return &store_.install(la, State::I);
 }
 
 bool
@@ -721,7 +703,7 @@ SnoopingCache::quarantine()
     // Collect first: evict() invalidates through setLineState, which
     // must not run under the store's own iteration.
     std::vector<LineAddr> held;
-    store_->forEachValidLine([&](const CacheLine &line) {
+    store_.forEachValidLine([&](const CacheLine &line) {
         held.push_back(line.addr);
     });
     for (LineAddr la : held) {
@@ -749,11 +731,11 @@ SnoopingCache::reintegrate()
         return false;
     // The quarantine flush already emptied the store and bypass mode
     // never refills it, but a rejoin must not *assume* that: bulk-
-    // invalidate any residual copies (an epoch bump, O(1) in the
-    // conventional store) and wipe this cache's snoop-filter presence
-    // bits wholesale, so the bitmask ends exact no matter what
-    // happened in between - without walking a single line.
-    store_->bulkInvalidate();
+    // invalidate any residual copies (an epoch bump, O(1)) and wipe
+    // this cache's snoop-filter presence bits wholesale, so the
+    // bitmask ends exact no matter what happened in between - without
+    // walking a single line.
+    store_.bulkInvalidate();
     bus_.clearPresence(id_);
     pending_ = Pending{};
     quarantined_ = false;
@@ -765,7 +747,7 @@ std::optional<LineAddr>
 SnoopingCache::corruptRandomBit(Rng &rng)
 {
     std::vector<CacheLine *> victims;
-    store_->forEachValidLine([&](const CacheLine &line) {
+    store_.forEachValidLine([&](const CacheLine &line) {
         victims.push_back(const_cast<CacheLine *>(&line));
     });
     if (victims.empty())

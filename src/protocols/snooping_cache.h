@@ -35,6 +35,7 @@ namespace fbsim {
 /** Configuration of one snooping cache. */
 struct SnoopingCacheConfig
 {
+    /** Shape; linesPerSector > 1 makes a section 5.1 sector cache. */
     CacheGeometry geometry;
     /** CopyBack or WriteThrough (NonCaching uses NonCachingMaster). */
     ClientKind kind = ClientKind::CopyBack;
@@ -76,17 +77,6 @@ class SnoopingCache : public BusClient, public Snooper
                   std::unique_ptr<ActionChooser> chooser,
                   const SnoopingCacheConfig &config);
 
-    /**
-     * Construct over an explicit line store (e.g. a SectorStore for
-     * the section 5.1 sector-cache organization).  `line_bytes` is the
-     * system line (transfer subsector) size.
-     */
-    SnoopingCache(MasterId id, Bus &bus, const ProtocolTable &table,
-                  std::unique_ptr<ActionChooser> chooser,
-                  std::unique_ptr<LineStore> store,
-                  std::size_t line_bytes, ClientKind kind,
-                  bool discard_near_replacement = false);
-
     // BusClient interface.
     MasterId clientId() const override { return id_; }
     const char *protocolName() const override;
@@ -108,7 +98,7 @@ class SnoopingCache : public BusClient, public Snooper
 
     // Inspection (tests, checker, explorer).
     const ProtocolTable &table() const { return table_; }
-    const LineStore &store() const { return *store_; }
+    const TagStore &store() const { return store_; }
     std::size_t lineBytes() const { return lineBytes_; }
     ClientKind kind() const { return kind_; }
 
@@ -116,7 +106,7 @@ class SnoopingCache : public BusClient, public Snooper
     const CacheLine *
     peekLine(LineAddr la) const
     {
-        return plain_ ? plain_->peek(la) : store_->peek(la);
+        return store_.peek(la);
     }
 
     /** Visit every valid line (checker access). */
@@ -124,7 +114,7 @@ class SnoopingCache : public BusClient, public Snooper
     forEachValidLine(
         const std::function<void(const CacheLine &)> &fn) const
     {
-        store_->forEachValidLine(fn);
+        store_.forEachValidLine(fn);
     }
     CacheStats &stats() { return stats_; }
     const CacheStats &stats() const { return stats_; }
@@ -178,8 +168,7 @@ class SnoopingCache : public BusClient, public Snooper
      *  must not touch CacheLine objects. */
     State lineState(Addr addr) const
     {
-        LineAddr la = lineOf(addr);
-        return plain_ ? plain_->stateOf(la) : store_->stateOf(la);
+        return store_.stateOf(lineOf(addr));
     }
 
     /**
@@ -231,7 +220,7 @@ class SnoopingCache : public BusClient, public Snooper
         if (l == nullptr)
             return false;
         out = l->data[wordIndexOf(addr)];
-        frame = plain_->frameOf(*l);
+        frame = store_.frameOf(*l);
         return true;
     }
 
@@ -249,8 +238,8 @@ class SnoopingCache : public BusClient, public Snooper
         undo = {l, l->data[w], static_cast<std::uint32_t>(w), l->state};
         l->data[w] = value;
         if (next != l->state)
-            plain_->setState(*l, next);
-        frame = plain_->frameOf(*l);
+            store_.setState(*l, next);
+        frame = store_.frameOf(*l);
         return true;
     }
 
@@ -287,7 +276,7 @@ class SnoopingCache : public BusClient, public Snooper
         fbsim_assert(u.line->valid());
         u.line->data[u.wordIdx] = u.prevWord;
         if (u.prevState != u.line->state)
-            plain_->setState(*u.line, u.prevState);
+            store_.setState(*u.line, u.prevState);
     }
 
     /**
@@ -299,7 +288,7 @@ class SnoopingCache : public BusClient, public Snooper
     void
     specCommit(const std::uint32_t *frames, std::size_t count)
     {
-        plain_->touchFrames(frames, count);
+        store_.touchFrames(frames, count);
     }
 
     /**
@@ -452,7 +441,7 @@ class SnoopingCache : public BusClient, public Snooper
     CacheLine *
     pureHit(Addr addr, bool is_write, State &next)
     {
-        CacheLine *l = plain_->find(lineOf(addr));
+        CacheLine *l = findLine(lineOf(addr));
         if (l == nullptr)
             return nullptr;
         const HitPlan &p = hitPlan(is_write, l->state);
@@ -465,13 +454,9 @@ class SnoopingCache : public BusClient, public Snooper
     /** Recompute fastLocal_ from chooser/store/coverage/quarantine. */
     void updateFastPath();
 
-    /** Valid line holding `la`, or null.  The conventional store is
-     *  called directly; its find() keeps the one-entry lookup memo. */
-    CacheLine *
-    findLine(LineAddr la)
-    {
-        return plain_ ? plain_->find(la) : store_->find(la);
-    }
+    /** Valid line holding `la`, or null; the store's find() keeps
+     *  the one-entry lookup memo. */
+    CacheLine *findLine(LineAddr la) { return store_.find(la); }
 
     // lineBytes_ is a power of two (the store's geometry validates
     // it), so per-access address splitting is shift/mask.
@@ -487,13 +472,10 @@ class SnoopingCache : public BusClient, public Snooper
     bool discardNearReplacement_;
     std::size_t lineBytes_;
     unsigned lineShift_ = 0;
-    std::unique_ptr<LineStore> store_;
-    /** store_ downcast when it is the conventional store; TagStore is
-     *  final, so calls through it bypass the virtual interface. */
-    TagStore *plain_ = nullptr;
+    TagStore store_;
     /** True when the devirtualized hit path may run: deterministic
-     *  chooser (plans are pure), plain store, no coverage recorder,
-     *  not quarantined. */
+     *  chooser (plans are pure), no coverage recorder, not
+     *  quarantined. */
     bool fastLocal_ = false;
     CacheStats stats_;
     bool quarantined_ = false;

@@ -65,10 +65,11 @@ Fabric::addBoard(std::string name, std::string trip_tag, bool pullable)
 
 MasterId
 Fabric::addCacheOn(Bus &bus, MasterId bus_id, std::size_t board,
-                   const CacheSpec &spec)
+                   const CacheSpec &spec, std::size_t lines_per_sector)
 {
     SnoopingCacheConfig cfg;
-    cfg.geometry = {config_.lineBytes, spec.numSets, spec.assoc};
+    cfg.geometry = {config_.lineBytes, spec.numSets, spec.assoc,
+                    lines_per_sector};
     cfg.kind = spec.writeThrough ? ClientKind::WriteThrough
                                  : ClientKind::CopyBack;
     cfg.discardNearReplacement = spec.discardNearReplacement;
@@ -78,15 +79,8 @@ Fabric::addCacheOn(Bus &bus, MasterId bus_id, std::size_t board,
                        ? spec.makeChooser()
                        : makeChooser(spec.chooser, spec.policy,
                                      spec.seed);
-    return attachCache(std::make_unique<SnoopingCache>(
-                           bus_id, bus, table, std::move(chooser), cfg),
-                       bus, board);
-}
-
-MasterId
-Fabric::attachCache(std::unique_ptr<SnoopingCache> cache, Bus &bus,
-                    std::size_t board)
-{
+    auto cache = std::make_unique<SnoopingCache>(bus_id, bus, table,
+                                                 std::move(chooser), cfg);
     bus.attach(cache.get());
     checker_->addCache(cache.get(), board);
     SnoopingCache *raw = cache.get();

@@ -219,15 +219,12 @@ class Fabric
     std::size_t addBoard(std::string name, std::string trip_tag,
                          bool pullable);
 
-    /** Build `spec`'s cache as client `bus_id` of `bus`, attach it
-     *  to that bus and the checker, and register it on `board`. */
+    /** Build `spec`'s cache, with `lines_per_sector` lines per frame,
+     *  as client `bus_id` of `bus`, attach it to that bus and the
+     *  checker, and register it on `board`. */
     MasterId addCacheOn(Bus &bus, MasterId bus_id, std::size_t board,
-                        const CacheSpec &spec);
-
-    /** Attach an already-built cache to `bus` and the checker and
-     *  register it on `board`. */
-    MasterId attachCache(std::unique_ptr<SnoopingCache> cache, Bus &bus,
-                         std::size_t board);
+                        const CacheSpec &spec,
+                        std::size_t lines_per_sector = 1);
 
     /** Register a master on `board`; returns its system-wide id. */
     MasterId addMaster(std::unique_ptr<BusClient> client,

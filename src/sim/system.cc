@@ -72,18 +72,8 @@ System::addSectorCache(const CacheSpec &spec,
     if (spec.writeThrough)
         fbsim_fatal("sector caches are copy-back in fbsim");
     checkProtocolMix(spec.protocol);
-    SectorGeometry geom;
-    geom.lineBytes = config_.lineBytes;
-    geom.subsectorsPerSector = subsectors_per_sector;
-    geom.numSets = spec.numSets;
-    geom.assoc = spec.assoc;
-    auto store = std::make_unique<SectorStore>(geom);
-    auto cache = std::make_unique<SnoopingCache>(
-        id, bus(), protocolTable(spec.protocol),
-        makeChooser(spec.chooser, spec.policy, spec.seed),
-        std::move(store), config_.lineBytes, ClientKind::CopyBack,
-        spec.discardNearReplacement);
-    return attachCache(std::move(cache), bus(), nextBoard(true));
+    return addCacheOn(bus(), id, nextBoard(true), spec,
+                      subsectors_per_sector);
 }
 
 MasterId

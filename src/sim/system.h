@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/sector_store.h"
 #include "protocols/non_caching.h"
 #include "sim/fabric.h"
 
@@ -60,9 +59,9 @@ class System : public Fabric
 
     /**
      * Add a sector cache (section 5.1, [Hill84]): one tag per
-     * `subsectors_per_sector` lines, per-subsector consistency state.
-     * The protocol/chooser fields of `spec` apply; numSets/assoc are
-     * sector sets/ways.
+     * `subsectors_per_sector` lines (a power of two), per-subsector
+     * consistency state.  The protocol/chooser fields of `spec` apply;
+     * numSets/assoc are sector sets/ways.
      */
     MasterId addSectorCache(const CacheSpec &spec,
                             std::size_t subsectors_per_sector);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cache/geometry.h"
-#include "cache/line_store.h"
 #include "cache/lru_stamps.h"
 #include "cache/tag_store.h"
 #include "sim/system.h"
@@ -150,16 +149,19 @@ TEST(TagStoreTest, InvalidatedLinesDropOutOfLookup)
 // ---------------------------------------------------------------- //
 // Epoch-based bulk invalidation.
 
-TEST(LineStoreTest, EpochInvalidationMatchesPerLineWalk)
+/** The epoch path against a per-line walk, at `k` lines per frame. */
+void
+epochMatchesWalk(std::size_t k)
 {
+    SCOPED_TRACE(testing::Message() << k << " lines per frame");
     CacheGeometry geom;
     geom.lineBytes = 32;
     geom.numSets = 8;
     geom.assoc = 2;
+    geom.linesPerSector = k;
 
-    // walk_store is invalidated through the generic per-line walk
-    // (LineStore's own bulkInvalidate), the equivalence reference for
-    // the O(1) epoch path.
+    // walk_store is invalidated by a per-line walk through setState,
+    // the equivalence reference for the O(1) epoch path.
     TagStore epoch_store(geom);
     TagStore walk_store(geom);
 
@@ -176,7 +178,14 @@ TEST(LineStoreTest, EpochInvalidationMatchesPerLineWalk)
     std::uint32_t epoch_before = epoch_store.epoch();
 
     epoch_store.bulkInvalidate();
-    walk_store.LineStore::bulkInvalidate();
+    // Collect first: setState must not run under the store's own
+    // iteration.
+    std::vector<CacheLine *> held;
+    walk_store.forEachValidLine([&](const CacheLine &line) {
+        held.push_back(const_cast<CacheLine *>(&line));
+    });
+    for (CacheLine *line : held)
+        walk_store.setState(*line, State::I);
 
     // The epoch path must be observably identical to the walk: every
     // line gone, none findable, count zero...
@@ -193,7 +202,7 @@ TEST(LineStoreTest, EpochInvalidationMatchesPerLineWalk)
     EXPECT_EQ(walk_store.epoch(), 0u);
 
     // Both stores keep working identically afterwards: refills land in
-    // repaired frames and are found in the installed state.
+    // the same (repaired) frames and are found in the installed state.
     for (LineAddr la : {LineAddr{5}, LineAddr{40}, LineAddr{77}}) {
         epoch_store.install(la, State::E);
         walk_store.install(la, State::E);
@@ -201,8 +210,17 @@ TEST(LineStoreTest, EpochInvalidationMatchesPerLineWalk)
         ASSERT_NE(walk_store.find(la), nullptr);
         EXPECT_EQ(epoch_store.find(la)->state, State::E);
         EXPECT_EQ(walk_store.find(la)->state, State::E);
+        EXPECT_EQ(epoch_store.frameOf(*epoch_store.find(la)),
+                  walk_store.frameOf(*walk_store.find(la)));
     }
     EXPECT_EQ(epoch_store.validLineCount(), walk_store.validLineCount());
+}
+
+TEST(LineStoreTest, EpochInvalidationMatchesPerLineWalk)
+{
+    // Conventional frames and sector frames of four lines alike.
+    for (std::size_t k : {1u, 4u})
+        epochMatchesWalk(k);
 }
 
 TEST(LineStoreTest, ReintegrationBumpsEpochOnce)
@@ -222,14 +240,13 @@ TEST(LineStoreTest, ReintegrationBumpsEpochOnce)
         sys.read(1, static_cast<Addr>(i) * 8);
     }
     const SnoopingCache *cache = sys.cacheOf(0);
-    const auto *plain = dynamic_cast<const TagStore *>(&cache->store());
-    ASSERT_NE(plain, nullptr);
-    std::uint32_t before = plain->epoch();
+    const TagStore &store = cache->store();
+    std::uint32_t before = store.epoch();
 
     ASSERT_TRUE(sys.quarantine(0));
     ASSERT_TRUE(sys.reintegrate(0));
-    EXPECT_EQ(cache->store().validLineCount(), 0u);
-    EXPECT_EQ(plain->epoch(), before + 1);
+    EXPECT_EQ(store.validLineCount(), 0u);
+    EXPECT_EQ(store.epoch(), before + 1);
 
     for (int i = 0; i < 200; ++i) {
         sys.write(0, static_cast<Addr>(i) * 8, 1000 + i);

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/sector_store.h"
 #include "hier/hier_system.h"
 #include "test_util.h"
 
@@ -41,11 +40,16 @@ TEST(ConfigErrorTest, MalformedGeometryIsFatal)
 
 TEST(ConfigErrorTest, MalformedSectorGeometryIsFatal)
 {
-    auto bad = [] {
-        SectorGeometry g{32, 0, 16, 2};
-        g.validate();
+    // Sector arithmetic is shift/mask, so the subsector count must be
+    // a power of two; the fatal names the rejected count.
+    auto bad = [](std::size_t subsectors) {
+        System sys(test::testConfig());
+        sys.addSectorCache(test::smallCache(), subsectors);
     };
-    EXPECT_EXIT(bad(), ::testing::ExitedWithCode(1), "subsector");
+    EXPECT_EXIT(bad(0), ::testing::ExitedWithCode(1),
+                "subsector count 0 must be a power of two");
+    EXPECT_EXIT(bad(3), ::testing::ExitedWithCode(1),
+                "subsector count 3 must be a power of two");
 }
 
 TEST(ConfigErrorTest, HierRejectsAbortProtocols)

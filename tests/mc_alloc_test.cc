@@ -18,6 +18,9 @@
  * The coherence checker's per-access scan must not allocate at all
  * once an access's working set has been seen, and neither must a warm
  * flat fabric's accesses, evicting misses included.
+ *
+ * A muted warning site must not allocate either: campaign workers hit
+ * their sites concurrently, long after each has used up its budget.
  */
 
 #include <atomic>
@@ -26,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "common/random.h"
 #include "hier/hier_engine.h"
 #include "mc/search.h"
@@ -242,6 +246,24 @@ TEST(CheckerAlloc, FlatAccessesAllocateNothing)
     EXPECT_EQ(accessAllocations(*checked, 2, 20000), 0u);
     EXPECT_TRUE(checked->violations().empty());
     EXPECT_GT(unchecked->cacheOf(0)->stats().evictions, 0u);
+}
+
+TEST(WarnAlloc, MutedSiteAllocatesNothing)
+{
+    resetWarnStats();
+    setWarnSiteLimit(2);
+    auto warn = [](int i) { fbsim_warn("muted warning %d", i); };
+    warn(0);   // registers the site and spends its budget
+    warn(1);
+    const std::size_t before = g_allocations;
+    for (int i = 0; i < 1000; ++i)
+        warn(i);
+    const std::size_t allocated = g_allocations - before;
+    EXPECT_EQ(allocated, 0u);
+    EXPECT_EQ(warnStats().emitted, 2u);
+    EXPECT_EQ(warnStats().suppressed, 1000u);
+    setWarnSiteLimit(kDefaultWarnSiteLimit);
+    resetWarnStats();
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "bus/transaction_log.h"
@@ -401,6 +402,29 @@ TEST(WarnLimiterTest, MutedSiteEvaluatesNoArguments)
               strprintf("warn: suppressed 3 similar messages from %s:%d\n"
                         "warn: suppressed 3 similar messages from %s:%d\n",
                         __FILE__, early, __FILE__, late));
+    setWarnSiteLimit(kDefaultWarnSiteLimit);
+    resetWarnStats();
+}
+
+TEST(WarnLimiterTest, ConcurrentCallsAreCountedExactly)
+{
+    // Campaign workers warn concurrently: every call is counted once,
+    // and exactly the site's budget is admitted.
+    resetWarnStats();
+    setWarnSiteLimit(3);
+    constexpr int kThreads = 4;
+    constexpr int kCalls = 2000;
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([] {
+            for (int i = 0; i < kCalls; ++i)
+                fbsim_warn("concurrent warning %d", i);
+        });
+    }
+    for (std::thread &w : workers)
+        w.join();
+    EXPECT_EQ(warnStats().emitted, 3u);
+    EXPECT_EQ(warnStats().suppressed, kThreads * kCalls - 3u);
     setWarnSiteLimit(kDefaultWarnSiteLimit);
     resetWarnStats();
 }

@@ -62,6 +62,8 @@ struct Arch85Setup
     const ProtocolTable *table = nullptr;
     /** Gives cache 0 a Random chooser (speculation-ineligible). */
     bool randomFirst = false;
+    /** Lines per sector of cache i (a plain cache when absent). */
+    std::vector<std::size_t> sectors;
 };
 
 /**
@@ -92,7 +94,10 @@ runArch85(const Arch85Setup &setup, EngineOrdering ordering,
         spec.table = setup.table;
         if (setup.randomFirst && i == 0)
             spec.chooser = ChooserKind::Random;
-        sys.addCache(spec);
+        if (i < setup.sectors.size())
+            sys.addSectorCache(spec, setup.sectors[i]);
+        else
+            sys.addCache(spec);
     }
     const unsigned passes = setup.passes;
     const std::uint64_t refs_per_proc = setup.refsPerProc;
@@ -167,15 +172,21 @@ TEST(SpeculativeEngineTest, StrictMatchesInterleavedByteIdentical)
 {
     // One pass starts from cold caches, where the first drain round
     // finds nothing to run; the warm second pass makes that round
-    // execute real hits before the first bus transaction.
-    for (const auto &mix : kMixes) {
+    // execute real hits before the first bus transaction.  The last
+    // setup puts K = 4 and K = 2 sector caches beside plain ones.
+    std::vector<Arch85Setup> setups(kMixes.size() + 1);
+    for (std::size_t m = 0; m < kMixes.size(); ++m)
+        setups[m].mix = kMixes[m];
+    setups.back().mix = kMixes.back();
+    setups.back().sectors = {4, 2, 1, 4};
+    for (Arch85Setup &setup : setups) {
         for (unsigned passes : {1u, 2u}) {
-            Observed inter = runArch85(mix, EngineOrdering::Interleaved,
-                                       false, nullptr, passes);
+            setup.passes = passes;
+            Observed inter = runArch85(setup, EngineOrdering::Interleaved);
             ASSERT_GT(inter.bus.transactions, 0u);
             SpecStats spec;
-            Observed strict = runArch85(mix, EngineOrdering::Strict,
-                                        false, &spec, passes);
+            Observed strict =
+                runArch85(setup, EngineOrdering::Strict, &spec);
             expectIdentical(inter, strict);
             // The comparison must not be vacuous: the strict run has
             // to actually take the speculative loop and commit real
