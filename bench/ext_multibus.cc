@@ -16,7 +16,8 @@
 
 #include "bench_util.h"
 #include "common/random.h"
-#include "hier/hier_engine.h"
+#include "hier/hier_system.h"
+#include "sim/engine.h"
 
 using namespace fbsim;
 using namespace fbsim::bench;
@@ -174,7 +175,7 @@ main()
             streams.push_back(std::make_unique<Shift>(c, 50 + i));
             raw.push_back(streams.back().get());
         }
-        HierEngine engine(sys, {});
+        Engine engine(sys, {});
         EngineResult r = engine.run(raw, 6000);
         std::printf("%-10zu %16.2f %16.3f\n", clusters,
                     r.systemPower(), r.busUtilization());

@@ -2,14 +2,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <tuple>
 
 #include "campaign/campaign_journal.h"
-#include "common/bounded_queue.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "hier/hier_engine.h"
+#include "hier/hier_system.h"
 #include "obs/export.h"
 #include "obs/latency.h"
 #include "obs/trace_sink.h"
@@ -163,9 +163,9 @@ runCampaignJob(const CampaignSpec &spec, const CampaignJob &job,
 
     if (spec.clusters > 1) {
         // Hierarchical job: a private HierSystem (root bus, bridges,
-        // leaf buses) driven by a HierEngine.  Per-master latency
-        // recording is skipped: leaf master ids are cluster-local and
-        // would collide in one recorder.
+        // leaf buses) timed by the engine's tree rule.  Per-master
+        // latency recording is skipped: leaf master ids are
+        // cluster-local and would collide in one recorder.
         HierConfig hc = spec.hier;
         hc.lineBytes = spec.base.lineBytes;
         applyAxes(hc);
@@ -184,7 +184,7 @@ runCampaignJob(const CampaignSpec &spec, const CampaignJob &job,
         }
 
         result.engine =
-            HierEngine(system, ecfg).run(scratch.raw, refs, control);
+            Engine(system, ecfg).run(scratch.raw, refs, control);
         harvestCore(result, system);
         result.scrubDivergence = system.scrubDivergence();
         result.faultReport = renderFaultReport(system);
@@ -394,6 +394,7 @@ CampaignRunner::run(const CampaignSpec &spec) const
         }
     }
     std::unique_ptr<CampaignJournal> journal;
+    std::mutex journalMutex;   // serializes the workers' appends
     if (!sup_.journalPath.empty())
         journal = std::make_unique<CampaignJournal>(
             sup_.journalPath, fingerprint, jobs.size());
@@ -404,66 +405,44 @@ CampaignRunner::run(const CampaignSpec &spec) const
         if (!have[job.index])
             pending.push_back(job);
     }
-    if (pending.empty()) {
-        emitJobLifecycle(trace_, report, have);
-        return report;
-    }
 
+    // One claim loop: each worker claims the next pending job, slots
+    // its result at the job's index and appends it to the journal
+    // under one mutex, so every record is one fsync'd line written as
+    // its job completes.  The calling thread is worker 0; a pool runs
+    // the others.  runSupervisedJob never throws - a failing job
+    // becomes a Failed row.
     const unsigned workers = static_cast<unsigned>(
         std::min<std::size_t>(jobs_, pending.size()));
-    if (workers <= 1) {
-        // Serial path: identical results by construction, no threads
-        // (also the baseline `--jobs 1` must reproduce).
+    std::atomic<std::size_t> next{0};
+    auto work = [&] {
         CampaignScratch scratch;
-        for (const CampaignJob &job : pending) {
+        for (;;) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= pending.size())
+                return;
+            const CampaignJob &job = pending[i];
+            // The designated trace job is claimed by exactly one
+            // worker, so the sink sees a single writer.
             CampaignResult r = runSupervisedJob(
                 spec, job, scratch, sup_,
                 (trace_ && job.index == traceJob_) ? trace_ : nullptr);
-            if (journal)
+            if (journal) {
+                std::lock_guard<std::mutex> lock(journalMutex);
                 journal->append(r);
+            }
             report.results[job.index] = std::move(r);
         }
-        emitJobLifecycle(trace_, report, have);
-        return report;
-    }
-
-    // Workers claim the next unclaimed job and push results through a
-    // bounded queue; this (merging) thread slots them by job index and
-    // owns the journal (single writer, no locking).  runSupervisedJob
-    // never throws - a failing job becomes a Failed row - so every
-    // pending job produces exactly one queue entry and the merge loop
-    // cannot starve.
-    std::atomic<std::size_t> next{0};
-    BoundedQueue<CampaignResult> done(2 * workers);
-    {
-        ThreadPool pool(workers);
-        for (unsigned w = 0; w < workers; ++w) {
-            pool.submit([this, &spec, &pending, &next, &done] {
-                CampaignScratch scratch;
-                for (;;) {
-                    std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= pending.size())
-                        return;
-                    // The designated trace job is claimed by exactly
-                    // one worker, so the sink sees a single writer.
-                    TraceSink *trace =
-                        (trace_ && pending[i].index == traceJob_)
-                            ? trace_
-                            : nullptr;
-                    done.push(runSupervisedJob(spec, pending[i],
-                                               scratch, sup_, trace));
-                }
-            });
-        }
-        for (std::size_t n = 0; n < pending.size(); ++n) {
-            CampaignResult result = done.pop();
-            if (journal)
-                journal->append(result);
-            std::size_t index = result.job.index;
-            report.results[index] = std::move(result);
-        }
+    };
+    if (workers > 1) {
+        ThreadPool pool(workers - 1);
+        for (unsigned w = 1; w < workers; ++w)
+            pool.submit(work);
+        work();
         pool.wait();
+    } else {
+        work();
     }
     emitJobLifecycle(trace_, report, have);
     return report;

@@ -1,15 +1,16 @@
 /**
  * @file
- * Thread-pool execution of a CampaignSpec.
+ * Multi-worker execution of a CampaignSpec.
  *
  * Every job of the cross product is independent by construction
- * (campaign_spec.h), so the runner schedules them over a fixed-size
- * ThreadPool: each worker claims the next job index, builds that
- * job's private System/Engine (and FaultInjector when faulted), runs
- * it, and ships the CampaignResult through a bounded result queue to
- * the merging thread, which slots results by job index.  The merged
- * report is therefore bit-identical for any worker count - `--jobs 1`
- * equals the serial run, and `--jobs N` is just faster.
+ * (campaign_spec.h), so the runner spreads them over its workers: the
+ * calling thread and, with more than one worker, a ThreadPool of the
+ * rest.  Each worker claims the next job, builds that job's private
+ * System or HierSystem (and FaultInjector when faulted), runs it
+ * through an Engine, and slots the CampaignResult at the job's index
+ * in the report.  The merged report is therefore bit-identical for
+ * any worker count - `--jobs 1` is the serial run on the calling
+ * thread, and `--jobs N` is just faster.
  *
  * Observability: each job snapshots its own MetricRegistry (counters,
  * gauges, per-master latency histograms) into CampaignResult.metrics;
@@ -110,7 +111,8 @@ CampaignResult runSupervisedJob(const CampaignSpec &spec,
                                 const SupervisorOptions &sup,
                                 TraceSink *trace = nullptr);
 
-/** Runs campaigns over `jobs` worker threads (1 = serial, in-order). */
+/** Runs campaigns over `jobs` workers (1 = the calling thread alone,
+ *  in job order). */
 class CampaignRunner
 {
   public:

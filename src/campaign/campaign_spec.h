@@ -178,8 +178,9 @@ struct CampaignSpec
 
     /**
      * Multi-bus fabric: when > 1, every job builds a HierSystem of
-     * this many leaf buses (mix slot i joins cluster i % clusters)
-     * driven by a HierEngine instead of the flat System/Engine.
+     * this many leaf buses (mix slot i joins cluster i % clusters),
+     * which the Engine times by its tree rule, instead of the flat
+     * System.
      * MOESI-class caches only (HierSystem rejects abort protocols on
      * leaves).  The geometry/cost/fault axes override `hier` exactly
      * as they override `base`: geometry line size -> hier.lineBytes,

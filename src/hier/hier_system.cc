@@ -35,6 +35,7 @@ HierSystem::HierSystem(const HierConfig &config, std::size_t clusters)
             static_cast<MasterId>(i), kBridgeLeafId, rootBus(), words);
         cluster.bus = std::make_unique<Bus>(
             *cluster.bridge, config_.cost, config_.maxBusRetries);
+        addLeafBus(*cluster.bus);
         cluster.bus->setSnoopFilterEnabled(config_.snoopFilter);
         cluster.bus->setSnoopCrossCheck(config_.snoopFilterCrossCheck);
         cluster.bus->addTraceSink(&checker());
@@ -89,13 +90,6 @@ HierSystem::addNonCachingMaster(std::size_t cluster,
                          c.nextLeafId++, *c.bus, config_.lineBytes,
                          broadcast_writes),
                      nullptr, cluster);
-}
-
-Bus &
-HierSystem::leafBus(std::size_t cluster)
-{
-    fbsim_assert(cluster < clusters_.size());
-    return *clusters_[cluster].bus;
 }
 
 BusBridge &

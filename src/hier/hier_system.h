@@ -68,10 +68,9 @@ class HierSystem : public Fabric
     MasterId addNonCachingMaster(std::size_t cluster,
                                  bool broadcast_writes);
 
-    /** Cluster a client was added to. */
+    /** Cluster a client was added to (its board and leaf bus). */
     std::size_t clusterOf(MasterId id) const { return boardOf(id); }
 
-    Bus &leafBus(std::size_t cluster);
     BusBridge &bridge(std::size_t cluster);
 
     /** Observe bus transactions and fault/recovery instants on every

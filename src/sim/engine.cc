@@ -44,7 +44,7 @@ EngineResult::busWaitFairness() const
     return jainFairnessIndex(xs);
 }
 
-Engine::Engine(System &system, const EngineConfig &config)
+Engine::Engine(Fabric &system, const EngineConfig &config)
     : system_(system), config_(config)
 {
 }
@@ -118,10 +118,11 @@ Engine::run(const std::vector<RefStream *> &streams,
     fbsim_assert(!streams.empty());
     // Per-access machinery (fault injection, per-access checking,
     // scheduled reintegrations) observes the exact global access
-    // order: only the interleaved loop provides it.  Strict and
-    // PerLine are policies of the speculative loop, which needs every
-    // client to support undoable local execution.
-    if (system_.plainAccessPath() &&
+    // order, and a tree of buses needs the tree rule: only the
+    // interleaved loop provides them.  Strict and PerLine are policies
+    // of the speculative loop, which needs every client to support
+    // undoable local execution.
+    if (system_.numLeafBuses() == 0 && system_.plainAccessPath() &&
         config_.ordering != EngineOrdering::Interleaved && specEligible())
         return runSpeculative(streams, refs_per_proc, control);
     return runInterleaved(streams, refs_per_proc, control);
@@ -144,8 +145,6 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
     std::vector<ProcState> procs(n);
     EngineResult result;
     result.procs.resize(n);
-    Arbiter arbiter(n);
-    Cycles bus_free = 0;
 
     // Compact mirror of each proc's next-ready time, scanned once per
     // executed reference; a drained stream parks at the sentinel so
@@ -165,22 +164,92 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
 
     std::vector<std::uint64_t> seq(n, 0);
 
-    auto execute = [&](std::size_t i, Cycles start) {
+    // Proc i's reference is done and its next ready time set.
+    auto retire = [&](std::size_t i) {
         ProcState &p = procs[i];
-        const AccessOutcome outcome = access(result, i, p.ref, seq[i]);
         ProcTiming &timing = result.procs[i];
         timing.refs += 1;
         timing.execCycles += kHitCycles;
+        timing.finishTime = p.readyAt;
+        p.hasRef = false;
+        p.done += 1;
+        fetch(i);
+    };
+
+    // The flat rule's state: one bus and its arbiter.
+    Arbiter arbiter(n);
+    Cycles bus_free = 0;
+
+    auto execute = [&](std::size_t i, Cycles start) {
+        ProcState &p = procs[i];
+        const AccessOutcome outcome = access(result, i, p.ref, seq[i]);
         if (outcome.usedBus) {
             bus_free = billBus(result, i, p.ref, p.readyAt, start, outcome);
             p.readyAt = bus_free + kHitCycles;
         } else {
             p.readyAt += kHitCycles;
         }
-        p.hasRef = false;
-        p.done += 1;
-        timing.finishTime = p.readyAt;
-        fetch(i);
+        retire(i);
+    };
+
+    // The tree rule's state (see the file comment): each leaf bus
+    // with its free time and its occupancy before the current access,
+    // and the root's free time.
+    struct Leaf
+    {
+        const Bus *bus = nullptr;
+        Cycles free = 0;
+        Cycles before = 0;
+    };
+    std::vector<Leaf> leaves(system_.numLeafBuses());
+    for (std::size_t c = 0; c < leaves.size(); ++c)
+        leaves[c].bus = &system_.leafBus(c);
+    Cycles root_free = 0;
+
+    auto serveTree = [&](std::size_t i) {
+        ProcState &p = procs[i];
+        const MasterId id = static_cast<MasterId>(i);
+        const std::size_t home = system_.boardOf(id);
+        Cycles start = p.readyAt;
+        // Root involvement is unknown before the access, so only the
+        // home leaf is waited for here.
+        if (system_.wouldUseBus(id, p.ref.write, p.ref.addr))
+            start = std::max(start, leaves[home].free);
+
+        for (Leaf &leaf : leaves)
+            leaf.before = leaf.bus->stats().busyCycles;
+        const Cycles root_before = system_.rootBus().stats().busyCycles;
+        access(result, i, p.ref, seq[i]);
+
+        const Cycles root_delta =
+            system_.rootBus().stats().busyCycles - root_before;
+        if (root_delta > 0)
+            start = std::max(start, root_free);
+        Cycles home_delta = 0;
+        for (std::size_t c = 0; c < leaves.size(); ++c) {
+            Leaf &leaf = leaves[c];
+            const Cycles delta = leaf.bus->stats().busyCycles - leaf.before;
+            if (delta == 0)
+                continue;
+            leaf.free = std::max(leaf.free, start + delta);
+            if (c == home)
+                home_delta = delta;
+        }
+        if (root_delta > 0) {
+            root_free = start + root_delta;
+            result.busBusy += root_delta;
+        }
+
+        if (home_delta > 0 || root_delta > 0) {
+            ProcTiming &timing = result.procs[i];
+            timing.busWaitCycles += start - p.readyAt;
+            timing.busServiceCycles += home_delta;
+            p.readyAt =
+                start + std::max(home_delta, root_delta) + kHitCycles;
+        } else {
+            p.readyAt += kHitCycles;
+        }
+        retire(i);
     };
 
     // Cooperative cancellation: poll the supervisor between
@@ -207,6 +276,10 @@ Engine::runInterleaved(const std::vector<RefStream *> &streams,
         }
         if (ready[imin] == kIdle)
             break;
+        if (!leaves.empty()) {
+            serveTree(imin);
+            continue;
+        }
 
         ProcState &p = procs[imin];
         bool needs_bus = system_.wouldUseBus(static_cast<MasterId>(imin),

@@ -1,14 +1,33 @@
 /**
  * @file
  * Timed simulation: drives per-processor reference streams through a
- * System, serializing bus transactions through an Arbiter and charging
- * cycles from the bus cost model.
+ * Fabric (a flat System or a HierSystem), charging cycles from the bus
+ * cost model.
  *
  * The model: each processor executes one reference per kHitCycles of
- * local work; a reference that needs the bus waits for the bus to be
- * free (and to win arbitration) and then occupies it for the
- * transaction cost.  Processor utilization and bus utilization are the
- * paper's section 5.2 / [Arch85] comparison metrics.
+ * local work; a reference that needs a bus waits for it to be free and
+ * then occupies it for the transaction cost.  Processor utilization
+ * and bus utilization are the paper's section 5.2 / [Arch85]
+ * comparison metrics.  One interleaved loop serves both topologies
+ * with a bus rule each:
+ *
+ * - Flat (no leaf buses): one bus, granted by an Arbiter round-robin
+ *   among the masters ready when it frees; the access's own outcome
+ *   gives its service time.
+ * - Tree (Fabric::numLeafBuses() > 0): every leaf bus and the root bus
+ *   is a contended resource, and the earliest-ready processor is
+ *   served.  A reference that needs a bus starts once its home leaf is
+ *   free; the buses' BusStats::busyCycles deltas over the access
+ *   attribute its work, a root delta pushes the start back to the
+ *   root's free time, and each bus with a delta is busy from the start
+ *   for that delta.  Cluster-local traffic therefore proceeds in
+ *   parallel across clusters, the throughput argument for the section
+ *   6 hierarchy.  Bus involvement is known only after functional
+ *   execution, so a remote leaf reached by a down-forward is charged
+ *   from the same start (its possible extra queueing is folded into
+ *   the one-reference-in-flight rule).  busBusy is the root's
+ *   occupancy; a leaf's is its own BusStats::busyCycles.  The tree
+ *   rule records no latency and emits no trace spans.
  */
 
 #ifndef FBSIM_SIM_ENGINE_H_
@@ -19,7 +38,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "sim/system.h"
+#include "sim/fabric.h"
 #include "trace/ref_stream.h"
 
 namespace fbsim {
@@ -39,7 +58,9 @@ class TraceSink;
  * speculation-eligible, so Strict runs the interleaved loop.  Runs
  * that break exclusivity through stale copies (a table that leaves a
  * sharer valid across an invalidating transaction) are not covered;
- * study those with Interleaved or checkEveryAccess.
+ * study those with Interleaved or checkEveryAccess.  The speculative
+ * loop times the flat bus only, so a fabric with leaf buses always
+ * runs the interleaved loop, under every ordering.
  *
  * PerLine is the same loop with a commit-on-drain policy: each
  * processor's run of local hits commits as soon as it is drained,
@@ -111,29 +132,29 @@ struct RunControl
     }
 };
 
-/** Processor cycles per reference when it completes locally (Engine
- *  and HierEngine). */
+/** Processor cycles per reference when it completes locally (both bus
+ *  rules). */
 inline constexpr Cycles kHitCycles = 1;
 
 /** Timed-engine configuration. */
 struct EngineConfig
 {
     /**
-     * Optional per-master latency instrumentation (arbitration wait;
-     * service time is recorded by the Bus itself when the recorder is
-     * also attached there).  Null = detached, zero overhead beyond a
-     * branch per bus access.  Not owned.
+     * Optional per-master latency instrumentation (arbitration wait,
+     * flat rule only; service time is recorded by the Bus itself when
+     * the recorder is also attached there).  Null = detached, zero
+     * overhead beyond a branch per bus access.  Not owned.
      */
     LatencyRecorder *latency = nullptr;
-    /** Optional trace sink for per-reference bus spans.  Null =
-     *  detached.  Not owned. */
+    /** Optional trace sink for per-reference bus spans (flat rule
+     *  only).  Null = detached.  Not owned. */
     TraceSink *trace = nullptr;
     /**
      * Reference-vs-transaction ordering discipline; see
      * EngineOrdering.  Strict and PerLine run the speculative loop,
-     * and only on the plain access path with speculation-eligible
-     * caches; anything else falls back to the interleaved loop, whose
-     * semantics both represent.
+     * and only on a fabric without leaf buses, on the plain access
+     * path, with speculation-eligible caches; anything else falls back
+     * to the interleaved loop, whose semantics both represent.
      */
     EngineOrdering ordering = EngineOrdering::Strict;
     /** Speculation counters sink (not owned; null = detached).  Only
@@ -220,15 +241,15 @@ struct EngineResult
     double busWaitFairness() const;
 };
 
-/** Drives reference streams through a System with timing. */
+/** Drives reference streams through a Fabric with timing. */
 class Engine
 {
   public:
-    Engine(System &system, const EngineConfig &config);
+    Engine(Fabric &system, const EngineConfig &config);
 
     /**
      * Run every stream for `refs_per_proc` references.
-     * streams[i] feeds System client i; streams.size() must equal the
+     * streams[i] feeds client i; streams.size() must equal the
      * system's client count.  A non-null `control` is polled
      * periodically for cooperative cancellation (supervised jobs).
      */
@@ -251,10 +272,12 @@ class Engine
   private:
     /**
      * Classic loop: one global readyAt scan per reference, every
-     * access through the full System wrapper.  Used whenever the
-     * system needs per-access machinery (fault injection, per-access
-     * checking, scheduled reintegrations), whose observable behaviour
-     * depends on the exact global access order.
+     * access through the full Fabric wrapper, timed by the flat or
+     * the tree bus rule.  Used whenever the system needs per-access
+     * machinery (fault injection, per-access checking, scheduled
+     * reintegrations), whose observable behaviour depends on the
+     * exact global access order, and for every fabric with leaf
+     * buses.
      */
     EngineResult runInterleaved(const std::vector<RefStream *> &streams,
                                 std::uint64_t refs_per_proc,
@@ -281,7 +304,7 @@ class Engine
     bool specEligible() const;
 
     /**
-     * Execute one reference through the System wrapper (a write
+     * Execute one reference through the Fabric wrapper (a write
      * stores writeValue(proc, ++seq)), count it when it faulted and
      * append it to the access log.
      */
@@ -301,7 +324,7 @@ class Engine
     /** Shared epilogue: elapsed time and the ladder counters. */
     void finish(EngineResult &result) const;
 
-    System &system_;
+    Fabric &system_;
     EngineConfig config_;
 };
 

@@ -132,6 +132,20 @@ Fabric::cacheTotals() const
     return totals;
 }
 
+void
+Fabric::addLeafBus(Bus &bus)
+{
+    fbsim_assert(leafBuses_.size() + 1 == boards_.size());
+    leafBuses_.push_back(&bus);
+}
+
+Bus &
+Fabric::leafBus(std::size_t k)
+{
+    fbsim_assert(k < leafBuses_.size());
+    return *leafBuses_[k];
+}
+
 std::size_t
 Fabric::boardOf(MasterId id) const
 {

@@ -196,6 +196,18 @@ class Fabric
 
     Bus &rootBus() { return *bus_; }
     const Bus &rootBus() const { return *bus_; }
+
+    /**
+     * The leaf buses the topology registered: none in a flat System,
+     * one per cluster in a HierSystem.  Leaf k is board k's bus, so a
+     * master's home leaf is boardOf(id).  The timed engine times a
+     * fabric with leaf buses by its tree rule (sim/engine.h).
+     */
+    std::size_t numLeafBuses() const { return leafBuses_.size(); }
+    Bus &leafBus(std::size_t k);
+
+    /** The board a master was registered on. */
+    std::size_t boardOf(MasterId id) const;
     MainMemory &memory() { return *memory_; }
     CoherenceChecker &checker() { return *checker_; }
 
@@ -230,7 +242,9 @@ class Fabric
     MasterId addMaster(std::unique_ptr<BusClient> client,
                        SnoopingCache *cache, std::size_t board);
 
-    std::size_t boardOf(MasterId id) const;
+    /** Register `bus` as the latest board's leaf bus. */
+    void addLeafBus(Bus &bus);
+
     bool boardPulled(std::size_t board) const;
 
     /** Charge one watchdog trip to a board's ladder (fault-armed
@@ -312,6 +326,7 @@ class Fabric
     std::uint64_t watchdogTrips_ = 0;
     std::uint64_t quarantines_ = 0;
     std::uint64_t reintegrations_ = 0;
+    std::vector<Bus *> leafBuses_;   ///< by board; not owned
 };
 
 } // namespace fbsim

@@ -1,6 +1,6 @@
 /**
  * @file
- * Campaign layer: the ThreadPool/BoundedQueue primitives, cross
+ * Campaign layer: the ThreadPool primitive, cross
  * product expansion, and the determinism contract - the merged report
  * is bit-identical for every --jobs value, --jobs 1 equals a manually
  * driven serial System+Engine run, and per-job fault state is handed
@@ -12,11 +12,9 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <type_traits>
 
 #include "campaign/campaign_runner.h"
-#include "common/bounded_queue.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "test_util.h"
@@ -64,31 +62,6 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks)
 TEST(ThreadPoolTest, HardwareJobsIsPositive)
 {
     EXPECT_GE(ThreadPool::hardwareJobs(), 1u);
-}
-
-// ---------------------------------------------------------------- //
-// BoundedQueue
-
-TEST(BoundedQueueTest, FifoAcrossThreadsWithTinyCapacity)
-{
-    BoundedQueue<int> queue(3);
-    const int kItems = 200;
-    std::thread producer([&queue] {
-        for (int i = 0; i < kItems; ++i)
-            queue.push(i);
-    });
-    for (int i = 0; i < kItems; ++i)
-        EXPECT_EQ(queue.pop(), i);
-    producer.join();
-}
-
-TEST(BoundedQueueTest, MovesNonCopyableValues)
-{
-    BoundedQueue<std::unique_ptr<int>> queue(2);
-    queue.push(std::make_unique<int>(41));
-    queue.push(std::make_unique<int>(42));
-    EXPECT_EQ(*queue.pop(), 41);
-    EXPECT_EQ(*queue.pop(), 42);
 }
 
 // ---------------------------------------------------------------- //

@@ -11,9 +11,9 @@
  * enumerated transition - a search walks ~25-60 edges per node, so a
  * per-edge allocation blows the bound immediately.
  *
- * The hierarchical timed engine must not allocate per reference: its
- * allocations are bounded by set-up and the caches' working set,
- * independent of how many references run.
+ * The timed engine must not allocate per reference on a hierarchy
+ * (its tree rule): its allocations are bounded by set-up and the
+ * caches' working set, independent of how many references run.
  *
  * The coherence checker's per-access scan must not allocate at all
  * once an access's working set has been seen, and neither must a warm
@@ -31,9 +31,10 @@
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "hier/hier_engine.h"
+#include "hier/hier_system.h"
 #include "mc/search.h"
 #include "protocols/factory.h"
+#include "sim/engine.h"
 #include "sim/system.h"
 #include "trace/workloads.h"
 
@@ -148,7 +149,7 @@ TEST(McAlloc, HierEngineAllocatesNothingPerReference)
     std::vector<RefStream *> raw;
     for (auto &s : streams)
         raw.push_back(s.get());
-    HierEngine engine(sys, {});
+    Engine engine(sys, {});
 
     const std::size_t before = g_allocations;
     EngineResult r = engine.run(raw, 20000);

@@ -20,10 +20,7 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstring>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "sim/engine.h"
@@ -351,55 +348,12 @@ TEST(SpeculativeEngineTest, MidBatchRollbackIsInvisible)
     EXPECT_TRUE(inter.checkNow.empty());
 }
 
-/** FNV-1a over a sequence of 64-bit words. */
-class Digest
-{
-  public:
-    void
-    add(std::uint64_t v)
-    {
-        for (unsigned b = 0; b < 64; b += 8) {
-            h_ ^= (v >> b) & 0xff;
-            h_ *= 0x100000001b3ull;
-        }
-    }
-
-    /** A stats block made only of 64-bit counters, in field order. */
-    template <class Counters>
-    void
-    addCounters(const Counters &c)
-    {
-        static_assert(std::is_trivially_copyable_v<Counters> &&
-                      sizeof(Counters) % sizeof(std::uint64_t) == 0);
-        std::array<std::uint64_t, sizeof(Counters) / sizeof(std::uint64_t)>
-            words;
-        std::memcpy(words.data(), &c, sizeof c);
-        for (std::uint64_t w : words)
-            add(w);
-    }
-
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
 std::uint64_t
 digestOf(const Observed &o)
 {
-    Digest d;
-    for (const EngineResult &r : o.engine) {
-        for (std::uint64_t v :
-             {r.elapsed, r.busBusy, r.faultedRefs, r.watchdogTrips,
-              r.quarantines, r.reintegrations,
-              std::uint64_t{r.cancelled}})
-            d.add(v);
-        for (const ProcTiming &p : r.procs) {
-            for (std::uint64_t v : {p.refs, p.finishTime, p.execCycles,
-                                    p.busWaitCycles, p.busServiceCycles})
-                d.add(v);
-        }
-    }
+    test::Digest d;
+    for (const EngineResult &r : o.engine)
+        d.addResult(r);
     d.addCounters(o.bus);
     for (const CacheStats &c : o.caches)
         d.addCounters(c);
@@ -417,7 +371,7 @@ digestOf(const Observed &o)
 std::uint64_t
 digestWithText(const Observed &o)
 {
-    Digest d;
+    test::Digest d;
     d.add(digestOf(o));
     d.add(test::fnv1a(o.violations));
     d.add(test::fnv1a(o.checkNow));

@@ -8,9 +8,12 @@
 #ifndef FBSIM_TESTS_TEST_UTIL_H_
 #define FBSIM_TESTS_TEST_UTIL_H_
 
+#include <array>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "campaign/campaign_spec.h"
@@ -78,6 +81,55 @@ fnv1a(const std::vector<std::string> &lines)
         joined += l + "\n";
     return fnv1a(joined);
 }
+
+/** FNV-1a over a sequence of 64-bit words. */
+class Digest
+{
+  public:
+    void
+    add(std::uint64_t v)
+    {
+        for (unsigned b = 0; b < 64; b += 8) {
+            h_ ^= (v >> b) & 0xff;
+            h_ *= 0x100000001b3ull;
+        }
+    }
+
+    /** A stats block made only of 64-bit counters, in field order. */
+    template <class Counters>
+    void
+    addCounters(const Counters &c)
+    {
+        static_assert(std::is_trivially_copyable_v<Counters> &&
+                      sizeof(Counters) % sizeof(std::uint64_t) == 0);
+        std::array<std::uint64_t, sizeof(Counters) / sizeof(std::uint64_t)>
+            words;
+        std::memcpy(words.data(), &c, sizeof c);
+        for (std::uint64_t w : words)
+            add(w);
+    }
+
+    /** Every EngineResult field, each processor's timing included. */
+    void
+    addResult(const EngineResult &r)
+    {
+        for (std::uint64_t v :
+             {r.elapsed, r.busBusy, r.faultedRefs, r.watchdogTrips,
+              r.quarantines, r.reintegrations,
+              std::uint64_t{r.cancelled}})
+            add(v);
+        for (const ProcTiming &p : r.procs) {
+            for (std::uint64_t v : {p.refs, p.finishTime, p.execCycles,
+                                    p.busWaitCycles, p.busServiceCycles})
+                add(v);
+        }
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
 
 /**
  * One line fingerprinting everything a campaign job reports about its
